@@ -5,8 +5,9 @@ Cross-checking the filter against a brute-force optimizer
 The filter's internal state claims to be the gradient and Hessian, at the
 current estimate, of an accumulated disturbance-energy cost. That claim
 is checkable: replay a run's substeps as one equality-constrained least
-squares problem over the whole disturbance trajectory, evaluate that cost
-directly, and differentiate it numerically.
+squares problem over the whole disturbance trajectory, solve it, and read
+the cost's exact gradient and Hessian off the multipliers of the terminal
+constraint.
 
 Worth knowing before reading the numbers: the filter integrates its state
 with explicit Euler, so the agreement improves linearly as the step size
@@ -32,7 +33,7 @@ print("dt        critical_pt   grad_rel      hess_rel      steps")
 for dt in (4e-3, 2e-3, 1e-3, 5e-4):
     problem, state, sample, _ = build_verification_problem(overrides, dt)
 
-    # Finite differences on the replayed cost, evaluated at the origin.
+    # Exact derivatives of the replayed cost at the origin.
     grad, hess = gradient_hessian_at(problem, XI_ORIGIN)
     grad_rel = np.linalg.norm(state.eta - grad) / np.linalg.norm(grad)
     hess_rel = np.linalg.norm(state.H - hess) / np.linalg.norm(hess)

@@ -3,18 +3,17 @@
 Rebuilds the finite-horizon estimation problem the observer claims to
 solve: over all disturbance sequences and initial errors consistent with
 the forward-Euler error dynamics and a fixed terminal error, minimize the
-initial cost plus the accumulated disturbance energy. Because the
-dynamics are linear and every cost term is quadratic, the resulting value
-function is exactly quadratic in the terminal error, so finite
-differences of the optimum recover its gradient and Hessian to round-off.
-These are then compared against the observer's propagated quantities.
+initial cost plus the accumulated disturbance energy. The constraints are
+linear and every cost term is quadratic, so the optimum solves the sparse
+KKT system of an equality-constrained quadratic program. Its matrix does
+not depend on the terminal error; it is factored once with SuperLU, after
+which each terminal point costs one solve.
 
-Two equivalent solvers back the optimization. Small instances use dense
-elimination of the trajectory plus an orthogonal factorization; large
-instances assemble the sparse KKT system of the equality-constrained
-quadratic program and factor it once with SuperLU, after which each
-terminal point costs one solve. The two styles are pinned against each
-other in the test suite at a size both can handle.
+The value function is therefore exactly quadratic in the terminal error,
+and the multiplier of the terminal constraint is minus its gradient. One
+solve gives the gradient, and one solve per coordinate, driven by a unit
+terminal point alone, gives a Hessian column. These exact derivatives are
+then compared against the observer's propagated quantities.
 """
 
 from __future__ import annotations
@@ -36,13 +35,7 @@ __all__ = [
     "check_critical_point",
     "hjb_minimizer",
     "hjb_minimizer_check",
-    "DENSE_STEP_LIMIT",
 ]
-
-# Problems with at most this many steps default to the dense solver.
-DENSE_STEP_LIMIT = 200
-
-FD_STEP = 1e-4
 
 
 class InfeasibleTerminalError(ValueError):
@@ -54,10 +47,17 @@ class InfeasibleTerminalError(ValueError):
     """
 
 
-def _psd_sqrt_rows(mat: np.ndarray) -> np.ndarray:
-    # Row factor L with L^T L equal to the PSD part of mat.
-    w, V = np.linalg.eigh(mat)
-    return np.sqrt(np.clip(w, 0.0, None))[:, None] * V.T
+def _block_entries(blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # COO triplets of stacked dense blocks: values (K, p, q) placed with
+    # their top-left corners at (rows[k], cols[k]).
+    out = []
+    for values, rows, cols in blocks:
+        p, q = values.shape[-2:]
+        r = np.asarray(rows)[:, None, None] + np.arange(p)[None, :, None]
+        c = np.asarray(cols)[:, None, None] + np.arange(q)[None, None, :]
+        r, c, v = np.broadcast_arrays(r, c, values)
+        out.append((r.ravel(), c.ravel(), v.ravel()))
+    return tuple(np.concatenate(parts) for parts in zip(*out))
 
 
 @dataclass
@@ -82,9 +82,7 @@ class DiscretizedProblem:
     R: np.ndarray
     H0: np.ndarray
     anchor: np.ndarray
-    solver: str = "auto"
-    _dense: Optional[dict] = field(default=None, init=False, repr=False)
-    _sparse: Optional[dict] = field(default=None, init=False, repr=False)
+    _kkt: Optional[dict] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.Delta = np.asarray(self.Delta, dtype=float)
@@ -117,8 +115,6 @@ class DiscretizedProblem:
             raise ValueError("H0 must be m x m")
         if self.anchor.shape != (m,):
             raise ValueError("anchor must be an m-vector")
-        if self.solver not in ("auto", "dense", "sparse"):
-            raise ValueError("solver must be auto, dense, or sparse")
 
     @property
     def steps(self) -> int:
@@ -142,7 +138,7 @@ class DiscretizedProblem:
 
     @classmethod
     def from_substeps(
-        cls, basis: GeneratorBasis, records, H0, anchor, solver: str = "auto"
+        cls, basis: GeneratorBasis, records, H0, anchor
     ) -> "DiscretizedProblem":
         """Build the problem from an observer substep trace.
 
@@ -165,142 +161,89 @@ class DiscretizedProblem:
         R = np.stack([r.sample.R for r in records])
         return cls(
             dt=dt, Delta=Delta, B=B, Q=Q, C=C, X_hat=X_hat, y=y, R=R,
-            H0=np.asarray(H0, dtype=float), anchor=anchor, solver=solver,
+            H0=np.asarray(H0, dtype=float), anchor=anchor,
         )
 
-    # -- dense path: eliminate the trajectory, orthogonal factorization --
+    # Unknowns are stacked as z = (e_0, mu_0, e_1, mu_1, ..., e_N); the
+    # constraints e_{k+1} = (I + dt*Delta_k) e_k + dt*B_k mu_k, then e_N = e_T.
 
-    def _dense_state(self) -> dict:
-        if self._dense is not None:
-            return self._dense
-        N, m, l, n = self.steps, self.m, self.l, self.n
-        cols = m + N * l
-        A_step = np.eye(m)[None, :, :] + self.dt * self.Delta
-        C_tilde = self.C @ np.linalg.inv(self.X_hat)
-
-        # Coefficients of e_k as a linear map of (e0, mu_0..mu_{N-1}).
-        coeff = np.zeros((N + 1, m, cols))
-        coeff[0, :, :m] = np.eye(m)
-        for k in range(N):
-            coeff[k + 1] = A_step[k] @ coeff[k]
-            coeff[k + 1][:, m + k * l : m + (k + 1) * l] += self.dt * self.B[k]
-
-        rows = m + N * (l + n)
-        A_mat = np.zeros((rows, cols))
-        b = np.zeros(rows)
-        L0 = _psd_sqrt_rows(self.H0)
-        A_mat[:m] = L0 @ coeff[0]
-        b[:m] = L0 @ self.anchor
-        sqrt_dt = np.sqrt(self.dt)
-        r0 = m
-        for k in range(N):
-            LQ = sqrt_dt * np.linalg.cholesky(self.Q[k]).T
-            A_mat[r0 : r0 + l, m + k * l : m + (k + 1) * l] = LQ
-            r0 += l
-        for k in range(N):
-            LR = sqrt_dt * _psd_sqrt_rows(self.R[k])
-            A_mat[r0 : r0 + n] = (LR @ C_tilde[k]) @ coeff[k]
-            b[r0 : r0 + n] = LR @ self.y[k]
-            r0 += n
-
-        G = coeff[N]
-        U, s, Vt = np.linalg.svd(G, full_matrices=True)
-        rank = int(np.sum(s > 1e-12 * s[0])) if s.size else 0
-        W_p = Vt[:rank].T @ ((U[:, :rank] / s[:rank]).T)
-        Z = Vt[rank:].T
-        Qz, _ = np.linalg.qr(A_mat @ Z)
-        self._dense = {
-            "M": A_mat @ W_p,
-            "b": b,
-            "Qz": Qz,
-            "U_range": U[:, :rank],
-            "full_rank": rank == m,
-        }
-        return self._dense
-
-    def _value_dense(self, e_T: np.ndarray) -> float:
-        st = self._dense_state()
-        if not st["full_rank"]:
-            proj = st["U_range"] @ (st["U_range"].T @ e_T)
-            if float(np.linalg.norm(proj - e_T)) > 1e-8 * max(1.0, float(np.linalg.norm(e_T))):
-                raise InfeasibleTerminalError("terminal error is unreachable")
-        u = st["b"] - st["M"] @ e_T
-        resid = u - st["Qz"] @ (st["Qz"].T @ u)
-        return 0.5 * float(resid @ resid)
-
-    # -- sparse path: KKT system of the constrained quadratic program --
-
-    def _sparse_state(self) -> dict:
-        if self._sparse is not None:
-            return self._sparse
-        N, m, l, n = self.steps, self.m, self.l, self.n
+    def _kkt_state(self) -> dict:
+        if self._kkt is not None:
+            return self._kkt
+        N, m, l = self.steps, self.m, self.l
         stride = m + l
         nz = (N + 1) * m + N * l
-        ncon = (N + 1) * m
+        starts = np.arange(N) * stride
         C_tilde = self.C @ np.linalg.inv(self.X_hat)
         A_step = np.eye(m)[None, :, :] + self.dt * self.Delta
+        CtR = np.swapaxes(C_tilde, 1, 2) @ self.R
 
-        P = sp.lil_matrix((nz, nz))
+        cost = [
+            (self.H0[None], [0], [0]),
+            (self.dt * CtR @ C_tilde, starts, starts),
+            (self.dt * self.Q, starts + m, starts + m),
+        ]
+        con_rows = nz + np.arange(N + 1) * m
+        constraints = [
+            (-A_step, con_rows[:N], starts),
+            (-self.dt * self.B, con_rows[:N], starts + m),
+            (np.eye(m)[None], con_rows, np.append(starts + stride, N * stride)),
+        ]
+        pr, pc, pv = _block_entries(cost)
+        er, ec, ev = _block_entries(constraints)
+        size = nz + (N + 1) * m
+        K = sp.csc_matrix(
+            (np.concatenate([pv, ev, ev]),
+             (np.concatenate([pr, er, ec]), np.concatenate([pc, ec, er]))),
+            shape=(size, size),
+        )
+        K.eliminate_zeros()  # zero entries would only widen the LU pattern
+
         c = np.zeros(nz)
-        c0 = 0.5 * float(self.anchor @ self.H0 @ self.anchor)
-        P[:m, :m] = self.H0
-        c[:m] = -self.H0 @ self.anchor
-        for k in range(N):
-            ek = k * stride
-            mk = ek + m
-            P[mk : mk + l, mk : mk + l] = self.dt * self.Q[k]
-            CtR = C_tilde[k].T @ self.R[k]
-            P[ek : ek + m, ek : ek + m] = (
-                P[ek : ek + m, ek : ek + m].toarray() + self.dt * CtR @ C_tilde[k]
-            )
-            c[ek : ek + m] += -self.dt * CtR @ self.y[k]
-            c0 += 0.5 * self.dt * float(self.y[k] @ self.R[k] @ self.y[k])
-
-        E = sp.lil_matrix((ncon, nz))
-        for k in range(N):
-            row = k * m
-            ek = k * stride
-            E[row : row + m, ek : ek + m] = -A_step[k]
-            E[row : row + m, ek + m : ek + m + l] = -self.dt * self.B[k]
-            E[row : row + m, ek + stride : ek + stride + m] = np.eye(m)
-        E[N * m : (N + 1) * m, N * stride : N * stride + m] = np.eye(m)
-
-        K = sp.bmat([[P.tocsc(), E.T.tocsc()], [E.tocsc(), None]], format="csc")
+        c[starts[:, None] + np.arange(m)] = -self.dt * np.einsum("kij,kj->ki", CtR, self.y)
+        c[:m] -= self.H0 @ self.anchor
         try:
             lu = splu(K)
         except RuntimeError as exc:
             raise InfeasibleTerminalError(f"singular optimality system: {exc}") from exc
-        self._sparse = {
-            "lu": lu,
-            "K": K,
-            "P": P.tocsr(),
-            "c": c,
-            "c0": c0,
-            "nz": nz,
-            "ncon": ncon,
-        }
-        return self._sparse
+        self._kkt = {"lu": lu, "K": K, "c": c, "C_tilde": C_tilde}
+        return self._kkt
 
-    def _value_sparse(self, e_T: np.ndarray) -> float:
-        st = self._sparse_state()
-        rhs = np.concatenate([-st["c"], np.zeros(st["ncon"])])
-        rhs[-self.m :] = e_T
+    def _solve(self, terminal: np.ndarray) -> np.ndarray:
+        """KKT solutions (z, multipliers), one per column of the m x k
+        array ``terminal``. Column 0 is the problem ending at terminal[:, 0];
+        the others drop the linear cost term, leaving the response to their
+        terminal point alone."""
+        st = self._kkt_state()
+        rhs = np.zeros((st["K"].shape[0], terminal.shape[1]))
+        rhs[: st["c"].size, 0] = -st["c"]
+        rhs[-self.m :] = terminal
         sol = st["lu"].solve(rhs)
-        residual = float(np.linalg.norm(st["K"] @ sol - rhs))
-        if not np.isfinite(residual) or residual > 1e-6 * (1.0 + float(np.linalg.norm(rhs))):
+        residual = np.linalg.norm(st["K"] @ sol - rhs, axis=0)
+        if not np.all(residual <= 1e-6 * (1.0 + np.linalg.norm(rhs, axis=0))):
             raise InfeasibleTerminalError(
-                f"optimality system solve failed (residual {residual:.3e})"
+                f"optimality system solve failed (residual {residual.max():.3e})"
             )
-        z = sol[: st["nz"]]
-        return 0.5 * float(z @ (st["P"] @ z)) + float(st["c"] @ z) + st["c0"]
+        return sol
 
-    def _value(self, e_T: np.ndarray) -> float:
-        use_dense = self.solver == "dense" or (
-            self.solver == "auto" and self.steps <= DENSE_STEP_LIMIT
-        )
-        if use_dense:
-            return self._value_dense(e_T)
-        return self._value_sparse(e_T)
+    def _cost(self, z: np.ndarray) -> float:
+        # The objective from its definition on the solved trajectory: no
+        # expanded constant term that could cancel under a stiff prior.
+        N, m = self.steps, self.m
+        e_mu = z[: N * (m + self.l)].reshape(N, m + self.l)
+        e, mu = e_mu[:, :m], e_mu[:, m:]
+        d = e[0] - self.anchor
+        r = self.y - np.einsum("kij,kj->ki", self._kkt_state()["C_tilde"], e)
+        running = (np.einsum("ki,kij,kj->", mu, self.Q, mu)
+                   + np.einsum("ki,kij,kj->", r, self.R, r))
+        return 0.5 * float(d @ self.H0 @ d) + 0.5 * self.dt * float(running)
+
+
+def _terminal_point(prob: DiscretizedProblem, e) -> np.ndarray:
+    e = np.asarray(e, dtype=float).reshape(-1)
+    if e.shape != (prob.m,):
+        raise ValueError("terminal point dimension mismatch")
+    return e
 
 
 def value_at(prob: DiscretizedProblem, e_T) -> float:
@@ -309,59 +252,32 @@ def value_at(prob: DiscretizedProblem, e_T) -> float:
     Exact (up to linear-algebra round-off) for the discretized problem;
     convex quadratic in e_T.
     """
-    e_T = np.asarray(e_T, dtype=float).reshape(-1)
-    if e_T.shape != (prob.m,):
-        raise ValueError("terminal point dimension mismatch")
-    return prob._value(e_T)
+    e_T = _terminal_point(prob, e_T)
+    return prob._cost(prob._solve(e_T[:, None])[:, 0])
 
 
-def gradient_hessian_at(
-    prob: DiscretizedProblem, e, h: float = FD_STEP
-) -> tuple[np.ndarray, np.ndarray]:
+def gradient_hessian_at(prob: DiscretizedProblem, e) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and Hessian of the value function at e.
 
-    The value is exactly quadratic, so central differences with the fixed
-    step h recover both up to round-off. The Hessian is symmetrized.
+    Both are exact: the gradient is minus the terminal multiplier of the
+    solve ending at e, and Hessian column j is minus the terminal
+    multiplier of the solve driven by the unit terminal point e_j alone.
+    All m + 1 solves share one factorization. The Hessian is symmetrized.
     """
-    e = np.asarray(e, dtype=float).reshape(-1)
-    m = prob.m
-    base = value_at(prob, e)
-    grad = np.zeros(m)
-    hess = np.zeros((m, m))
-    plus = np.zeros(m)
-    minus = np.zeros(m)
-    eye = np.eye(m)
-    for i in range(m):
-        plus[i] = value_at(prob, e + h * eye[i])
-        minus[i] = value_at(prob, e - h * eye[i])
-        grad[i] = (plus[i] - minus[i]) / (2.0 * h)
-        hess[i, i] = (plus[i] - 2.0 * base + minus[i]) / h ** 2
-    for i in range(m):
-        for j in range(i + 1, m):
-            vpp = value_at(prob, e + h * eye[i] + h * eye[j])
-            vpm = value_at(prob, e + h * eye[i] - h * eye[j])
-            vmp = value_at(prob, e - h * eye[i] + h * eye[j])
-            vmm = value_at(prob, e - h * eye[i] - h * eye[j])
-            hess[i, j] = hess[j, i] = (vpp - vpm - vmp + vmm) / (4.0 * h ** 2)
-    return grad, 0.5 * (hess + hess.T)
+    e = _terminal_point(prob, e)
+    grad_hess = -prob._solve(np.column_stack([e, np.eye(prob.m)]))[-prob.m :]
+    hess = grad_hess[:, 1:]
+    return grad_hess[:, 0], 0.5 * (hess + hess.T)
 
 
 def check_critical_point(
-    prob: DiscretizedProblem, basis: GeneratorBasis, origin_xi, h: float = FD_STEP
+    prob: DiscretizedProblem, basis: GeneratorBasis, origin_xi
 ) -> float:
     """Largest tangential directional derivative of the value at the
     origin point; near zero when the recorded corrections are optimal."""
-    origin_xi = np.asarray(origin_xi, dtype=float).reshape(-1)
-    Ups = upsilon(basis, origin_xi)
-    worst = 0.0
-    for i in range(Ups.shape[1]):
-        direction = Ups[:, i]
-        deriv = (
-            value_at(prob, origin_xi + h * direction)
-            - value_at(prob, origin_xi - h * direction)
-        ) / (2.0 * h)
-        worst = max(worst, abs(float(deriv)))
-    return worst
+    origin_xi = _terminal_point(prob, origin_xi)
+    grad = -prob._solve(origin_xi[:, None])[-prob.m :, 0]
+    return float(np.max(np.abs(upsilon(basis, origin_xi).T @ grad), initial=0.0))
 
 
 def hjb_minimizer(grad, B, Q) -> np.ndarray:

@@ -46,7 +46,14 @@ from .quaternion import (
     build_sample,
     group_from_quaternion,
 )
-from .simulation import corrupt, initial_observer_hessian, run, simulate_truth, write_csv
+from .simulation import (
+    corrupt,
+    initial_observer_hessian,
+    run,
+    simulate_truth,
+    write_csv,
+    write_text_atomic,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -274,11 +281,7 @@ def cmd_sweep(args) -> int:
             f"{value},{outcome['csv']},{_fmt(outcome['final_error_rad'])},"
             f"{_fmt(outcome['max_opt_residual'])},{outcome['total_substeps']}"
         )
-    os.makedirs(args.out, exist_ok=True)
-    tmp = summary_path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, summary_path)
+    write_text_atomic(summary_path, "\n".join(lines) + "\n")
     for value, outcome in zip(values, outcomes):
         print(f"{args.param}={value}: final_error_rad={_fmt(outcome['final_error_rad'])}")
     print(f"sweep_summary: {summary_path}")

@@ -238,7 +238,7 @@ def _fmt(x: float) -> str:
 
 
 def write_csv(records: list[LogRecord], path: str) -> None:
-    """Write the log to CSV atomically (temp file + rename)."""
+    """Write the log to CSV atomically (see write_text_atomic)."""
     lines = [CSV_HEADER]
     for r in records:
         fields = (
@@ -250,7 +250,13 @@ def write_csv(records: list[LogRecord], path: str) -> None:
             + [_fmt(r.value_rate), str(int(r.substeps))]
         )
         lines.append(",".join(fields))
-    payload = "\n".join(lines) + "\n"
+    write_text_atomic(path, "\n".join(lines) + "\n")
+
+
+def write_text_atomic(path: str, payload: str) -> None:
+    """Write text through a uniquely named temp file in the target's
+    directory, then rename it into place: a failed write never leaves a
+    partial file, and concurrent writers never share a temp file."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")

@@ -5,7 +5,7 @@ with the observer it is meant to audit.
 The reference minimum used here is computed by forward simulation plus an
 adjoint gradient, with the terminal constraint eliminated through a
 null-space parameterization and the reduced problem handed to
-scipy.optimize. It shares no code with either shipped solver path.
+scipy.optimize. It shares no code with the shipped KKT solver.
 """
 
 import numpy as np
@@ -42,7 +42,7 @@ from mef.filter import ObserverState, hessian_rate
 from conftest import make_rng
 
 
-def random_problem(rng, N: int = 10, dt: float = 0.01, solver: str = "auto",
+def random_problem(rng, N: int = 10, dt: float = 0.01,
                    zero_delta: bool = False) -> DiscretizedProblem:
     m, l, n = 4, 3, 4
     if zero_delta:
@@ -67,7 +67,7 @@ def random_problem(rng, N: int = 10, dt: float = 0.01, solver: str = "auto",
     H0 = A0 @ A0.T + 0.2 * np.eye(m)
     anchor = 0.3 * rng.standard_normal(m)
     return DiscretizedProblem(dt=dt, Delta=Delta, B=B, Q=Q, C=C, X_hat=X_hat,
-                              y=y, R=R, H0=H0, anchor=anchor, solver=solver)
+                              y=y, R=R, H0=H0, anchor=anchor)
 
 
 def reference_value(prob: DiscretizedProblem, e_T: np.ndarray) -> float:
@@ -194,8 +194,8 @@ class TestValueAt:
 
     def test_matches_independent_optimizer(self):
         rng = make_rng(502)
-        for _ in range(3):
-            prob = random_problem(rng)
+        for N in (10, 10, 10, 50):
+            prob = random_problem(rng, N=N)
             for _ in range(2):
                 e_T = 0.5 * rng.standard_normal(4)
                 v = value_at(prob, e_T)
@@ -238,43 +238,38 @@ class TestValueAt:
             value_at(prob, np.zeros(3))
 
 
-class TestSolverPaths:
-    def test_dense_and_sparse_agree(self):
-        rng = make_rng(506)
-        kwargs = dict(N=50, dt=0.01)
-        seed_state = rng.bit_generator.state
-        dense = random_problem(rng, solver="dense", **kwargs)
-        rng.bit_generator.state = seed_state
-        sparse = random_problem(rng, solver="sparse", **kwargs)
-        for _ in range(5):
-            e_T = 0.5 * rng.standard_normal(4)
-            vd = value_at(dense, e_T)
-            vs = value_at(sparse, e_T)
-            assert vd == pytest.approx(vs, rel=1e-9, abs=1e-12)
-
-    def test_auto_switches_to_sparse_for_long_horizons(self):
-        rng = make_rng(507)
-        prob = random_problem(rng, N=201, dt=0.001)
-        e_T = 0.3 * rng.standard_normal(4)
-        value_at(prob, e_T)
-        assert prob._sparse is not None
-        assert prob._dense is None
-
-    def test_rejects_unknown_solver(self):
-        rng = make_rng(508)
-        with pytest.raises(ValueError, match="solver"):
-            random_problem(rng, solver="magic")
-
-
 class TestGradientHessian:
     def test_hessian_is_point_independent(self):
-        # The value is exactly quadratic, so a wide difference stencil has
-        # no truncation error and keeps round-off far below the tolerance.
         rng = make_rng(509)
         prob = random_problem(rng, N=5)
-        _, h_a = gradient_hessian_at(prob, rng.standard_normal(4), h=1e-2)
-        _, h_b = gradient_hessian_at(prob, rng.standard_normal(4), h=1e-2)
+        _, h_a = gradient_hessian_at(prob, rng.standard_normal(4))
+        _, h_b = gradient_hessian_at(prob, rng.standard_normal(4))
         assert float(np.abs(h_a - h_b).max()) <= 1e-8
+
+    def test_matches_central_differences_of_the_value(self):
+        # The value is exactly quadratic, so a wide central stencil has no
+        # truncation error. Agreement pins the sign convention that turns
+        # the terminal multiplier into the gradient.
+        rng = make_rng(514)
+        prob = random_problem(rng)
+        e = rng.standard_normal(4)
+        h = 1e-2
+        shift = h * np.eye(4)
+
+        def v(x):
+            return value_at(prob, x)
+
+        grad_fd = np.array([(v(e + shift[i]) - v(e - shift[i])) / (2.0 * h)
+                            for i in range(4)])
+        hess_fd = np.array([
+            [(v(e + shift[i] + shift[j]) - v(e + shift[i] - shift[j])
+              - v(e - shift[i] + shift[j]) + v(e - shift[i] - shift[j]))
+             / (4.0 * h ** 2) for j in range(4)]
+            for i in range(4)
+        ])
+        grad, hess = gradient_hessian_at(prob, e)
+        np.testing.assert_allclose(grad, grad_fd, rtol=1e-7, atol=1e-9)
+        np.testing.assert_allclose(hess, hess_fd, rtol=1e-6, atol=1e-8)
 
     def test_short_horizon_limit_recovers_prior(self):
         rng = make_rng(510)

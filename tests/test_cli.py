@@ -201,6 +201,20 @@ class TestSweep:
         out = capsys.readouterr().out
         assert "sweep_summary:" in out
 
+    def test_summary_ignores_a_leftover_fixed_temp_name(self, tmp_path):
+        # The summary goes through a unique temp file, so a stale (or
+        # concurrently written) "<summary>.tmp" cannot break the sweep.
+        slug = "observer_initial_error_rad"
+        (tmp_path / f"run_{slug}_sweep.csv.tmp").mkdir()
+        code = main([
+            "sweep", "--out", str(tmp_path),
+            "--set", "scenario.duration=2",
+            "--param", "observer.initial_error_rad", "--values", "0.1",
+        ])
+        assert code == EXIT_OK
+        agg = read(str(tmp_path / f"run_{slug}_sweep.csv")).splitlines()
+        assert len(agg) == 2
+
     def test_ten_noisy_seeds_distinct_and_reproducible(self, tmp_path):
         values = ",".join(str(s) for s in range(10))
         args = [
