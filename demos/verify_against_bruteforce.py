@@ -31,7 +31,7 @@ overrides = {"check.duration": "0.5"}
 
 print("dt        critical_pt   grad_rel      hess_rel      steps")
 for dt in (4e-3, 2e-3, 1e-3, 5e-4):
-    problem, state, sample, _ = build_verification_problem(overrides, dt)
+    problem, state, sample = build_verification_problem(overrides, dt)
 
     # Exact derivatives of the replayed cost at the origin.
     grad, hess = gradient_hessian_at(problem, XI_ORIGIN)
@@ -47,7 +47,7 @@ for dt in (4e-3, 2e-3, 1e-3, 5e-4):
 # One more property: the correction direction the filter would take next
 # minimizes the instantaneous Hamiltonian. Competing directions sampled
 # around it never reduce the cost.
-problem, state, sample, _ = build_verification_problem(overrides, 1e-3)
+problem, state, sample = build_verification_problem(overrides, 1e-3)
 violation = hjb_minimizer_check(state.H, state.eta, sample.B, sample.Q)
 print(f"\nbest competing direction improves the Hamiltonian by {violation:.3e}")
 print("(negative means the filter's direction already wins)")

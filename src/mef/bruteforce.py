@@ -60,7 +60,7 @@ def _block_entries(blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(np.concatenate(parts) for parts in zip(*out))
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiscretizedProblem:
     """Forward-Euler discretization of the error-system optimal control
     problem over N uniform steps of length dt.
@@ -70,6 +70,9 @@ class DiscretizedProblem:
     observer element X_hat_k that pulls the output back to error
     coordinates. The initial cost is 0.5 (e0 - anchor)^T H0 (e0 - anchor),
     with anchor the image of the initial state estimate under X_hat_0.
+
+    The KKT factorization is cached on first use, so the problem is
+    immutable: the instance is frozen and its arrays are read-only copies.
     """
 
     dt: float
@@ -85,15 +88,11 @@ class DiscretizedProblem:
     _kkt: Optional[dict] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.Delta = np.asarray(self.Delta, dtype=float)
-        self.B = np.asarray(self.B, dtype=float)
-        self.Q = np.asarray(self.Q, dtype=float)
-        self.C = np.asarray(self.C, dtype=float)
-        self.X_hat = np.asarray(self.X_hat, dtype=float)
-        self.y = np.asarray(self.y, dtype=float)
-        self.R = np.asarray(self.R, dtype=float)
-        self.H0 = np.asarray(self.H0, dtype=float)
-        self.anchor = np.asarray(self.anchor, dtype=float).reshape(-1)
+        for name in ("Delta", "B", "Q", "C", "X_hat", "y", "R", "H0", "anchor"):
+            array = np.array(getattr(self, name), dtype=float)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "anchor", self.anchor.reshape(-1))
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         N, m, l, n = self.steps, self.m, self.l, self.n
@@ -161,7 +160,7 @@ class DiscretizedProblem:
         R = np.stack([r.sample.R for r in records])
         return cls(
             dt=dt, Delta=Delta, B=B, Q=Q, C=C, X_hat=X_hat, y=y, R=R,
-            H0=np.asarray(H0, dtype=float), anchor=anchor,
+            H0=H0, anchor=anchor,
         )
 
     # Unknowns are stacked as z = (e_0, mu_0, e_1, mu_1, ..., e_N); the
@@ -206,7 +205,7 @@ class DiscretizedProblem:
             lu = splu(K)
         except RuntimeError as exc:
             raise InfeasibleTerminalError(f"singular optimality system: {exc}") from exc
-        self._kkt = {"lu": lu, "K": K, "c": c, "C_tilde": C_tilde}
+        object.__setattr__(self, "_kkt", {"lu": lu, "K": K, "c": c, "C_tilde": C_tilde})
         return self._kkt
 
     def _solve(self, terminal: np.ndarray) -> np.ndarray:

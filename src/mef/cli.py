@@ -14,6 +14,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -37,20 +38,13 @@ from .config import (
     merge_with_defaults,
     parse_config_text,
 )
-from .filter import FilterConfig, SingularPError, init, state_estimate, step
-from .quaternion import (
-    BASIS,
-    XI_ORIGIN,
-    NoiseModel,
-    Quaternion,
-    build_sample,
-    group_from_quaternion,
-)
+from .filter import SingularPError
+from .quaternion import BASIS, XI_ORIGIN, NoiseModel
 from .simulation import (
-    corrupt,
+    _fmt,
     initial_observer_hessian,
+    observe,
     run,
-    simulate_truth,
     write_csv,
     write_text_atomic,
 )
@@ -96,10 +90,6 @@ def _merged_config(args) -> tuple[dict[str, str], str]:
     return raw, stem
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def cmd_simulate(args) -> int:
     try:
         raw, stem = _merged_config(args)
@@ -131,10 +121,10 @@ def build_verification_problem(
     """Fixed-step observer run for cross-checking, plus its rebuilt
     optimization problem.
 
-    Returns (problem, final_state, last_sample, filter_config). The
-    observer starts at the true attitude; process and measurement noise
-    with the check.* sigmas are injected so the compared quantities are
-    exercised away from zero.
+    Returns (problem, final_state, last_sample), where last_sample is the
+    input held over the last stepped interval. The observer starts at the
+    true attitude; process and measurement noise with the check.* sigmas
+    are injected so the compared quantities are exercised away from zero.
     """
     cfg = merge_with_defaults(raw)
     duration = get_float(cfg, "check.duration")
@@ -148,38 +138,22 @@ def build_verification_problem(
             "observer.initial_error_rad": "0.0",
         }
     )
-    seed = int(cfg["seed"])
-    true_noise = NoiseModel(
-        gyro_cov=get_float(cfg, "check.gyro_sigma_true") ** 2 * np.eye(3),
-        vector_cov=get_float(cfg, "check.vector_sigma_true") ** 2 * np.eye(3),
-        seed=seed,
+    config = replace(
+        base,
+        filter=replace(base.filter, delta_step_cap=1e18, dt_max=dt),
+        initial_hessian_scale=get_float(cfg, "check.hessian_scale"),
+        noise=NoiseModel(
+            gyro_cov=get_float(cfg, "check.gyro_sigma_true") ** 2 * np.eye(3),
+            vector_cov=get_float(cfg, "check.vector_sigma_true") ** 2 * np.eye(3),
+            seed=int(cfg["seed"]),
+        ),
     )
-    filter_cfg = FilterConfig(
-        origin_xi=XI_ORIGIN,
-        delta_step_cap=1e18,
-        dt_max=dt,
-        p_solve_tolerance=base.filter.p_solve_tolerance,
-        hessian_regularization=base.filter.hessian_regularization,
-    )
-    truth = simulate_truth(base.scenario)
-    measured = corrupt(truth, true_noise)
-    hessian_scale = get_float(cfg, "check.hessian_scale")
-    H0 = initial_observer_hessian(base.initial_estimate, hessian_scale)
-    state = init(BASIS, XI_ORIGIN, group_from_quaternion(base.initial_estimate), H0)
-    transform = (lambda d: -d) if sabotage_delta_sign else None
     trace: list = []
-    last_sample = None
-    for k, epoch in enumerate(truth[:-1]):
-        _, omega_meas, z_meas = measured[k]
-        q_hat = Quaternion.from_vector(state_estimate(state, filter_cfg))
-        last_sample = build_sample(
-            epoch.t, q_hat, state.X_hat, omega_meas, z_meas,
-            base.scenario, base.gains,
-        )
-        while last_sample.valid_until - state.t > 1e-12:
-            state = step(state, last_sample, filter_cfg, trace=trace, delta_transform=transform)
+    for epoch in observe(config, (lambda d: -d) if sabotage_delta_sign else None):
+        trace += epoch.substeps
+    H0 = initial_observer_hessian(config.initial_estimate, config.initial_hessian_scale)
     problem = DiscretizedProblem.from_substeps(BASIS, trace, H0, anchor=XI_ORIGIN)
-    return problem, state, last_sample, filter_cfg
+    return problem, epoch.state, trace[-1].sample
 
 
 CHECK_CRITICAL_TOL = 1e-5
@@ -194,7 +168,7 @@ def cmd_check(args) -> int:
         dt = args.dt if args.dt is not None else get_float(cfg, "check.dt")
         if dt <= 0.0:
             raise ConfigError("--dt must be positive")
-        problem, state, last_sample, _ = build_verification_problem(
+        problem, state, last_sample = build_verification_problem(
             raw, dt, sabotage_delta_sign=args.sabotage_delta_sign
         )
     except ConfigError as exc:

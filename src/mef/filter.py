@@ -77,6 +77,8 @@ class SignalSample:
     B, Q: input map (m, l) and its symmetric positive-definite gain (l, l).
     R: symmetric positive-semidefinite output gain (n, n).
     valid_until: end of the hold interval in seconds.
+    Q_inv and noise_shape = B Q^-1 B^T, the diffusion-like term of both
+    rate equations, are derived once on construction.
     """
 
     U_coords: np.ndarray
@@ -86,8 +88,8 @@ class SignalSample:
     Q: np.ndarray
     R: np.ndarray
     valid_until: float
-    _Q_inv: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-    _noise_shape: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    Q_inv: np.ndarray = field(init=False, repr=False)
+    noise_shape: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.U_coords = np.asarray(self.U_coords, dtype=float).reshape(-1)
@@ -118,19 +120,8 @@ class SignalSample:
             raise ValueError("R must be symmetric")
         if n > 0 and float(np.linalg.eigvalsh(self.R)[0]) < -1e-10 * max(1.0, float(np.abs(self.R).max())):
             raise ValueError("R must be positive semidefinite")
-
-    @property
-    def Q_inv(self) -> np.ndarray:
-        if self._Q_inv is None:
-            self._Q_inv = np.linalg.inv(self.Q)
-        return self._Q_inv
-
-    @property
-    def noise_shape(self) -> np.ndarray:
-        """Cached B Q^-1 B^T, the diffusion-like term of both rate equations."""
-        if self._noise_shape is None:
-            self._noise_shape = self.B @ self.Q_inv @ self.B.T
-        return self._noise_shape
+        self.Q_inv = np.linalg.inv(self.Q)
+        self.noise_shape = self.B @ self.Q_inv @ self.B.T
 
 
 @dataclass(frozen=True)
@@ -290,23 +281,28 @@ def step(
     trace: Optional[list] = None,
     delta_transform=None,
 ) -> ObserverState:
-    """Advance the observer to min(sample.valid_until, t + dt_max).
+    """Advance the observer to sample.valid_until in one call.
 
-    Substep sizes satisfy dt <= dt_max and ||delta|| * dt <= delta_step_cap.
-    The group update is the two-exponential split
-    X_hat <- exp(dt delta) X_hat exp(dt U), so X_hat stays in the group
-    regardless of dt. H and eta use explicit Euler at the same dt. When
-    ``trace`` is a list, one SubstepRecord is appended per substep.
+    The interval is walked in chunks of at most dt_max, each starting where
+    the previous one ended; within a chunk, substep sizes satisfy
+    dt <= dt_max and ||delta|| * dt <= delta_step_cap. The group update is
+    the two-exponential split X_hat <- exp(dt delta) X_hat exp(dt U), so
+    X_hat stays in the group regardless of dt. H and eta use explicit Euler
+    at the same dt. When ``trace`` is a list, one SubstepRecord is appended
+    per substep.
 
     ``delta_transform`` remaps the correction before it is applied; it
     exists for fault-injection diagnostics and must be None in normal use.
     """
-    if sample.valid_until - state.t <= TIME_SNAP:
+    t_end = sample.valid_until
+    if t_end - state.t <= TIME_SNAP:
         raise ValueError("sample is not valid past the current state time")
     basis = state.basis
     X_hat, H, eta, t = state.X_hat, state.H, state.eta, state.t
-    t_stop = min(sample.valid_until, state.t + cfg.dt_max)
-    while t_stop - t > TIME_SNAP:
+    t_stop = t
+    while t_end - t > TIME_SNAP:
+        if t_stop - t <= TIME_SNAP:
+            t_stop = min(t_end, t + cfg.dt_max)
         current = ObserverState(X_hat=X_hat, H=H, eta=eta, t=t, basis=basis)
         delta = correction_delta(current, sample, cfg)
         if delta_transform is not None:

@@ -132,9 +132,7 @@ def propagate_quaternion(q: Quaternion, omega, dt: float) -> Quaternion:
     The state satisfies qdot = -wedge(omega/2) q, so one step is the group
     exponential exp(-dt wedge(omega/2)) applied to q.
     """
-    coords = -dt * velocity_coords(omega)
-    theta = float(np.linalg.norm(coords))
-    mat = np.cos(theta) * np.eye(4) + np.sinc(theta / np.pi) * quaternion_wedge(coords)
+    mat = BASIS.closed_form_exp(-dt * velocity_coords(omega))
     return Quaternion.from_vector(mat @ q.as_vector())
 
 

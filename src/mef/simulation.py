@@ -2,8 +2,8 @@
 
 Propagates the true attitude on a fixed sensor grid, optionally corrupts
 the measurements with seeded Gaussian noise, drives the observer through
-the epochs, and logs one record per epoch. Identical configurations
-produce bitwise-identical logs and CSV files.
+the epochs (observe), and logs one record per epoch (run). Identical
+configurations produce bitwise-identical logs and CSV files.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import numpy as np
 
 from .filter import (
     FilterConfig,
+    ObserverState,
+    SignalSample,
     SingularPError,
     correction_delta,
     init,
@@ -42,8 +44,10 @@ __all__ = [
     "TruthEpoch",
     "RunConfig",
     "LogRecord",
+    "ObservedEpoch",
     "simulate_truth",
     "corrupt",
+    "observe",
     "run",
     "write_csv",
     "CSV_HEADER",
@@ -86,7 +90,6 @@ class RunConfig:
     initial_estimate: Quaternion
     initial_hessian_scale: float
     noise: Optional[NoiseModel] = None
-    output_path: Optional[str] = None
 
 
 @dataclass
@@ -168,15 +171,28 @@ def initial_observer_hessian(q_hat_0: Quaternion, scale: float) -> np.ndarray:
     return scale ** 2 * X0.matrix @ (Ups @ Ups.T) @ X0.matrix.T
 
 
-def run(config: RunConfig) -> tuple[list[LogRecord], dict]:
-    """Execute one experiment; returns per-epoch records and a summary.
+@dataclass(frozen=True)
+class ObservedEpoch:
+    """One sensor epoch as observe yields it: the observer state at the
+    epoch, its estimate q_hat, the sample held over the next interval, the
+    trace of that interval's substeps, and delta, the correction applied by
+    the first of them (solved directly at the last epoch, which is not
+    stepped and has no substeps)."""
 
-    The observer is initialized from the configured estimate, stepped
-    through every sensor interval, and sampled at each epoch boundary.
-    Record k carries the number of substeps spent on the interval ending
-    at t_k (zero for k = 0). The summary holds the final error angle, the
-    largest optimality-residual component over the run, and the total
-    substep count.
+    truth: TruthEpoch
+    state: ObserverState
+    q_hat: Quaternion
+    sample: SignalSample
+    delta: np.ndarray
+    substeps: list
+
+
+def observe(config: RunConfig, delta_transform=None):
+    """Drive the observer from the configured estimate through every
+    sensor epoch of the scenario, yielding one ObservedEpoch each.
+
+    ``delta_transform`` is passed to step for fault injection. A
+    SingularPError is re-raised with the epoch index and time attached.
     """
     truth = simulate_truth(config.scenario)
     if config.noise is not None:
@@ -187,49 +203,58 @@ def run(config: RunConfig) -> tuple[list[LogRecord], dict]:
     X0 = group_from_quaternion(config.initial_estimate)
     H0 = initial_observer_hessian(config.initial_estimate, config.initial_hessian_scale)
     state = init(BASIS, config.filter.origin_xi, X0, H0)
-
-    records: list[LogRecord] = []
-    substeps_prev = 0
-    total_substeps = 0
-    for k, epoch in enumerate(truth):
-        _, omega_meas, z_meas = measured[k]
+    for k, (epoch, (_, omega_meas, z_meas)) in enumerate(zip(truth, measured)):
         q_hat = Quaternion.from_vector(state_estimate(state, config.filter))
         sample = build_sample(
             epoch.t, q_hat, state.X_hat, omega_meas, z_meas,
             config.scenario, config.gains,
         )
+        substeps: list = []
         try:
-            delta = correction_delta(state, sample, config.filter)
-            records.append(
-                LogRecord(
-                    t=epoch.t,
-                    q_true=epoch.q.as_vector(),
-                    q_est=q_hat.as_vector(),
-                    error_angle=attitude_error_angle(epoch.q, q_hat),
-                    delta_norm=float(np.linalg.norm(delta)),
-                    opt_residual=optimality_residual(state, config.filter),
-                    value_rate=value_rate(state, sample, delta, config.filter),
-                    substeps=substeps_prev,
-                )
-            )
             if k + 1 < len(truth):
-                trace: list = []
-                while sample.valid_until - state.t > 1e-12:
-                    state = step(state, sample, config.filter, trace=trace)
-                substeps_prev = len(trace)
-                total_substeps += substeps_prev
+                end = step(state, sample, config.filter, trace=substeps,
+                           delta_transform=delta_transform)
+                delta = substeps[0].delta
+            else:
+                end, delta = state, correction_delta(state, sample, config.filter)
         except SingularPError as exc:
             raise SingularPError(f"epoch {k} (t={epoch.t:g} s): {exc}") from exc
+        yield ObservedEpoch(epoch, state, q_hat, sample, delta, substeps)
+        state = end
+
+
+def run(config: RunConfig) -> tuple[list[LogRecord], dict]:
+    """Execute one experiment; returns per-epoch records and a summary.
+
+    Logs one record per epoch of observe. Record k carries the number of
+    substeps spent on the interval ending at t_k (zero for k = 0). The
+    summary holds the final error angle, the largest optimality-residual
+    component over the run, and the total substep count.
+    """
+    records: list[LogRecord] = []
+    substeps_prev = 0
+    for epoch in observe(config):
+        records.append(
+            LogRecord(
+                t=epoch.truth.t,
+                q_true=epoch.truth.q.as_vector(),
+                q_est=epoch.q_hat.as_vector(),
+                error_angle=attitude_error_angle(epoch.truth.q, epoch.q_hat),
+                delta_norm=float(np.linalg.norm(epoch.delta)),
+                opt_residual=optimality_residual(epoch.state, config.filter),
+                value_rate=value_rate(epoch.state, epoch.sample, epoch.delta, config.filter),
+                substeps=substeps_prev,
+            )
+        )
+        substeps_prev = len(epoch.substeps)
 
     summary = {
         "final_error_rad": records[-1].error_angle if records else float("nan"),
         "max_opt_residual": max(
             (float(np.abs(r.opt_residual).max()) for r in records), default=0.0
         ),
-        "total_substeps": total_substeps,
+        "total_substeps": sum(r.substeps for r in records),
     }
-    if config.output_path is not None:
-        write_csv(records, config.output_path)
     return records, summary
 
 

@@ -8,6 +8,8 @@ null-space parameterization and the reduced problem handed to
 scipy.optimize. It shares no code with the shipped KKT solver.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -22,17 +24,12 @@ from mef import (
     InfeasibleTerminalError,
     NoiseModel,
     Quaternion,
-    build_sample,
+    RunConfig,
     check_critical_point,
     gradient_hessian_at,
-    group_from_quaternion,
     hjb_minimizer,
     hjb_minimizer_check,
-    init,
-    initial_observer_hessian,
-    simulate_truth,
-    state_estimate,
-    step,
+    observe,
     value_at,
     wedge,
 )
@@ -141,31 +138,25 @@ def fixed_step_trace(dt: float, duration: float = 0.1,
     q_hat = Quaternion(np.cos(initial_error / 2.0),
                        np.array([np.sin(initial_error / 2.0), 0.0, 0.0]))
     cfg = FilterConfig(origin_xi=XI_ORIGIN, dt_max=dt, delta_step_cap=1e18)
-    state = init(BASIS, XI_ORIGIN, group_from_quaternion(q_hat),
-                 initial_observer_hessian(q_hat, 1.0))
-    trace = []
-    for epoch in simulate_truth(scenario)[:-1]:
-        q_est = Quaternion.from_vector(state_estimate(state, cfg))
-        sample = build_sample(
-            epoch.t, q_est, state.X_hat, epoch.omega, epoch.z, scenario, gains
-        )
-        while sample.valid_until - state.t > 1e-12:
-            state = step(state, sample, cfg, trace=trace)
-    return trace, cfg
+    config = RunConfig(scenario=scenario, gains=gains, filter=cfg,
+                       initial_estimate=q_hat, initial_hessian_scale=1.0)
+    return [rec for epoch in observe(config) for rec in epoch.substeps], cfg
 
 
 class TestValueAt:
     def test_consistent_trajectory_costs_nothing(self):
         rng = make_rng(500)
         prob = random_problem(rng)
-        # Overwrite the targets so the unforced evolution from the anchor
+        # Replace the targets so the unforced evolution from the anchor
         # fits the data exactly; the minimum is then zero.
         A = np.eye(4)[None] + prob.dt * prob.Delta
         Ct = prob.C @ np.linalg.inv(prob.X_hat)
         e = prob.anchor.copy()
+        y = np.empty_like(prob.y)
         for k in range(prob.steps):
-            prob.y[k] = Ct[k] @ e
+            y[k] = Ct[k] @ e
             e = A[k] @ e
+        prob = dataclasses.replace(prob, y=y)
         assert value_at(prob, e) <= 1e-15
         assert value_at(prob, e + np.array([0.2, 0.0, 0.0, 0.0])) > 1e-4
 
@@ -294,7 +285,7 @@ class TestGradientHessian:
         np.testing.assert_allclose(hess, H0, atol=1e-6)
 
     def test_agrees_with_observer_on_short_noisy_horizon(self):
-        prob, state, last_sample, _ = build_verification_problem(
+        prob, state, last_sample = build_verification_problem(
             {"check.duration": "0.2"}, 1e-3
         )
         grad, hess = gradient_hessian_at(prob, XI_ORIGIN)
@@ -336,9 +327,10 @@ class TestGradientHessian:
 class TestCheckCriticalPoint:
     def test_open_loop_corrections_are_suboptimal(self):
         rng = make_rng(511)
-        prob = random_problem(rng, N=20, zero_delta=True)
-        prob.X_hat = np.stack([np.eye(4)] * 20)
-        prob.anchor = XI_ORIGIN.copy()
+        prob = dataclasses.replace(
+            random_problem(rng, N=20, zero_delta=True),
+            X_hat=np.stack([np.eye(4)] * 20), anchor=XI_ORIGIN,
+        )
         assert check_critical_point(prob, BASIS, XI_ORIGIN) > 1e-3
 
     def test_filter_corrections_noiseless(self):
@@ -421,6 +413,21 @@ class TestProblemConstruction:
             DiscretizedProblem.from_substeps(
                 BASIS, trace[:5] + [slowed], trace[0].H, XI_ORIGIN
             )
+
+    def test_data_is_frozen_against_later_edits(self):
+        # The KKT system is factored and cached on first use, so a later
+        # edit would mix stale and new data: it must raise instead, and
+        # editing the caller's arrays must not reach the problem.
+        y = np.array(random_problem(make_rng(514)).y)
+        prob = dataclasses.replace(random_problem(make_rng(514)), y=y)
+        e = 0.5 * make_rng(515).standard_normal(4)
+        before = value_at(prob, e)
+        y += 1.0
+        assert value_at(prob, e) == before
+        with pytest.raises(ValueError, match="read-only"):
+            prob.y[0] += 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prob.y = y
 
     def test_from_substeps_rejects_empty_trace(self):
         with pytest.raises(ValueError, match="at least one"):

@@ -123,6 +123,13 @@ class TestCheck:
         assert out.count("PASS") == 5  # four rows plus the overall line
         assert stdout_value(out, "overall") == "PASS"
 
+    def test_degenerate_solve_exits_3_with_its_epoch(self, capsys):
+        code = main(["check", "--set", "filter.p_solve_tolerance=1e-30"])
+        assert code == EXIT_SINGULAR
+        err = capsys.readouterr().err
+        assert "singular correction solve" in err
+        assert "epoch" in err
+
     def test_sabotaged_correction_fails_critical_point(self, capsys):
         code = main([
             "check", "--set", "check.duration=0.3", "--sabotage-delta-sign",

@@ -19,6 +19,7 @@ from mef import (
     NoiseModel,
     ObserverState,
     Quaternion,
+    RunConfig,
     SignalSample,
     SingularPError,
     attitude_error_angle,
@@ -30,9 +31,9 @@ from mef import (
     hessian_rate,
     init,
     initial_observer_hessian,
+    observe,
     optimality_residual,
     quat_product,
-    simulate_truth,
     state_estimate,
     step,
     upsilon,
@@ -298,9 +299,8 @@ class TestHessianRate:
         assert got[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_scalar_euler_tracks_analytic_solution(self):
-        state, sample, cfg = scalar_setup()
-        for _ in range(1000):
-            state = step(state, sample, cfg)
+        state, sample, cfg = scalar_setup(valid_until=0.1)
+        state = step(state, sample, cfg)
         assert abs(state.t - 0.1) < 1e-9
         assert abs(state.H[0, 0] - scalar_riccati_solution(state.t)) < 1e-7
 
@@ -392,15 +392,16 @@ class TestStep:
         np.testing.assert_allclose(out.X_hat.matrix, expected.matrix, atol=1e-12)
         assert out.t == 0.1
 
-    def test_stops_at_dt_max_before_interval_end(self):
+    def test_one_call_reaches_interval_end_in_dt_max_substeps(self):
         rng = make_rng(314)
         state, sample = self.equilibrium_state(rng)
         cfg = FilterConfig(origin_xi=XI_ORIGIN, dt_max=0.03)
-        state = step(state, sample, cfg)
-        assert state.t == pytest.approx(0.03, abs=1e-15)
-        for _ in range(3):
-            state = step(state, sample, cfg)
+        trace = []
+        state = step(state, sample, cfg, trace=trace)
         assert state.t == 0.1
+        assert len(trace) == 4
+        assert all(rec.dt <= 0.03 for rec in trace)
+        assert trace[1].t == pytest.approx(0.03, abs=1e-15)
 
     def test_rejects_expired_sample(self):
         rng = make_rng(315)
@@ -452,20 +453,11 @@ def trajectory():
     gains = NoiseModel(gyro_cov=0.01 ** 2 * np.eye(3),
                        vector_cov=1.0 * np.eye(3))
     q_hat = offset_quaternion(0.99 * np.pi, [1.0, 0.0, 0.0])
-    state = init(BASIS, XI_ORIGIN, group_from_quaternion(q_hat),
-                 initial_observer_hessian(q_hat, 1.0))
-    truth = simulate_truth(scenario)
-    states, trace = [state], []
-    for epoch in truth[:-1]:
-        q_est = Quaternion.from_vector(state_estimate(state, CFG))
-        sample = build_sample(
-            epoch.t, q_est, state.X_hat, epoch.omega, epoch.z,
-            scenario, gains,
-        )
-        while sample.valid_until - state.t > 1e-12:
-            state = step(state, sample, CFG, trace=trace)
-        states.append(state)
-    return truth, states, trace
+    config = RunConfig(scenario=scenario, gains=gains, filter=CFG,
+                       initial_estimate=q_hat, initial_hessian_scale=1.0)
+    epochs = list(observe(config))
+    trace = [rec for epoch in epochs for rec in epoch.substeps]
+    return [e.truth for e in epochs], [e.state for e in epochs], trace
 
 
 class TestCanonicalTrajectory:

@@ -18,8 +18,10 @@ from mef import (
     RunConfig,
     SingularPError,
     attitude_error_angle,
+    correction_delta,
     corrupt,
     initial_observer_hessian,
+    observe,
     quat_product,
     rotate_to_body,
     run,
@@ -53,7 +55,7 @@ def misaligned_estimate(angle: float = 0.99 * np.pi) -> Quaternion:
 
 
 def make_config(duration: float, *, initial_estimate=None, noise=None,
-                seed: int = 0, output_path=None, scale: float = 1.0,
+                seed: int = 0, scale: float = 1.0,
                 p_solve_tolerance: float = 1e-8) -> RunConfig:
     if initial_estimate is None:
         initial_estimate = misaligned_estimate()
@@ -65,7 +67,6 @@ def make_config(duration: float, *, initial_estimate=None, noise=None,
         initial_estimate=initial_estimate,
         initial_hessian_scale=scale,
         noise=canonical_gains(seed) if noise else None,
-        output_path=output_path,
     )
 
 
@@ -243,6 +244,16 @@ class TestRun:
             not np.array_equal(a.q_est, b.q_est) for a, b in zip(first, other)
         )
 
+    def test_logged_delta_norm_is_the_boundary_correction(self):
+        config = make_config(5.0, noise=True, seed=3)
+        records, _ = run(config)
+        epochs = list(observe(config))
+        assert len(records) == len(epochs) == 51
+        for rec, epoch in zip(records, epochs):
+            delta = correction_delta(epoch.state, epoch.sample, config.filter)
+            assert rec.delta_norm == float(np.linalg.norm(delta))
+            assert rec.t == epoch.truth.t
+
     def test_degenerate_solve_reports_epoch(self):
         with pytest.raises(SingularPError, match=r"epoch \d+ \(t="):
             run(make_config(1.0, p_solve_tolerance=1e-30))
@@ -289,10 +300,3 @@ class TestWriteCsv:
         path = str(tmp_path / "out.csv")
         write_csv(self.sample_records(), path)
         assert sorted(os.listdir(tmp_path)) == ["out.csv"]
-
-    def test_run_writes_configured_output(self, tmp_path):
-        path = str(tmp_path / "run.csv")
-        records, _ = run(make_config(1.0, output_path=path))
-        lines = open(path).read().splitlines()
-        assert len(lines) == len(records) + 1
-        assert lines[0] == CSV_HEADER
