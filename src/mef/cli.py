@@ -14,10 +14,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
-from importlib import resources
-from pathlib import Path
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -28,18 +25,16 @@ from .bruteforce import (
     hjb_minimizer_check,
 )
 from .config import (
-    DEFAULTS,
-    KEY_DOC,
+    KEYS,
     NUMERIC_KEYS,
     ConfigError,
     apply_overrides,
+    build_check_config,
     build_run_config,
-    get_float,
-    merge_with_defaults,
-    parse_config_text,
+    read_config_source,
 )
 from .filter import SingularPError
-from .quaternion import BASIS, XI_ORIGIN, NoiseModel
+from .quaternion import BASIS, XI_ORIGIN
 from .simulation import (
     _fmt,
     initial_observer_hessian,
@@ -57,9 +52,9 @@ EXIT_SINGULAR = 3
 
 def _config_key_help() -> str:
     lines = ["configuration keys (default in parentheses):"]
-    for key, default in DEFAULTS.items():
+    for key, (default, meaning) in KEYS.items():
         lines.append(f"  {key} ({default})")
-        lines.append(f"      {KEY_DOC[key]}")
+        lines.append(f"      {meaning}")
     lines.append("")
     lines.append(
         "--config accepts a filesystem path or a bundled name "
@@ -68,42 +63,20 @@ def _config_key_help() -> str:
     return "\n".join(lines)
 
 
-def _read_config_source(source: Optional[str]) -> tuple[dict[str, str], str]:
-    """Raw key/value pairs plus a stem used to name output files."""
-    if source is None:
-        return {}, "run"
-    if os.path.exists(source):
-        with open(source, "r") as fh:
-            return parse_config_text(fh.read()), Path(source).stem
-    name = source if source.endswith(".cfg") else source + ".cfg"
-    bundled = resources.files("mef").joinpath("configs").joinpath(name)
-    if bundled.is_file():
-        return parse_config_text(bundled.read_text()), Path(name).stem
-    raise ConfigError(f"config {source!r} is neither a file nor a bundled name")
-
-
 def _merged_config(args) -> tuple[dict[str, str], str]:
-    raw, stem = _read_config_source(args.config)
+    raw, stem = read_config_source(args.config)
     raw = apply_overrides(raw, args.set or [])
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         raw["seed"] = str(args.seed)
     return raw, stem
 
 
 def cmd_simulate(args) -> int:
-    try:
-        raw, stem = _merged_config(args)
-        run_config = build_run_config(raw)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    raw, stem = _merged_config(args)
+    run_config = build_run_config(raw)
     out_path = os.path.join(args.out, stem + ".csv")
     started = time.perf_counter()
-    try:
-        records, summary = run(run_config)
-    except SingularPError as exc:
-        print(f"singular correction solve: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
+    records, summary = run(run_config)
     write_csv(records, out_path)
     wall = time.perf_counter() - started
     print(f"csv: {out_path}")
@@ -116,38 +89,17 @@ def cmd_simulate(args) -> int:
 
 
 def build_verification_problem(
-    raw: dict[str, str], dt: float, sabotage_delta_sign: bool = False
+    raw: dict[str, str], dt: Optional[float], sabotage_delta_sign: bool = False
 ):
     """Fixed-step observer run for cross-checking, plus its rebuilt
     optimization problem.
 
-    Returns (problem, final_state, last_sample), where last_sample is the
-    input held over the last stepped interval. The observer starts at the
-    true attitude; process and measurement noise with the check.* sigmas
-    are injected so the compared quantities are exercised away from zero.
+    The run is the one ``config.build_check_config`` describes, with dt
+    (check.dt when None) as its fixed substep. Returns (problem,
+    final_state, last_sample), where last_sample is the input held over
+    the last stepped interval.
     """
-    cfg = merge_with_defaults(raw)
-    duration = get_float(cfg, "check.duration")
-    if duration <= 0.0:
-        raise ConfigError("check.duration must be positive")
-    base = build_run_config(
-        dict(raw)
-        | {
-            "scenario.duration": repr(duration),
-            "scenario.sensor_dt": cfg["check.sensor_dt"],
-            "observer.initial_error_rad": "0.0",
-        }
-    )
-    config = replace(
-        base,
-        filter=replace(base.filter, delta_step_cap=1e18, dt_max=dt),
-        initial_hessian_scale=get_float(cfg, "check.hessian_scale"),
-        noise=NoiseModel(
-            gyro_cov=get_float(cfg, "check.gyro_sigma_true") ** 2 * np.eye(3),
-            vector_cov=get_float(cfg, "check.vector_sigma_true") ** 2 * np.eye(3),
-            seed=int(cfg["seed"]),
-        ),
-    )
+    config = build_check_config(raw, dt)
     trace: list = []
     for epoch in observe(config, (lambda d: -d) if sabotage_delta_sign else None):
         trace += epoch.substeps
@@ -162,22 +114,10 @@ CHECK_HJB_TOL = 1e-12
 
 
 def cmd_check(args) -> int:
-    try:
-        raw, _ = _merged_config(args)
-        cfg = merge_with_defaults(raw)
-        dt = args.dt if args.dt is not None else get_float(cfg, "check.dt")
-        if dt <= 0.0:
-            raise ConfigError("--dt must be positive")
-        problem, state, last_sample = build_verification_problem(
-            raw, dt, sabotage_delta_sign=args.sabotage_delta_sign
-        )
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SingularPError as exc:
-        print(f"singular correction solve: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-
+    raw, _ = _merged_config(args)
+    problem, state, last_sample = build_verification_problem(
+        raw, args.dt, sabotage_delta_sign=args.sabotage_delta_sign
+    )
     grad, hess = gradient_hessian_at(problem, XI_ORIGIN)
     critical = check_critical_point(problem, BASIS, XI_ORIGIN)
     grad_rel = float(np.linalg.norm(state.eta - grad)) / max(float(np.linalg.norm(grad)), 1e-300)
@@ -202,32 +142,25 @@ def cmd_check(args) -> int:
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 
-def _sweep_worker(payload: tuple[dict[str, str], str]) -> dict:
+def _sweep_worker(payload: tuple[dict[str, str], str]) -> Union[dict, Exception]:
+    """One sweep run; a config or singular-solve failure is returned, not
+    raised, so that every value still runs."""
     raw, out_path = payload
     try:
-        run_config = build_run_config(raw)
-        records, summary = run(run_config)
-        write_csv(records, out_path)
-        return {"ok": True, "csv": out_path, **summary}
-    except ConfigError as exc:
-        return {"ok": False, "code": EXIT_CONFIG, "error": str(exc)}
-    except SingularPError as exc:
-        return {"ok": False, "code": EXIT_SINGULAR, "error": str(exc)}
+        records, summary = run(build_run_config(raw))
+    except (ConfigError, SingularPError) as exc:
+        return exc
+    write_csv(records, out_path)
+    return {"csv": out_path, **summary}
 
 
 def cmd_sweep(args) -> int:
-    try:
-        raw, stem = _merged_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    raw, stem = _merged_config(args)
     if args.param not in NUMERIC_KEYS:
-        print(f"config error: {args.param!r} is not a sweepable numeric key", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"{args.param!r} is not a sweepable numeric key")
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
-        print("config error: empty sweep value list", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("empty sweep value list")
 
     key_slug = args.param.replace(".", "_")
     payloads = []
@@ -244,9 +177,8 @@ def cmd_sweep(args) -> int:
         outcomes = [_sweep_worker(p) for p in payloads]
 
     for value, outcome in zip(values, outcomes):
-        if not outcome["ok"]:
-            print(f"run {args.param}={value} failed: {outcome['error']}", file=sys.stderr)
-            return outcome["code"]
+        if isinstance(outcome, Exception):
+            raise type(outcome)(f"run {args.param}={value} failed: {outcome}") from outcome
 
     summary_path = os.path.join(args.out, f"{stem}_{key_slug}_sweep.csv")
     lines = ["value,csv,final_error_rad,max_opt_residual,total_substeps"]
@@ -263,15 +195,15 @@ def cmd_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mef",
-        description=__doc__,
+    with_key_help = dict(
         epilog=_config_key_help(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
+    parser = argparse.ArgumentParser(prog="mef", description=__doc__, **with_key_help)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, func, help_text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text, **with_key_help)
         p.add_argument("--config", help="config file path or bundled name")
         p.add_argument("--out", default=".", help="output directory (default: .)")
         p.add_argument("--seed", type=int, help="override the seed key")
@@ -281,48 +213,38 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="override a config key (repeatable)",
         )
+        p.set_defaults(func=func)
+        return p
 
-    p_sim = sub.add_parser(
-        "simulate",
-        help="run a scenario and write a CSV log",
-        epilog=_config_key_help(),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    common(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
+    command("simulate", cmd_simulate, "run a scenario and write a CSV log")
 
-    p_check = sub.add_parser(
-        "check",
-        help="verify the observer against the brute-force optimizer",
-        epilog=_config_key_help(),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    common(p_check)
+    p_check = command("check", cmd_check, "verify the observer against the brute-force optimizer")
     p_check.add_argument("--dt", type=float, help="fixed verification step (default: check.dt)")
     p_check.add_argument(
         "--sabotage-delta-sign",
         action="store_true",
         help="negate the correction on purpose; the check must then fail",
     )
-    p_check.set_defaults(func=cmd_check)
 
-    p_sweep = sub.add_parser(
-        "sweep",
-        help="repeat simulate over values of one numeric config key",
-        epilog=_config_key_help(),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    common(p_sweep)
+    p_sweep = command("sweep", cmd_sweep, "repeat simulate over values of one numeric config key")
     p_sweep.add_argument("--param", required=True, help="numeric config key to vary")
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.add_argument("--jobs", type=int, default=1, help="parallel runs (default 1)")
-    p_sweep.set_defaults(func=cmd_sweep)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one subcommand; every config or singular-solve failure, from any
+    subcommand, ends here with its message and exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except SingularPError as exc:
+        print(f"singular correction solve: {exc}", file=sys.stderr)
+        return EXIT_SINGULAR
 
 
 if __name__ == "__main__":

@@ -5,12 +5,23 @@ dotted (scenario.*, observer.*, noise.*, filter.*, check.*). Every key has
 a default, so an empty file is a valid configuration. Values are plain
 numbers, booleans, comma-separated vectors, or named presets; no
 expressions.
+
+The key table ``KEYS`` is the schema: it names every key with its default
+and its one-line meaning. ``DEFAULTS``, the sweepable ``NUMERIC_KEYS`` and
+the CLI help text are all read off it, and this module alone maps the keys
+onto the objects a run is built from (``build_run_config``, and
+``build_check_config`` for the verification run).
 """
 
 from __future__ import annotations
 
+import math
+import os
+from dataclasses import replace
 from functools import partial
-from typing import Callable
+from importlib import resources
+from pathlib import Path
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -20,14 +31,16 @@ from .simulation import RunConfig
 
 __all__ = [
     "ConfigError",
+    "KEYS",
     "DEFAULTS",
     "NUMERIC_KEYS",
-    "KEY_DOC",
     "parse_config_text",
     "load_config_file",
+    "read_config_source",
     "apply_overrides",
     "merge_with_defaults",
     "build_run_config",
+    "build_check_config",
     "get_float",
     "get_int",
     "get_bool",
@@ -39,79 +52,63 @@ class ConfigError(ValueError):
     """Malformed configuration file, key, or value."""
 
 
-# Defaults are stored as strings so file values, --set overrides, and
-# defaults all flow through the same parsing path.
-DEFAULTS: dict[str, str] = {
-    "seed": "0",
-    "scenario.omega": "canonical",
-    "scenario.reference": "canonical",
-    "scenario.q0": "1,0,0,0",
-    "scenario.duration": "100.0",
-    "scenario.sensor_dt": "0.1",
-    "observer.initial_error_rad": "0.0",
-    "observer.initial_error_axis": "1,0,0",
-    "observer.hessian_scale": "1.0",
-    "noise.inject": "false",
-    "noise.gyro_sigma": "0.01",
-    "noise.vector_sigma": "1.0",
-    "filter.delta_step_cap": "0.01",
-    "filter.dt_max": "0.1",
-    "filter.p_solve_tolerance": "1e-8",
-    "filter.hessian_regularization": "0.0",
-    "check.duration": "1.0",
-    "check.sensor_dt": "0.1",
-    "check.dt": "1e-3",
-    "check.hessian_scale": "30.0",
-    "check.gyro_sigma_true": "0.02",
-    "check.vector_sigma_true": "0.03",
+# key -> (default, meaning). Defaults are stored as strings so file values,
+# --set overrides, and defaults all flow through the same parsing path.
+KEYS: dict[str, tuple[str, str]] = {
+    "seed": ("0", "integer seed; all randomness in a run derives from it"),
+    "scenario.omega": ("canonical",
+                       "body rate: 'canonical' (0.1cos(0.1t),0,0.2), 'zero', or 'const:x,y,z'"),
+    "scenario.reference": ("canonical",
+                           "inertial reference vector: 'canonical' (sin t,0,cos t) or unit 'const:x,y,z'"),
+    "scenario.q0": ("1,0,0,0", "true initial attitude quaternion 'w,x,y,z' (unit)"),
+    "scenario.duration": ("100.0",
+                          "run length in seconds; integer multiple of sensor_dt, or 0 for an empty run"),
+    "scenario.sensor_dt": ("0.1", "sensor epoch length in seconds"),
+    "observer.initial_error_rad": ("0.0", "initial attitude error of the estimate, radians"),
+    "observer.initial_error_axis": ("1,0,0", "axis 'x,y,z' the initial error rotates about"),
+    "observer.hessian_scale": ("1.0", "scale of the rank-3 initial value-function Hessian"),
+    "noise.inject": ("false",
+                     "true to corrupt measurements; gains are built from the sigmas either way"),
+    "noise.gyro_sigma": ("0.01", "gyro noise standard deviation per axis, rad/s"),
+    "noise.vector_sigma": ("1.0",
+                           "reference-vector measurement noise standard deviation per axis"),
+    "filter.delta_step_cap": ("0.01", "bound on ||correction|| * dt per integrator substep"),
+    "filter.dt_max": ("0.1", "largest integrator substep, seconds"),
+    "filter.p_solve_tolerance": ("1e-8", "relative residual bound for the correction solve"),
+    "filter.hessian_regularization": ("0.0", "epsilon added to the correction-solve matrix"),
+    "check.duration": ("1.0", "verification horizon, seconds"),
+    "check.sensor_dt": ("0.1", "sensor epoch length used by the verification run"),
+    "check.dt": ("1e-3", "fixed integration step of the verification run (see --dt)"),
+    "check.hessian_scale": ("30.0", "initial Hessian scale of the verification run"),
+    "check.gyro_sigma_true": ("0.02", "gyro noise injected in the verification run"),
+    "check.vector_sigma_true": ("0.03", "vector noise injected in the verification run"),
 }
 
-# One-line meaning per key, used by the CLI help text.
-KEY_DOC: dict[str, str] = {
-    "seed": "integer seed; all randomness in a run derives from it",
-    "scenario.omega": "body rate: 'canonical' (0.1cos(0.1t),0,0.2), 'zero', or 'const:x,y,z'",
-    "scenario.reference": "inertial reference vector: 'canonical' (sin t,0,cos t) or unit 'const:x,y,z'",
-    "scenario.q0": "true initial attitude quaternion 'w,x,y,z' (unit)",
-    "scenario.duration": "run length in seconds; integer multiple of sensor_dt, or 0 for an empty run",
-    "scenario.sensor_dt": "sensor epoch length in seconds",
-    "observer.initial_error_rad": "initial attitude error of the estimate, radians",
-    "observer.initial_error_axis": "axis 'x,y,z' the initial error rotates about",
-    "observer.hessian_scale": "scale of the rank-3 initial value-function Hessian",
-    "noise.inject": "true to corrupt measurements; gains are built from the sigmas either way",
-    "noise.gyro_sigma": "gyro noise standard deviation per axis, rad/s",
-    "noise.vector_sigma": "reference-vector measurement noise standard deviation per axis",
-    "filter.delta_step_cap": "bound on ||correction|| * dt per integrator substep",
-    "filter.dt_max": "largest integrator substep, seconds",
-    "filter.p_solve_tolerance": "relative residual bound for the correction solve",
-    "filter.hessian_regularization": "epsilon added to the correction-solve matrix",
-    "check.duration": "verification horizon, seconds",
-    "check.sensor_dt": "sensor epoch length used by the verification run",
-    "check.dt": "fixed integration step of the verification run (see --dt)",
-    "check.hessian_scale": "initial Hessian scale of the verification run",
-    "check.gyro_sigma_true": "gyro noise injected in the verification run",
-    "check.vector_sigma_true": "vector noise injected in the verification run",
-}
+DEFAULTS: dict[str, str] = {key: default for key, (default, _) in KEYS.items()}
 
-# Keys sweep may vary: plain scalars only.
-NUMERIC_KEYS = {
-    "seed",
-    "scenario.duration",
-    "scenario.sensor_dt",
-    "observer.initial_error_rad",
-    "observer.hessian_scale",
-    "noise.gyro_sigma",
-    "noise.vector_sigma",
-    "filter.delta_step_cap",
-    "filter.dt_max",
-    "filter.p_solve_tolerance",
-    "filter.hessian_regularization",
-    "check.duration",
-    "check.sensor_dt",
-    "check.dt",
-    "check.hessian_scale",
-    "check.gyro_sigma_true",
-    "check.vector_sigma_true",
-}
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+# Keys sweep may vary: plain scalars, i.e. those whose default is a number.
+NUMERIC_KEYS = frozenset(key for key, default in DEFAULTS.items() if _is_number(default))
+
+
+def _split_pair(item: str, where: str) -> tuple[str, str]:
+    """Key and value of one 'key = value' item; where prefixes errors."""
+    if "=" not in item:
+        raise ConfigError(f"{where}: expected 'key = value', got {item!r}")
+    key, value = (part.strip() for part in item.split("=", 1))
+    if key not in KEYS:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    if not value:
+        raise ConfigError(f"{where}: empty value for {key!r}")
+    return key, value
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -121,15 +118,9 @@ def parse_config_text(text: str) -> dict[str, str]:
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw_line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in DEFAULTS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        key, value = _split_pair(line, f"line {lineno}")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if not value:
-            raise ConfigError(f"line {lineno}: empty value for {key!r}")
         out[key] = value
     return out
 
@@ -143,17 +134,26 @@ def load_config_file(path: str) -> dict[str, str]:
     return parse_config_text(text)
 
 
+def read_config_source(source: Optional[str]) -> tuple[dict[str, str], str]:
+    """Raw key/value pairs from a file path or a bundled name ('noisy',
+    'noiseless.cfg'), plus the stem that names output files ('run' when
+    there is no source)."""
+    if source is None:
+        return {}, "run"
+    if not os.path.exists(source):
+        name = source if source.endswith(".cfg") else source + ".cfg"
+        bundled = resources.files("mef").joinpath("configs").joinpath(name)
+        if not bundled.is_file():
+            raise ConfigError(f"config {source!r} is neither a file nor a bundled name")
+        source = str(bundled)
+    return load_config_file(source), Path(source).stem
+
+
 def apply_overrides(cfg: dict[str, str], overrides: list[str]) -> dict[str, str]:
     """Apply repeatable 'key=value' overrides on top of file values."""
     out = dict(cfg)
     for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not of the form key=value")
-        key, value = (part.strip() for part in item.split("=", 1))
-        if key not in DEFAULTS:
-            raise ConfigError(f"override names unknown key {key!r}")
-        if not value:
-            raise ConfigError(f"override for {key!r} has an empty value")
+        key, value = _split_pair(item, "override")
         out[key] = value
     return out
 
@@ -166,9 +166,12 @@ def merge_with_defaults(cfg: dict[str, str]) -> dict[str, str]:
 
 def get_float(cfg: dict[str, str], key: str) -> float:
     try:
-        return float(cfg[key])
+        value = float(cfg[key])
     except ValueError as exc:
         raise ConfigError(f"{key}: expected a number, got {cfg[key]!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {cfg[key]!r}")
+    return value
 
 
 def get_int(cfg: dict[str, str], key: str) -> int:
@@ -192,9 +195,12 @@ def _parse_floats(key: str, value: str, count: int) -> np.ndarray:
     if len(parts) != count:
         raise ConfigError(f"{key}: expected {count} comma-separated numbers, got {value!r}")
     try:
-        return np.array([float(p) for p in parts])
+        vec = np.array([float(p) for p in parts])
     except ValueError as exc:
         raise ConfigError(f"{key}: expected numbers, got {value!r}") from exc
+    if not np.all(np.isfinite(vec)):
+        raise ConfigError(f"{key}: expected finite numbers, got {value!r}")
+    return vec
 
 
 def get_vec3(cfg: dict[str, str], key: str) -> np.ndarray:
@@ -267,6 +273,9 @@ def build_run_config(cfg: dict[str, str]) -> RunConfig:
         )
         scenario.epochs()
         gyro_sigma = get_float(cfg, "noise.gyro_sigma")
+        if not gyro_sigma > 0.0:
+            # The velocity gain is the inverse of the gyro covariance.
+            raise ConfigError("noise.gyro_sigma must be positive")
         vector_sigma = get_float(cfg, "noise.vector_sigma")
         gains = NoiseModel(
             gyro_cov=gyro_sigma ** 2 * np.eye(3),
@@ -292,4 +301,42 @@ def build_run_config(cfg: dict[str, str]) -> RunConfig:
         initial_estimate=initial_estimate,
         initial_hessian_scale=get_float(cfg, "observer.hessian_scale"),
         noise=gains if get_bool(cfg, "noise.inject") else None,
+    )
+
+
+def build_check_config(raw: dict[str, str], dt: Optional[float] = None) -> RunConfig:
+    """RunConfig of the fixed-step verification run that ``check`` replays.
+
+    The check.* keys stand in for the scenario and observer keys: the run
+    lasts check.duration in epochs of check.sensor_dt, and the observer
+    starts at the true attitude with Hessian scale check.hessian_scale. It
+    integrates in fixed substeps of dt (check.dt when dt is None) with no
+    cap on the correction step. Process and measurement noise with the
+    check.* sigmas is injected so the compared quantities are exercised
+    away from zero; the gains still come from the noise.* keys.
+    """
+    cfg = merge_with_defaults(raw)
+    if dt is None:
+        dt = get_float(cfg, "check.dt")
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ConfigError("--dt must be positive and finite")
+    if get_float(cfg, "check.duration") <= 0.0:
+        raise ConfigError("check.duration must be positive")
+    config = build_run_config(
+        cfg
+        | {
+            "scenario.duration": cfg["check.duration"],
+            "scenario.sensor_dt": cfg["check.sensor_dt"],
+            "observer.initial_error_rad": "0.0",
+            "observer.hessian_scale": cfg["check.hessian_scale"],
+        }
+    )
+    return replace(
+        config,
+        filter=replace(config.filter, delta_step_cap=1e18, dt_max=dt),
+        noise=NoiseModel(
+            gyro_cov=get_float(cfg, "check.gyro_sigma_true") ** 2 * np.eye(3),
+            vector_cov=get_float(cfg, "check.vector_sigma_true") ** 2 * np.eye(3),
+            seed=config.gains.seed,
+        ),
     )

@@ -159,13 +159,14 @@ class FilterConfig:
 
     def __post_init__(self):
         self.origin_xi = np.asarray(self.origin_xi, dtype=float).reshape(-1)
-        if self.delta_step_cap <= 0.0:
+        # Written as "not (x > 0)" so that NaN fails them too.
+        if not self.delta_step_cap > 0.0:
             raise ValueError("delta_step_cap must be positive")
-        if self.dt_max <= 0.0:
+        if not self.dt_max > 0.0:
             raise ValueError("dt_max must be positive")
-        if self.p_solve_tolerance <= 0.0:
+        if not self.p_solve_tolerance > 0.0:
             raise ValueError("p_solve_tolerance must be positive")
-        if self.hessian_regularization < 0.0:
+        if not self.hessian_regularization >= 0.0:
             raise ValueError("hessian_regularization must be nonnegative")
 
 

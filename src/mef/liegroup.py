@@ -51,15 +51,12 @@ class GeneratorBasis:
     closed_form_exp : callable, optional
         Map from coordinate vectors (d,) to group matrices (m, m). When
         present, :func:`exp_group` uses it instead of the generic series.
-    closure_tol : float
-        Tolerance for the commutator-closure check.
     """
 
     def __init__(
         self,
         generators,
         closed_form_exp: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        closure_tol: float = CLOSURE_TOLERANCE,
     ):
         gens = np.asarray(generators, dtype=float)
         if gens.ndim != 3 or gens.shape[1] != gens.shape[2]:
@@ -80,16 +77,16 @@ class GeneratorBasis:
             self._flat_pinv = np.linalg.pinv(self._flat)
         else:
             self._flat_pinv = np.zeros((0, self.dim_embedding ** 2))
-        self._check_closure(closure_tol)
+        self._check_closure()
 
-    def _check_closure(self, tol: float) -> None:
+    def _check_closure(self) -> None:
         d = self.dim_algebra
         for i in range(d):
             for j in range(i + 1, d):
                 Ei, Ej = self.generators[i], self.generators[j]
                 comm = Ei @ Ej - Ej @ Ei
                 coords, residual = self.project(comm)
-                if residual > tol * max(1.0, float(np.linalg.norm(comm))):
+                if residual > CLOSURE_TOLERANCE * max(1.0, float(np.linalg.norm(comm))):
                     raise ValueError(
                         "generator span is not closed under the commutator "
                         f"(pair {i},{j}: residual {residual:.3e})"
@@ -114,15 +111,12 @@ class GroupElement:
 
     __slots__ = ("matrix", "_inverse")
 
-    def __init__(self, matrix, max_condition: Optional[float] = None):
+    def __init__(self, matrix):
         mat = np.asarray(matrix, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("group element matrix must be square")
         if not np.all(np.isfinite(mat)):
             raise ValueError("group element matrix must be finite")
-        if max_condition is not None:
-            if np.linalg.cond(mat) > max_condition:
-                raise ValueError("group element matrix is ill conditioned")
         self.matrix = mat
         self._inverse = None
 

@@ -88,9 +88,6 @@ class Quaternion:
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.q_r, -self.q_v)
 
-    def norm(self) -> float:
-        return float(np.sqrt(self.q_r ** 2 + self.q_v @ self.q_v))
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Quaternion({self.q_r}, {self.q_v})"
 

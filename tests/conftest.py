@@ -2,6 +2,7 @@
 quaternion-system objects used across modules."""
 
 import numpy as np
+from hypothesis import settings
 
 from mef import (
     BASIS,
@@ -13,6 +14,11 @@ from mef import (
     exp_group,
     upsilon,
 )
+
+# Config builders under a loaded host must not trip hypothesis's
+# per-example deadline.
+settings.register_profile("mef", deadline=None)
+settings.load_profile("mef")
 
 
 def make_rng(seed: int) -> np.random.Generator:

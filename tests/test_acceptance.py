@@ -35,7 +35,8 @@ from mef import (
     vee,
     wedge,
 )
-from mef.cli import _read_config_source, build_verification_problem, main
+from mef.cli import build_verification_problem, main
+from mef.config import read_config_source
 
 from conftest import make_rng, random_filter_instance, random_unit_vector
 
@@ -45,7 +46,7 @@ def report(criterion: int, passed: bool, detail: str) -> None:
 
 
 def timed_bundled_run(name: str):
-    raw, _ = _read_config_source(name)
+    raw, _ = read_config_source(name)
     config = build_run_config(merge_with_defaults(raw))
     start = time.perf_counter()
     records, summary = run(config)

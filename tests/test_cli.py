@@ -273,6 +273,33 @@ class TestSweep:
         assert not (tmp_path / "run_scenario_duration_sweep.csv").exists()
 
 
+class TestConfigBoundary:
+    @pytest.mark.parametrize("argv", [
+        # nan made the P-solve guard vacuous: this run exits 3 without it.
+        pytest.param(["simulate", "--set", "scenario.duration=1",
+                      "--set", "observer.hessian_scale=0",
+                      "--set", "filter.p_solve_tolerance=nan"], id="p_solve_tolerance_nan"),
+        pytest.param(["simulate", "--set", "filter.dt_max=nan"], id="dt_max_nan"),
+        pytest.param(["simulate", "--set", "observer.hessian_scale=nan"], id="hessian_scale_nan"),
+        pytest.param(["simulate", "--set", "scenario.duration=inf"], id="duration_inf"),
+        pytest.param(["simulate", "--set", "scenario.q0=nan,0,0,0"], id="q0_nan"),
+        pytest.param(["simulate", "--set", "observer.initial_error_rad=0.5",
+                      "--set", "observer.initial_error_axis=nan,0,0"], id="error_axis_nan"),
+        pytest.param(["simulate", "--set", "noise.gyro_sigma=0"], id="gyro_sigma_0"),
+        pytest.param(["sweep", "--set", "scenario.duration=1", "--param", "noise.gyro_sigma",
+                      "--values", "0"], id="sweep_gyro_sigma_0"),
+        pytest.param(["check", "--dt", "nan"], id="check_dt_nan"),
+        pytest.param(["check", "--set", "check.hessian_scale=nan"], id="check_hessian_scale_nan"),
+        pytest.param(["simulate", "--config", "."], id="config_is_a_directory"),
+    ])
+    def test_bad_input_exits_2_without_csv(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = main(argv + ["--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.csv")) == []
+
+
 class TestHelp:
     @pytest.mark.parametrize("argv", [
         ["--help"],

@@ -5,6 +5,8 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mef import (
     DEFAULTS,
@@ -17,8 +19,10 @@ from mef import (
     parse_config_text,
 )
 from mef.config import (
+    read_config_source,
+    KEYS,
     NUMERIC_KEYS,
-    KEY_DOC,
+    build_check_config,
     get_bool,
     get_float,
     get_int,
@@ -71,6 +75,30 @@ class TestParseConfigText:
         assert load_config_file(str(path)) == {"seed": "12"}
 
 
+class TestReadConfigSource:
+    def test_no_source_is_an_empty_run(self):
+        assert read_config_source(None) == ({}, "run")
+
+    @pytest.mark.parametrize("name", ["noisy", "noisy.cfg"])
+    def test_bundled_name(self, name):
+        raw, stem = read_config_source(name)
+        assert stem == "noisy"
+        assert raw["noise.inject"] == "true"
+
+    def test_file_path(self, tmp_path):
+        path = tmp_path / "mine.cfg"
+        path.write_text("seed = 5\n")
+        assert read_config_source(str(path)) == ({"seed": "5"}, "mine")
+
+    def test_unreadable_path_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read"):
+            read_config_source(str(tmp_path))
+
+    def test_unknown_name(self):
+        with pytest.raises(ConfigError, match="neither a file nor a bundled name"):
+            read_config_source("no_such_config")
+
+
 class TestOverridesAndMerge:
     def test_overrides_replace_and_add(self):
         base = {"seed": "1"}
@@ -79,7 +107,7 @@ class TestOverridesAndMerge:
         assert base == {"seed": "1"}
 
     def test_override_requires_equals(self):
-        with pytest.raises(ConfigError, match="not of the form"):
+        with pytest.raises(ConfigError, match="expected 'key = value'"):
             apply_overrides({}, ["seed:2"])
 
     def test_override_rejects_unknown_key(self):
@@ -96,9 +124,27 @@ class TestOverridesAndMerge:
         assert merged["seed"] == "42"
         assert merged["scenario.duration"] == DEFAULTS["scenario.duration"]
 
-    def test_documentation_covers_every_key(self):
-        assert set(KEY_DOC) == set(DEFAULTS)
-        assert NUMERIC_KEYS <= set(DEFAULTS)
+    def test_sweepable_keys_are_the_numeric_ones(self):
+        assert NUMERIC_KEYS == {
+            "seed",
+            "scenario.duration",
+            "scenario.sensor_dt",
+            "observer.initial_error_rad",
+            "observer.hessian_scale",
+            "noise.gyro_sigma",
+            "noise.vector_sigma",
+            "filter.delta_step_cap",
+            "filter.dt_max",
+            "filter.p_solve_tolerance",
+            "filter.hessian_regularization",
+            "check.duration",
+            "check.sensor_dt",
+            "check.dt",
+            "check.hessian_scale",
+            "check.gyro_sigma_true",
+            "check.vector_sigma_true",
+        }
+        assert list(DEFAULTS) == list(KEYS)
 
 
 class TestValueGetters:
@@ -273,6 +319,53 @@ class TestBuildRunConfig:
         with pytest.raises(ConfigError, match="dt_max"):
             build_run_config({"filter.dt_max": "0"})
 
+    def test_gyro_sigma_must_be_positive(self):
+        # The velocity gain inverts the gyro covariance.
+        with pytest.raises(ConfigError, match="noise.gyro_sigma must be positive"):
+            build_run_config({"noise.gyro_sigma": "0"})
+
+
+class TestBuildCheckConfig:
+    def test_check_keys_replace_the_run_keys(self):
+        rc = build_check_config({
+            "check.duration": "0.5",
+            "check.sensor_dt": "0.05",
+            "check.hessian_scale": "7.0",
+            "check.gyro_sigma_true": "0.1",
+            "check.vector_sigma_true": "0.2",
+            "observer.initial_error_rad": "1.0",
+            "noise.gyro_sigma": "0.3",
+            "seed": "4",
+        }, 2e-3)
+        assert rc.scenario.duration == 0.5
+        assert rc.scenario.sensor_dt == 0.05
+        assert rc.initial_hessian_scale == 7.0
+        np.testing.assert_array_equal(
+            rc.initial_estimate.as_vector(), rc.scenario.q0.as_vector()
+        )
+        assert rc.filter.dt_max == 2e-3
+        assert rc.filter.delta_step_cap == 1e18
+        np.testing.assert_allclose(rc.noise.gyro_cov, 0.01 * np.eye(3))
+        np.testing.assert_allclose(rc.noise.vector_cov, 0.04 * np.eye(3))
+        np.testing.assert_allclose(rc.gains.gyro_cov, 0.09 * np.eye(3))
+        assert rc.noise.seed == rc.gains.seed == 4
+
+    def test_dt_defaults_to_the_check_dt_key(self):
+        assert build_check_config({"check.dt": "5e-3"}).filter.dt_max == 5e-3
+
+    def test_zero_injected_noise_is_legal(self):
+        rc = build_check_config({"check.gyro_sigma_true": "0"}, 1e-3)
+        np.testing.assert_array_equal(rc.noise.gyro_cov, np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_dt_must_be_positive_and_finite(self, dt):
+        with pytest.raises(ConfigError, match="--dt"):
+            build_check_config({}, dt)
+
+    def test_duration_must_be_positive(self):
+        with pytest.raises(ConfigError, match="check.duration"):
+            build_check_config({"check.duration": "0"}, 1e-3)
+
 
 class TestBundledPresets:
     @pytest.mark.parametrize("name", ["noiseless.cfg", "noisy.cfg"])
@@ -286,3 +379,79 @@ class TestBundledPresets:
             rc.scenario.q0, rc.initial_estimate
         ) == pytest.approx(0.99 * np.pi, abs=1e-12)
         assert (rc.noise is not None) == (name == "noisy.cfg")
+
+
+# Config text as a user would write it: values are non-empty, carry no
+# comment marker or line break, and have no surrounding blanks (the parser
+# strips those).
+_values = st.text(
+    alphabet=st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters="#"),
+    min_size=1,
+    max_size=12,
+).filter(lambda v: v.strip() == v)
+_configs = st.dictionaries(st.sampled_from(sorted(KEYS)), _values, max_size=8)
+_blanks = st.text(alphabet=" \t", max_size=3)
+_comments = st.one_of(
+    st.just(""),
+    st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=10).map(
+        lambda c: "#" + c
+    ),
+)
+_unknown_keys = st.from_regex(r"[a-z_]{1,8}(\.[a-z_]{1,8})?", fullmatch=True).filter(
+    lambda k: k not in KEYS
+)
+_non_finite = st.sampled_from(["nan", "NaN", "inf", "-inf", "+Infinity", "1e999"])
+
+
+@st.composite
+def _rendered(draw, cfg: dict[str, str]) -> str:
+    """cfg as config text, with random blanks, comments and blank lines."""
+    lines = []
+    for key, value in cfg.items():
+        lines += draw(st.lists(st.tuples(_blanks, _comments).map("".join), max_size=2))
+        lines.append(
+            f"{draw(_blanks)}{key}{draw(_blanks)}={draw(_blanks)}{value}"
+            f"{draw(_blanks)}{draw(_comments)}"
+        )
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+class TestRoundTripProperties:
+    @given(data=st.data(), cfg=_configs)
+    def test_rendered_text_parses_back(self, data, cfg):
+        assert parse_config_text(data.draw(_rendered(cfg))) == cfg
+
+    @given(cfg=_configs, blanks=st.tuples(_blanks, _blanks))
+    def test_overrides_agree_with_file_lines(self, cfg, blanks):
+        left, right = blanks
+        items = [f"{key}{left}={right}{value}" for key, value in cfg.items()]
+        text = "\n".join(f"{key} = {value}" for key, value in cfg.items())
+        assert apply_overrides({}, items) == parse_config_text(text) == cfg
+
+    @given(data=st.data(), cfg=_configs, key=_unknown_keys, value=_values)
+    def test_unknown_keys_raise(self, data, cfg, key, value):
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config_text(data.draw(_rendered(cfg)) + f"\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match="unknown key"):
+            apply_overrides(cfg, [f"{key}={value}"])
+
+    @given(data=st.data(), cfg=_configs.filter(bool), value=_values)
+    def test_duplicate_keys_raise(self, data, cfg, value):
+        key = data.draw(st.sampled_from(sorted(cfg)))
+        with pytest.raises(ConfigError, match="duplicate key"):
+            parse_config_text(data.draw(_rendered(cfg)) + f"\n{key} = {value}\n")
+
+    @given(
+        key=st.sampled_from(sorted(NUMERIC_KEYS)),
+        x=st.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_numeric_keys_accept_finite_float_text(self, key, x):
+        assert get_float({key: repr(x)}, key) == x
+
+    @given(key=st.sampled_from(sorted(NUMERIC_KEYS)), text=_non_finite)
+    def test_numeric_keys_reject_non_finite_text(self, key, text):
+        # Every numeric key is read by one of the two builders; each must
+        # stop a non-finite value at the config boundary.
+        build = build_check_config if key.startswith("check.") else build_run_config
+        with pytest.raises(ConfigError, match="finite|integer"):
+            build({key: text})

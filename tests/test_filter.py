@@ -642,3 +642,10 @@ class TestFilterConfigValidation:
     def test_rejects_negative_regularization(self):
         with pytest.raises(ValueError, match="hessian_regularization"):
             FilterConfig(origin_xi=XI_ORIGIN, hessian_regularization=-1e-9)
+
+    @pytest.mark.parametrize("field", [
+        "delta_step_cap", "dt_max", "p_solve_tolerance", "hessian_regularization",
+    ])
+    def test_rejects_nan(self, field):
+        with pytest.raises(ValueError, match=field):
+            FilterConfig(origin_xi=XI_ORIGIN, **{field: float("nan")})

@@ -295,11 +295,6 @@ class TestGroupElement:
         with pytest.raises(ValueError):
             GroupElement(mat)
 
-    def test_condition_guard(self):
-        mat = np.diag([1.0, 1.0, 1.0, 1e-12])
-        with pytest.raises(ValueError, match="ill conditioned"):
-            GroupElement(mat, max_condition=1e6)
-
     def test_quaternion_basis_factory_is_fresh(self):
         b1, b2 = quaternion_basis(), quaternion_basis()
         assert b1 is not b2
