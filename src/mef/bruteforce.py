@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .liegroup import GeneratorBasis, upsilon, wedge
 
@@ -169,6 +167,11 @@ class DiscretizedProblem:
     def _kkt_state(self) -> dict:
         if self._kkt is not None:
             return self._kkt
+        # Imported here: only check needs scipy, and simulate and sweep
+        # should not pay for loading it.
+        import scipy.sparse as sp
+        from scipy.sparse.linalg import splu
+
         N, m, l = self.steps, self.m, self.l
         stride = m + l
         nz = (N + 1) * m + N * l

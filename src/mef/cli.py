@@ -101,8 +101,8 @@ def build_verification_problem(
     """
     config = build_check_config(raw, dt)
     trace: list = []
-    for epoch in observe(config, (lambda d: -d) if sabotage_delta_sign else None):
-        trace += epoch.substeps
+    for epoch in observe(config, (lambda d: -d) if sabotage_delta_sign else None, trace=True):
+        trace += epoch.trace
     H0 = initial_observer_hessian(config.initial_estimate, config.initial_hessian_scale)
     problem = DiscretizedProblem.from_substeps(BASIS, trace, H0, anchor=XI_ORIGIN)
     return problem, epoch.state, trace[-1].sample

@@ -137,15 +137,20 @@ def load_config_file(path: str) -> dict[str, str]:
 def read_config_source(source: Optional[str]) -> tuple[dict[str, str], str]:
     """Raw key/value pairs from a file path or a bundled name ('noisy',
     'noiseless.cfg'), plus the stem that names output files ('run' when
-    there is no source)."""
+    there is no source).
+
+    A bare name (no directory part) that names a bundled preset always
+    reads the preset, even when the working directory holds an entry of
+    that name; write a path such as './noisy' to read that entry instead.
+    """
     if source is None:
         return {}, "run"
-    if not os.path.exists(source):
-        name = source if source.endswith(".cfg") else source + ".cfg"
-        bundled = resources.files("mef").joinpath("configs").joinpath(name)
-        if not bundled.is_file():
-            raise ConfigError(f"config {source!r} is neither a file nor a bundled name")
+    name = source if source.endswith(".cfg") else source + ".cfg"
+    bundled = resources.files("mef").joinpath("configs").joinpath(name)
+    if os.path.basename(source) == source and bundled.is_file():
         source = str(bundled)
+    elif not os.path.exists(source):
+        raise ConfigError(f"config {source!r} is neither a file nor a bundled name")
     return load_config_file(source), Path(source).stem
 
 

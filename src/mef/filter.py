@@ -4,8 +4,8 @@ The observer integrates three coupled quantities: a group element X_hat
 whose inverse action on the origin point gives the state estimate, the
 Hessian H of the induced value function at the origin, and its gradient
 eta. The correction direction is obtained at every substep by solving a
-small d x d linear system; with that choice the tangential part of eta is
-invariant under the exact flow, so its drift is a direct measure of
+small d x d linear system by LU; with that choice the tangential part of
+eta is invariant under the exact flow, so its drift is a direct measure of
 integration error.
 
 All operations are pure: they take an ObserverState and return new values
@@ -14,6 +14,7 @@ without mutating their inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -28,6 +29,7 @@ __all__ = [
     "SingularPError",
     "SubstepRecord",
     "init",
+    "check_invariants",
     "correction_delta",
     "hessian_rate",
     "gradient_rate",
@@ -41,13 +43,22 @@ __all__ = [
 # integrated, so accumulated rounding of substep times cannot produce
 # spurious near-zero substeps at interval boundaries.
 TIME_SNAP = 1e-12
+# Largest ||X_hat^T X_hat - I||_F that check_invariants accepts for an
+# orthogonal X_hat, whose inverse is taken as its transpose. Rounding adds
+# about 1e-16 per substep; 1e5 substeps of one repeated exponential, the
+# worst case, reach about 2e-11. A drift of 1e-9 would move the estimate by
+# as much, still far below the integration error.
+ORTHOGONALITY_TOLERANCE = 1e-9
 
 
 class SingularPError(RuntimeError):
-    """The correction solve left a relative residual above tolerance.
+    """The observer cannot go on from its current state.
 
-    P is effectively rank deficient: the data seen so far does not excite
-    every tangent direction, or H has degenerated.
+    Raised when the correction solve fails or leaves a relative residual
+    above tolerance (P is effectively rank deficient: the data seen so far
+    does not excite every tangent direction, or H has degenerated), and by
+    check_invariants when the state is no longer finite or X_hat has
+    drifted off the orthogonal group.
     """
 
 
@@ -110,18 +121,27 @@ class SignalSample:
             raise ValueError("Q must be l x l")
         if self.R.shape != (n, n):
             raise ValueError("R must be n x n")
-        if not np.allclose(self.Q, self.Q.T, atol=1e-12 * max(1.0, float(np.abs(self.Q).max()))):
+        if not _symmetric(self.Q, 1e-12):
             raise ValueError("Q must be symmetric")
         try:
             np.linalg.cholesky(self.Q)
         except np.linalg.LinAlgError:
             raise ValueError("Q must be positive definite") from None
-        if not np.allclose(self.R, self.R.T, atol=1e-10 * max(1.0, float(np.abs(self.R).max()))):
+        if not _symmetric(self.R, 1e-10):
             raise ValueError("R must be symmetric")
         if n > 0 and float(np.linalg.eigvalsh(self.R)[0]) < -1e-10 * max(1.0, float(np.abs(self.R).max())):
             raise ValueError("R must be positive semidefinite")
         self.Q_inv = np.linalg.inv(self.Q)
         self.noise_shape = self.B @ self.Q_inv @ self.B.T
+
+
+def _symmetric(A: np.ndarray, tol: float) -> bool:
+    # np.allclose(A, A.T, atol=tol * max(1, max|A|)) with its default
+    # rtol of 1e-5, without its generic broadcasting and infinity handling
+    # (an infinite or NaN entry fails).
+    magnitude = np.abs(A)
+    atol = tol * max(1.0, float(magnitude.max()))
+    return bool((np.abs(A - A.T) <= atol + 1e-5 * magnitude.T).all())
 
 
 @dataclass(frozen=True)
@@ -205,6 +225,27 @@ def init(
     )
 
 
+def check_invariants(state: ObserverState) -> None:
+    """Raise SingularPError unless X_hat, H and eta are finite and, for an
+    orthogonal X_hat, ||X_hat^T X_hat - I||_F <= ORTHOGONALITY_TOLERANCE.
+
+    The kernel relies on both: an orthogonal X_hat is inverted by its
+    transpose, and a NaN would pass through the rate equations unnoticed.
+    Cheap enough to run once per sensor epoch.
+    """
+    X = state.X_hat.matrix
+    if not (np.isfinite(X).all() and np.isfinite(state.H).all()
+            and np.isfinite(state.eta).all()):
+        raise SingularPError("observer state is not finite")
+    if state.X_hat.orthogonal:
+        drift = float(np.linalg.norm(X.T @ X - np.eye(X.shape[0])))
+        if not drift <= ORTHOGONALITY_TOLERANCE:
+            raise SingularPError(
+                f"X_hat orthogonality drift {drift:.3e} exceeds "
+                f"{ORTHOGONALITY_TOLERANCE:.0e}"
+            )
+
+
 def _output_pull(state: ObserverState, sample: SignalSample, origin_xi: np.ndarray) -> np.ndarray:
     # X_hat^-T C^T R (C X_hat^-1 origin - y), the measurement forcing term.
     X_inv = state.X_hat.inverse
@@ -218,9 +259,10 @@ def correction_delta(
     """Correction coordinates solving P delta = Upsilon^T (forcing terms).
 
     P = Upsilon^T H Upsilon + Upsilon^T UpsilonBar(eta) + eps I, with both
-    Upsilon factors evaluated at the origin point. The solve is least
-    squares; a relative residual above cfg.p_solve_tolerance raises
-    SingularPError.
+    Upsilon factors evaluated at the origin point. The solve is an LU
+    factorization (np.linalg.solve). An exactly singular P, or a relative
+    residual |P delta - rhs| / |rhs| above cfg.p_solve_tolerance, raises
+    SingularPError. A zero right-hand side gives delta = 0 for any P.
     """
     basis = state.basis
     if basis.dim_algebra == 0:
@@ -233,15 +275,23 @@ def correction_delta(
         sample.noise_shape @ state.eta
     )
     rhs = Ups.T @ forcing
-    delta, *_ = np.linalg.lstsq(P, rhs, rcond=None)
-    rhs_norm = float(np.linalg.norm(rhs))
-    if rhs_norm > 0.0:
-        rel = float(np.linalg.norm(P @ delta - rhs)) / rhs_norm
-        if rel > cfg.p_solve_tolerance:
-            raise SingularPError(
-                f"correction solve residual {rel:.3e} exceeds "
-                f"{cfg.p_solve_tolerance:.3e}"
-            )
+    rhs_norm = math.sqrt(rhs @ rhs)
+    if rhs_norm == 0.0:
+        return np.zeros(basis.dim_algebra)
+    try:
+        delta = np.linalg.solve(P, rhs)
+    except np.linalg.LinAlgError:
+        raise SingularPError(
+            f"correction solve residual inf exceeds {cfg.p_solve_tolerance:.3e} "
+            "(P is singular)"
+        ) from None
+    residual = P @ delta - rhs
+    rel = math.sqrt(residual @ residual) / rhs_norm
+    if not rel <= cfg.p_solve_tolerance:
+        raise SingularPError(
+            f"correction solve residual {rel:.3e} exceeds "
+            f"{cfg.p_solve_tolerance:.3e}"
+        )
     return delta
 
 
@@ -281,7 +331,7 @@ def step(
     cfg: FilterConfig,
     trace: Optional[list] = None,
     delta_transform=None,
-) -> ObserverState:
+) -> tuple[ObserverState, int, np.ndarray]:
     """Advance the observer to sample.valid_until in one call.
 
     The interval is walked in chunks of at most dt_max, each starting where
@@ -292,6 +342,10 @@ def step(
     at the same dt. When ``trace`` is a list, one SubstepRecord is appended
     per substep.
 
+    Returns (end_state, substeps, delta): the state at valid_until, the
+    number of substeps taken, and the correction applied by the first of
+    them, which is the boundary correction at the interval start.
+
     ``delta_transform`` remaps the correction before it is applied; it
     exists for fault-injection diagnostics and must be None in normal use.
     """
@@ -301,6 +355,7 @@ def step(
     basis = state.basis
     X_hat, H, eta, t = state.X_hat, state.H, state.eta, state.t
     t_stop = t
+    substeps = 0
     while t_end - t > TIME_SNAP:
         if t_stop - t <= TIME_SNAP:
             t_stop = min(t_end, t + cfg.dt_max)
@@ -308,7 +363,10 @@ def step(
         delta = correction_delta(current, sample, cfg)
         if delta_transform is not None:
             delta = np.asarray(delta_transform(delta), dtype=float)
-        delta_norm = float(np.linalg.norm(delta))
+        if not substeps:
+            first_delta = delta
+        substeps += 1
+        delta_norm = math.sqrt(delta @ delta)
         remaining = t_stop - t
         dt = min(cfg.dt_max, remaining)
         if delta_norm > 0.0:
@@ -332,7 +390,8 @@ def step(
                     sample=sample,
                 )
             )
-    return ObserverState(X_hat=X_hat, H=H, eta=eta, t=t, basis=basis)
+    end = ObserverState(X_hat=X_hat, H=H, eta=eta, t=t, basis=basis)
+    return end, substeps, first_delta
 
 
 def state_estimate(state: ObserverState, cfg: FilterConfig) -> np.ndarray:

@@ -10,6 +10,7 @@ existing elements, so membership is maintained structurally.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -51,6 +52,13 @@ class GeneratorBasis:
     closed_form_exp : callable, optional
         Map from coordinate vectors (d,) to group matrices (m, m). When
         present, :func:`exp_group` uses it instead of the generic series.
+
+    Attributes
+    ----------
+    orthogonal : bool
+        Whether every generator is skew-symmetric. Each exponential, and so
+        each product of them, is then orthogonal, and the elements built
+        from this basis are inverted by their transpose.
     """
 
     def __init__(
@@ -67,6 +75,7 @@ class GeneratorBasis:
         self.dim_algebra = int(gens.shape[0])
         self.dim_embedding = int(gens.shape[1])
         self.closed_form_exp = closed_form_exp
+        self.orthogonal = not bool(np.any(gens + np.swapaxes(gens, 1, 2)))
 
         # Flattened generators as columns of an (m^2, d) matrix; vee() is a
         # least-squares projection onto their span.
@@ -106,33 +115,39 @@ class GroupElement:
 
     Elements are created through :meth:`identity`, :func:`exp_group`, or
     products of existing elements; this keeps them inside the group without
-    a per-call membership test.
+    a per-call membership test. Those constructors set ``orthogonal`` for an
+    element of an orthogonal group (see :class:`GeneratorBasis`), whose
+    inverse is then the transpose; a product is orthogonal when both factors
+    are. ``GroupElement(matrix)`` assumes nothing and inverts with inv.
     """
 
-    __slots__ = ("matrix", "_inverse")
+    __slots__ = ("matrix", "orthogonal", "_inverse")
 
     def __init__(self, matrix):
         mat = np.asarray(matrix, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("group element matrix must be square")
-        if not np.all(np.isfinite(mat)):
+        if not np.isfinite(mat).all():
             raise ValueError("group element matrix must be finite")
         self.matrix = mat
+        self.orthogonal = False
         self._inverse = None
 
     @classmethod
     def identity(cls, m: int) -> "GroupElement":
-        return cls(np.eye(m))
+        return _element(np.eye(m), orthogonal=True)
 
     @property
     def inverse(self) -> np.ndarray:
-        """Matrix inverse, computed once on first use."""
+        """Matrix inverse, computed once on first use: the transpose for an
+        orthogonal element, np.linalg.inv otherwise."""
         if self._inverse is None:
-            self._inverse = np.linalg.inv(self.matrix)
+            self._inverse = self.matrix.T if self.orthogonal else np.linalg.inv(self.matrix)
         return self._inverse
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(self.matrix @ other.matrix)
+        return _element(self.matrix @ other.matrix,
+                        orthogonal=self.orthogonal and other.orthogonal)
 
     def apply(self, xi) -> np.ndarray:
         """Action on an embedding-space vector."""
@@ -143,6 +158,15 @@ class GroupElement:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"GroupElement({self.matrix!r})"
+
+
+def _element(matrix, orthogonal: bool) -> GroupElement:
+    # For the constructors above, exp_group and group_from_quaternion, which
+    # know from how they built the matrix whether it belongs to an
+    # orthogonal group.
+    element = GroupElement(matrix)
+    element.orthogonal = orthogonal
+    return element
 
 
 def _coords(basis: GeneratorBasis, u) -> np.ndarray:
@@ -158,9 +182,10 @@ def _coords(basis: GeneratorBasis, u) -> np.ndarray:
 def wedge(basis: GeneratorBasis, u) -> np.ndarray:
     """Algebra matrix sum_i u_i E_i of the coordinate vector u."""
     u = _coords(basis, u)
+    m = basis.dim_embedding
     if basis.dim_algebra == 0:
-        return np.zeros((basis.dim_embedding, basis.dim_embedding))
-    return np.einsum("i,imn->mn", u, basis.generators)
+        return np.zeros((m, m))
+    return (u @ basis._flat.T).reshape(m, m)
 
 
 def vee(basis: GeneratorBasis, A, tol: float = VEE_TOLERANCE) -> np.ndarray:
@@ -192,7 +217,7 @@ def upsilon(basis: GeneratorBasis, xi) -> np.ndarray:
         raise ValueError("point dimension does not match the basis")
     if basis.dim_algebra == 0:
         return np.zeros((basis.dim_embedding, 0))
-    return np.einsum("imn,n->mi", basis.generators, xi)
+    return (basis.generators @ xi).T
 
 
 def upsilon_bar(basis: GeneratorBasis, xi) -> np.ndarray:
@@ -202,7 +227,7 @@ def upsilon_bar(basis: GeneratorBasis, xi) -> np.ndarray:
         raise ValueError("point dimension does not match the basis")
     if basis.dim_algebra == 0:
         return np.zeros((basis.dim_embedding, 0))
-    return np.einsum("inm,n->mi", basis.generators, xi)
+    return (xi @ basis.generators).T
 
 
 def _exp_series(A: np.ndarray) -> np.ndarray:
@@ -230,23 +255,34 @@ def exp_group(basis: GeneratorBasis, u) -> GroupElement:
     """
     u = _coords(basis, u)
     if basis.closed_form_exp is not None:
-        return GroupElement(basis.closed_form_exp(u))
-    return GroupElement(_exp_series(wedge(basis, u)))
+        return _element(basis.closed_form_exp(u), basis.orthogonal)
+    return _element(_exp_series(wedge(basis, u)), basis.orthogonal)
 
 
 def adjoint_coords(basis: GeneratorBasis, X: GroupElement) -> np.ndarray:
     """d x d matrix of the conjugation map u -> vee(X wedge(u) X^-1).
 
-    Column i is vee(X E_i X^-1). Raises :class:`NotInAlgebraError` when a
-    conjugated generator leaves the algebra span, which signals a
-    basis/group inconsistency.
+    Column i is vee(X E_i X^-1); all d conjugated generators are projected
+    in one matmul. Raises :class:`NotInAlgebraError` when a conjugated
+    generator leaves the algebra span (the per-column residual test of
+    :func:`vee`), which signals a basis/group inconsistency.
     """
     d = basis.dim_algebra
     if d == 0:
         return np.zeros((0, 0))
-    Xinv = X.inverse
-    cols = [vee(basis, X.matrix @ E @ Xinv) for E in basis.generators]
-    return np.column_stack(cols)
+    # Row i of ``conj`` is X E_i X^-1 flattened; column i of the result
+    # holds its coordinates. Residuals are compared squared, per row.
+    conj = (X.matrix @ basis.generators @ X.inverse).reshape(d, -1)
+    coords = basis._flat_pinv @ conj.T
+    residual = conj - (basis._flat @ coords).T
+    res2 = (residual * residual).sum(axis=1)
+    scale2 = np.maximum(1.0, (conj * conj).sum(axis=1))
+    if not (res2 <= VEE_TOLERANCE ** 2 * scale2).all():
+        raise NotInAlgebraError(
+            "conjugated generator is not in the algebra span "
+            f"(residual {float(np.sqrt(res2.max())):.3e})"
+        )
+    return coords
 
 
 # ---------------------------------------------------------------------------
@@ -269,15 +305,27 @@ def quaternion_wedge(delta) -> np.ndarray:
 
 
 def _quaternion_exp(coords: np.ndarray) -> np.ndarray:
-    # wedge(delta)^2 = -|delta|^2 I, so the series closes into cosine/sine.
-    theta = float(np.linalg.norm(coords))
-    # np.sinc(x) = sin(pi x)/(pi x); exact value 1.0 at theta = 0.
-    return np.cos(theta) * np.eye(4) + np.sinc(theta / np.pi) * quaternion_wedge(coords)
+    # wedge(delta)^2 = -|delta|^2 I, so the series closes into
+    # cos(theta) I + (sin(theta) / theta) wedge(delta), theta = |delta|.
+    d1, d2, d3 = coords.tolist()
+    theta = math.hypot(d1, d2, d3)
+    c = math.cos(theta)
+    s = math.sin(theta) / theta if theta > 0.0 else 1.0
+    s1, s2, s3 = s * d1, s * d2, s * d3
+    return np.array(
+        [
+            [c, s1, s2, s3],
+            [-s1, c, -s3, s2],
+            [-s2, s3, c, -s1],
+            [-s3, -s2, s1, c],
+        ]
+    )
 
 
 def quaternion_basis() -> GeneratorBasis:
     """Generator basis E_i = wedge(e_i) for the quaternion group, with the
-    exact cosine/sine exponential registered as the closed form."""
+    exact cosine/sine exponential registered as the closed form. Each E_i
+    is skew-symmetric, so the basis is orthogonal."""
     eye3 = np.eye(3)
     gens = np.stack([quaternion_wedge(eye3[i]) for i in range(3)])
     return GeneratorBasis(gens, closed_form_exp=_quaternion_exp)

@@ -9,7 +9,9 @@ rotation; the embedding origin is (1, 0, 0, 0).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -17,6 +19,7 @@ import numpy as np
 from .filter import SignalSample
 from .liegroup import (
     GroupElement,
+    _element,
     adjoint_coords,
     quaternion_basis,
     quaternion_wedge,
@@ -70,7 +73,7 @@ class Quaternion:
         self.q_r = float(q_r)
         self.q_v = np.asarray(q_v, dtype=float).reshape(3)
         norm = float(np.sqrt(self.q_r ** 2 + self.q_v @ self.q_v))
-        if abs(norm - 1.0) > tol:
+        if not abs(norm - 1.0) <= tol:  # written so that NaN fails too
             raise ValueError(f"quaternion norm {norm} is not 1 within {tol}")
 
     @classmethod
@@ -93,9 +96,16 @@ class Quaternion:
 
 
 def _mul(a_r: float, a_v: np.ndarray, b_r: float, b_v: np.ndarray):
-    # Raw Hamilton product, no unit assumption.
-    r = a_r * b_r - a_v @ b_v
-    v = a_r * b_v + b_r * a_v + np.cross(a_v, b_v)
+    # Raw Hamilton product, no unit assumption: r = a_r b_r - a_v . b_v,
+    # v = a_r b_v + b_r a_v + a_v x b_v, written out on scalars.
+    a1, a2, a3 = a_v.tolist()
+    b1, b2, b3 = b_v.tolist()
+    r = a_r * b_r - (a1 * b1 + a2 * b2 + a3 * b3)
+    v = np.array([
+        a_r * b1 + b_r * a1 + (a2 * b3 - a3 * b2),
+        a_r * b2 + b_r * a2 + (a3 * b1 - a1 * b3),
+        a_r * b3 + b_r * a3 + (a1 * b2 - a2 * b1),
+    ])
     return r, v
 
 
@@ -169,10 +179,11 @@ class AttitudeScenario:
     sensor_dt: float
 
     def __post_init__(self):
-        if self.sensor_dt <= 0.0:
-            raise ValueError("sensor_dt must be positive")
-        if self.duration < 0.0:
-            raise ValueError("duration must be nonnegative")
+        # Written as "not (a <= x < inf)" so that NaN fails them too.
+        if not 0.0 < self.sensor_dt < math.inf:
+            raise ValueError("sensor_dt must be positive and finite")
+        if not 0.0 <= self.duration < math.inf:
+            raise ValueError("duration must be nonnegative and finite")
 
     def epochs(self) -> int:
         """Number of sensor epochs including t = 0.
@@ -200,14 +211,21 @@ def _check_covariance(mat, name: str) -> np.ndarray:
     return mat
 
 
-@dataclass
+def _read_only(mat: np.ndarray) -> np.ndarray:
+    mat = np.array(mat, dtype=float)
+    mat.flags.writeable = False
+    return mat
+
+
+@dataclass(frozen=True)
 class NoiseModel:
     """Measurement-noise covariances and the seed they are drawn with.
 
     The same covariances double as the gain parameters of the filter: the
     velocity gain is the inverse of the propagated gyro covariance and the
     output gain comes from the vector covariance through the output
-    Jacobian.
+    Jacobian. The model is frozen and its arrays read-only, so the gain
+    matrices derived from them are computed once, on first use.
     """
 
     gyro_cov: np.ndarray
@@ -215,9 +233,20 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        self.gyro_cov = _check_covariance(self.gyro_cov, "gyro_cov")
-        self.vector_cov = _check_covariance(self.vector_cov, "vector_cov")
-        self.seed = int(self.seed)
+        for name in ("gyro_cov", "vector_cov"):
+            object.__setattr__(self, name, _read_only(_check_covariance(getattr(self, name), name)))
+        object.__setattr__(self, "seed", int(self.seed))
+
+    @cached_property
+    def velocity_gain(self) -> np.ndarray:
+        """The velocity gain Q = (0.25 gyro_cov)^-1 (see build_sample).
+        Read-only: every sample shares it."""
+        return _read_only(np.linalg.inv(0.25 * self.gyro_cov))
+
+    @cached_property
+    def vector_cov_pinv(self) -> np.ndarray:
+        """pinv(vector_cov) with the relative cutoff R_PINV_CUTOFF."""
+        return _read_only(np.linalg.pinv(self.vector_cov, rcond=R_PINV_CUTOFF, hermitian=True))
 
 
 def build_sample(
@@ -231,26 +260,34 @@ def build_sample(
 ) -> SignalSample:
     """Assemble one sensor epoch into the filter's input structure.
 
-    The velocity gain inverse is 0.25 * gyro_cov (halving the rate halves
-    the noise, quartering its covariance). The output gain R is the
-    pseudo-inverse of J vector_cov J^T, which has rank 3; the null
+    The velocity gain Q is noise_model.velocity_gain, the inverse of
+    0.25 * gyro_cov (halving the rate halves the noise, quartering its
+    covariance). The output gain R is the pseudo-inverse of J V J^T, with
+    J the output Jacobian and V = vector_cov; it has rank 3, and the null
     direction lies along the estimate and carries no information.
+
+    R is built in closed form. The columns of J are orthogonal with norm
+    |q_hat|, so J^T J = |q_hat|^2 I and J = |q_hat| W with W^T W = I.
+    Then J V J^T = |q_hat|^2 W V W^T, and because W has orthonormal
+    columns, pinv(W V W^T) = W pinv(V) W^T. Hence
+    pinv(J V J^T) = J pinv(V) J^T / |q_hat|^4. Both pseudo-inverses use
+    the same relative cutoff R_PINV_CUTOFF, which the uniform scaling by
+    |q_hat|^2 leaves unchanged, and pinv(V) is computed once per model.
     """
     z_ref = np.asarray(scenario.ref_fn(t), dtype=float).reshape(3)
     U_coords = velocity_coords(omega_meas)
     C = measurement_matrix(z_meas, z_ref)
     y = np.zeros(4)
     B = upsilon(BASIS, XI_ORIGIN) @ adjoint_coords(BASIS, X_hat)
-    Q = np.linalg.inv(0.25 * noise_model.gyro_cov)
     J = output_jacobian(q_hat)
-    R_inv = J @ noise_model.vector_cov @ J.T
-    R = np.linalg.pinv(R_inv, rcond=R_PINV_CUTOFF, hermitian=True)
+    norm2 = q_hat.q_r ** 2 + float(q_hat.q_v @ q_hat.q_v)
+    R = (J @ noise_model.vector_cov_pinv @ J.T) / (norm2 * norm2)
     return SignalSample(
         U_coords=U_coords,
         C=C,
         y=y,
         B=B,
-        Q=Q,
+        Q=noise_model.velocity_gain,
         R=R,
         valid_until=t + scenario.sensor_dt,
     )
@@ -267,7 +304,7 @@ def group_from_quaternion(q: Quaternion) -> GroupElement:
     else:
         axis = np.array([1.0, 0.0, 0.0])
     mat = np.cos(theta) * np.eye(4) + np.sin(theta) * quaternion_wedge(axis)
-    return GroupElement(mat)
+    return _element(mat, BASIS.orthogonal)
 
 
 def attitude_error_angle(q: Quaternion, q_hat: Quaternion) -> float:

@@ -20,6 +20,7 @@ from .filter import (
     ObserverState,
     SignalSample,
     SingularPError,
+    check_invariants,
     correction_delta,
     init,
     optimality_residual,
@@ -175,24 +176,29 @@ def initial_observer_hessian(q_hat_0: Quaternion, scale: float) -> np.ndarray:
 class ObservedEpoch:
     """One sensor epoch as observe yields it: the observer state at the
     epoch, its estimate q_hat, the sample held over the next interval, the
-    trace of that interval's substeps, and delta, the correction applied by
-    the first of them (solved directly at the last epoch, which is not
-    stepped and has no substeps)."""
+    number of substeps spent on that interval, delta, the correction applied
+    by the first of them (solved directly at the last epoch, which is not
+    stepped and has no substeps), and the interval's SubstepRecords when
+    observe was asked for them (empty otherwise)."""
 
     truth: TruthEpoch
     state: ObserverState
     q_hat: Quaternion
     sample: SignalSample
     delta: np.ndarray
-    substeps: list
+    substeps: int
+    trace: list
 
 
-def observe(config: RunConfig, delta_transform=None):
+def observe(config: RunConfig, delta_transform=None, trace: bool = False):
     """Drive the observer from the configured estimate through every
     sensor epoch of the scenario, yielding one ObservedEpoch each.
 
-    ``delta_transform`` is passed to step for fault injection. A
-    SingularPError is re-raised with the epoch index and time attached.
+    ``delta_transform`` is passed to step for fault injection; with
+    ``trace`` each epoch carries the SubstepRecords of its interval. The
+    state is checked once per epoch (check_invariants). A SingularPError,
+    from that check or from a correction solve, is re-raised with the epoch
+    index and time attached.
     """
     truth = simulate_truth(config.scenario)
     if config.noise is not None:
@@ -204,22 +210,25 @@ def observe(config: RunConfig, delta_transform=None):
     H0 = initial_observer_hessian(config.initial_estimate, config.initial_hessian_scale)
     state = init(BASIS, config.filter.origin_xi, X0, H0)
     for k, (epoch, (_, omega_meas, z_meas)) in enumerate(zip(truth, measured)):
-        q_hat = Quaternion.from_vector(state_estimate(state, config.filter))
-        sample = build_sample(
-            epoch.t, q_hat, state.X_hat, omega_meas, z_meas,
-            config.scenario, config.gains,
-        )
-        substeps: list = []
+        records: list = []
         try:
+            check_invariants(state)
+            q_hat = Quaternion.from_vector(state_estimate(state, config.filter))
+            sample = build_sample(
+                epoch.t, q_hat, state.X_hat, omega_meas, z_meas,
+                config.scenario, config.gains,
+            )
             if k + 1 < len(truth):
-                end = step(state, sample, config.filter, trace=substeps,
-                           delta_transform=delta_transform)
-                delta = substeps[0].delta
+                end, substeps, delta = step(
+                    state, sample, config.filter, trace=records if trace else None,
+                    delta_transform=delta_transform,
+                )
             else:
-                end, delta = state, correction_delta(state, sample, config.filter)
+                end, substeps = state, 0
+                delta = correction_delta(state, sample, config.filter)
         except SingularPError as exc:
             raise SingularPError(f"epoch {k} (t={epoch.t:g} s): {exc}") from exc
-        yield ObservedEpoch(epoch, state, q_hat, sample, delta, substeps)
+        yield ObservedEpoch(epoch, state, q_hat, sample, delta, substeps, records)
         state = end
 
 
@@ -246,7 +255,7 @@ def run(config: RunConfig) -> tuple[list[LogRecord], dict]:
                 substeps=substeps_prev,
             )
         )
-        substeps_prev = len(epoch.substeps)
+        substeps_prev = epoch.substeps
 
     summary = {
         "final_error_rad": records[-1].error_angle if records else float("nan"),

@@ -239,7 +239,7 @@ def test_criterion_7_scalar_hessian_follows_riccati_solution():
     )
     cfg = FilterConfig(origin_xi=np.array([1.0]), dt_max=1e-4)
     trace = []
-    state = step(state, sample, cfg, trace=trace)
+    state, _, _ = step(state, sample, cfg, trace=trace)
     # Every substep end: the start of the next substep, then the final state.
     points = [(rec.t, rec.H) for rec in trace[1:]] + [(state.t, state.H)]
     worst = max(abs(float(H[0, 0]) - analytic(t)) for t, H in points)

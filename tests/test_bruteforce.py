@@ -140,7 +140,7 @@ def fixed_step_trace(dt: float, duration: float = 0.1,
     cfg = FilterConfig(origin_xi=XI_ORIGIN, dt_max=dt, delta_step_cap=1e18)
     config = RunConfig(scenario=scenario, gains=gains, filter=cfg,
                        initial_estimate=q_hat, initial_hessian_scale=1.0)
-    return [rec for epoch in observe(config) for rec in epoch.substeps], cfg
+    return [rec for epoch in observe(config, trace=True) for rec in epoch.trace], cfg
 
 
 class TestValueAt:

@@ -3,6 +3,8 @@ reporting, all exercised in-process through main(argv)."""
 
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -26,6 +28,14 @@ def stdout_value(captured: str, key: str) -> str:
     match = re.search(rf"^{re.escape(key)}: (.+)$", captured, re.MULTILINE)
     assert match is not None, f"{key!r} missing from output:\n{captured}"
     return match.group(1)
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # simulate and sweep never need scipy; only check's KKT solve loads it.
+    code = "import sys, mef.cli; sys.exit('scipy' in sys.modules)"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 class TestSimulate:

@@ -1,5 +1,6 @@
 """Config parsing, overrides, presets, and RunConfig materialization."""
 
+import os
 import pickle
 from importlib import resources
 
@@ -97,6 +98,18 @@ class TestReadConfigSource:
     def test_unknown_name(self):
         with pytest.raises(ConfigError, match="neither a file nor a bundled name"):
             read_config_source("no_such_config")
+
+    def test_bare_name_is_not_shadowed_by_the_working_directory(self, tmp_path, monkeypatch):
+        (tmp_path / "noisy").mkdir()
+        (tmp_path / "noiseless").write_text("seed = 9\n")
+        monkeypatch.chdir(tmp_path)
+        raw, stem = read_config_source("noisy")
+        assert (stem, raw["noise.inject"]) == ("noisy", "true")
+        assert read_config_source("noiseless")[0]["seed"] == "0"
+        # An explicit path still reads the entry in the working directory.
+        assert read_config_source(os.path.join(".", "noiseless")) == ({"seed": "9"}, "noiseless")
+        with pytest.raises(ConfigError, match="cannot read"):
+            read_config_source(os.path.join(".", "noisy"))
 
 
 class TestOverridesAndMerge:

@@ -6,9 +6,12 @@ gradient_rate for arbitrary well-posed inputs. Everything else here pins
 down the individual terms and the step() contract.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import mef.simulation
 from mef import (
     BASIS,
     XI_ORIGIN,
@@ -34,6 +37,7 @@ from mef import (
     observe,
     optimality_residual,
     quat_product,
+    rotate_to_body,
     state_estimate,
     step,
     upsilon,
@@ -41,6 +45,8 @@ from mef import (
     velocity_coords,
     wedge,
 )
+from mef.cli import EXIT_SINGULAR, main
+from mef.filter import ORTHOGONALITY_TOLERANCE, check_invariants
 
 from conftest import (
     make_rng,
@@ -300,7 +306,7 @@ class TestHessianRate:
 
     def test_scalar_euler_tracks_analytic_solution(self):
         state, sample, cfg = scalar_setup(valid_until=0.1)
-        state = step(state, sample, cfg)
+        state, _, _ = step(state, sample, cfg)
         assert abs(state.t - 0.1) < 1e-9
         assert abs(state.H[0, 0] - scalar_riccati_solution(state.t)) < 1e-7
 
@@ -374,7 +380,8 @@ class TestStep:
     def test_equilibrium_leaves_state_unchanged(self):
         rng = make_rng(312)
         state, sample = self.equilibrium_state(rng)
-        out = step(state, sample, CFG)
+        out, _, delta = step(state, sample, CFG)
+        np.testing.assert_array_equal(delta, np.zeros(3))
         np.testing.assert_array_equal(out.X_hat.matrix, state.X_hat.matrix)
         np.testing.assert_array_equal(out.H, state.H)
         np.testing.assert_array_equal(out.eta, state.eta)
@@ -387,7 +394,7 @@ class TestStep:
         sample = consistent_sample(q, omega)
         state = init(BASIS, XI_ORIGIN, group_from_quaternion(q),
                      initial_observer_hessian(q, 1.0))
-        out = step(state, sample, CFG)
+        out, _, _ = step(state, sample, CFG)
         expected = state.X_hat @ exp_group(BASIS, 0.1 * velocity_coords(omega))
         np.testing.assert_allclose(out.X_hat.matrix, expected.matrix, atol=1e-12)
         assert out.t == 0.1
@@ -397,16 +404,16 @@ class TestStep:
         state, sample = self.equilibrium_state(rng)
         cfg = FilterConfig(origin_xi=XI_ORIGIN, dt_max=0.03)
         trace = []
-        state = step(state, sample, cfg, trace=trace)
+        state, substeps, _ = step(state, sample, cfg, trace=trace)
         assert state.t == 0.1
-        assert len(trace) == 4
+        assert substeps == len(trace) == 4
         assert all(rec.dt <= 0.03 for rec in trace)
         assert trace[1].t == pytest.approx(0.03, abs=1e-15)
 
     def test_rejects_expired_sample(self):
         rng = make_rng(315)
         state, sample = self.equilibrium_state(rng)
-        state = step(state, sample, CFG)
+        state, _, _ = step(state, sample, CFG)
         with pytest.raises(ValueError, match="not valid"):
             step(state, sample, CFG)
 
@@ -417,14 +424,15 @@ class TestStep:
         state = init(BASIS, XI_ORIGIN, group_from_quaternion(q),
                      initial_observer_hessian(q, 1.0))
         trace = []
-        out = step(state, sample, CFG, trace=trace)
-        assert len(trace) == 1
+        out, substeps, delta = step(state, sample, CFG, trace=trace)
+        assert substeps == len(trace) == 1
         rec = trace[0]
         assert rec.t == state.t
         assert rec.sample is sample
         np.testing.assert_array_equal(rec.X_hat.matrix, state.X_hat.matrix)
         np.testing.assert_array_equal(rec.eta, state.eta)
         assert rec.dt == pytest.approx(out.t - state.t, abs=1e-15)
+        assert rec.delta is delta
 
     def test_delta_transform_hook_overrides_correction(self):
         rng = make_rng(317)
@@ -434,9 +442,89 @@ class TestStep:
         sample = consistent_sample(q, omega)
         state = init(BASIS, XI_ORIGIN, group_from_quaternion(q_far),
                      initial_observer_hessian(q_far, 1.0))
-        out = step(state, sample, CFG, delta_transform=lambda d: np.zeros(3))
+        out, _, _ = step(state, sample, CFG, delta_transform=lambda d: np.zeros(3))
         expected = state.X_hat @ exp_group(BASIS, 0.1 * velocity_coords(omega))
         np.testing.assert_allclose(out.X_hat.matrix, expected.matrix, atol=1e-12)
+
+
+class TestInvariantGuard:
+    def test_accepts_a_fresh_state(self):
+        q = offset_quaternion(2.0, [0.0, 1.0, 0.0])
+        check_invariants(init(BASIS, XI_ORIGIN, group_from_quaternion(q),
+                              initial_observer_hessian(q, 1.0)))
+
+    @pytest.mark.parametrize("field", ["H", "eta"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_a_non_finite_state(self, field, bad):
+        state = init(BASIS, XI_ORIGIN, GroupElement.identity(4), np.eye(4))
+        value = getattr(state, field).copy()
+        value[1] = bad
+        with pytest.raises(SingularPError, match="not finite"):
+            check_invariants(dataclasses.replace(state, **{field: value}))
+
+    def test_rejects_orthogonality_drift_past_the_bound(self):
+        M = exp_group(BASIS, [0.3, -1.2, 0.7]).matrix
+        for scale, ok in ((1.0 + 0.1 * ORTHOGONALITY_TOLERANCE, True),
+                          (1.0 + ORTHOGONALITY_TOLERANCE, False)):
+            drifted = GroupElement(M * scale)
+            drifted.orthogonal = True  # as exp_group and products set it
+            state = init(BASIS, XI_ORIGIN, drifted, np.eye(4))
+            if ok:
+                check_invariants(state)
+            else:
+                with pytest.raises(SingularPError, match="orthogonality drift"):
+                    check_invariants(state)
+        # An element not known to be orthogonal is inverted with inv: no bound.
+        check_invariants(init(BASIS, XI_ORIGIN, GroupElement(2.0 * M), np.eye(4)))
+
+    def test_violation_is_tagged_with_its_epoch_and_exits_3(self, monkeypatch, tmp_path, capsys):
+        real_step = mef.simulation.step
+
+        def corrupting_step(state, *args, **kwargs):
+            end, substeps, delta = real_step(state, *args, **kwargs)
+            if end.t > 0.25:
+                end = dataclasses.replace(end, eta=np.full(4, np.nan))
+            return end, substeps, delta
+
+        monkeypatch.setattr(mef.simulation, "step", corrupting_step)
+        code = main(["simulate", "--config", "noisy", "--out", str(tmp_path),
+                     "--set", "scenario.duration=1"])
+        assert code == EXIT_SINGULAR
+        assert "epoch 3 (t=0.3 s): observer state is not finite" in capsys.readouterr().err
+
+
+class TestLongHorizon:
+    def test_transpose_stays_the_inverse_over_1e5_substeps(self):
+        """2000 sensor intervals of 50 equal substeps each under a constant
+        body rate, so the same exponential exp(dt U) repeats 1e5 times: the
+        worst case for rounding drift, which then adds up linearly."""
+        q = offset_quaternion(0.4, [0.0, 0.0, 1.0])
+        q_hat = offset_quaternion(2.5, [1.0, 0.0, 0.0])
+        z_ref = np.array([0.0, 0.6, 0.8])
+        omega = np.array([0.3, -0.2, 0.5])
+        scenario = AttitudeScenario(omega_fn=lambda t: omega, ref_fn=lambda t: z_ref,
+                                    q0=q, duration=20.0, sensor_dt=0.01)
+        gains = NoiseModel(gyro_cov=0.01 ** 2 * np.eye(3), vector_cov=np.eye(3))
+        cfg = FilterConfig(origin_xi=XI_ORIGIN, dt_max=0.01 / 50, delta_step_cap=1e18)
+        state = init(BASIS, XI_ORIGIN, group_from_quaternion(q_hat),
+                     initial_observer_hessian(q_hat, 1.0))
+        z = rotate_to_body(q, z_ref)
+        total = 0
+        for k in range(2000):
+            check_invariants(state)
+            estimate = Quaternion.from_vector(state_estimate(state, cfg))
+            sample = build_sample(state.t, estimate, state.X_hat, omega, z, scenario, gains)
+            state, substeps, _ = step(state, sample, cfg)
+            total += substeps
+        assert total >= 100_000
+        X = state.X_hat.matrix
+        drift = float(np.linalg.norm(X.T @ X - np.eye(4)))
+        assert drift <= 0.1 * ORTHOGONALITY_TOLERANCE
+        # With X^T X = I + E, the transpose differs from the inverse by
+        # (I - (I + E)^-1) X^T, about E X^T, and the estimate X^T origin has
+        # norm 1 + O(||E||) / 2: both are bounded by the drift itself.
+        np.testing.assert_allclose(state.X_hat.inverse, np.linalg.inv(X), rtol=0, atol=drift)
+        assert abs(np.linalg.norm(state_estimate(state, cfg)) - 1.0) <= drift
 
 
 @pytest.fixture(scope="module")
@@ -455,8 +543,8 @@ def trajectory():
     q_hat = offset_quaternion(0.99 * np.pi, [1.0, 0.0, 0.0])
     config = RunConfig(scenario=scenario, gains=gains, filter=CFG,
                        initial_estimate=q_hat, initial_hessian_scale=1.0)
-    epochs = list(observe(config))
-    trace = [rec for epoch in epochs for rec in epoch.substeps]
+    epochs = list(observe(config, trace=True))
+    trace = [rec for epoch in epochs for rec in epoch.trace]
     return [e.truth for e in epochs], [e.state for e in epochs], trace
 
 

@@ -56,6 +56,15 @@ class TestQuaternionType:
         with pytest.raises(ValueError, match="norm"):
             Quaternion(1.0, [0.5, 0.0, 0.0])
 
+    @pytest.mark.parametrize("q_r,q_v", [
+        (float("nan"), [0.0, 0.0, 0.0]),
+        (1.0, [float("nan"), 0.0, 0.0]),
+        (float("inf"), [0.0, 0.0, 0.0]),
+    ])
+    def test_non_finite_components_rejected(self, q_r, q_v):
+        with pytest.raises(ValueError, match="norm"):
+            Quaternion(q_r, q_v)
+
     def test_from_vector_roundtrip(self):
         q = Quaternion.from_vector([0.5, 0.5, 0.5, 0.5])
         np.testing.assert_array_equal(q.as_vector(), [0.5, 0.5, 0.5, 0.5])
@@ -369,6 +378,14 @@ class TestScenarioAndNoiseTypes:
     def test_nonpositive_sensor_dt_rejected(self):
         with pytest.raises(ValueError):
             scenario_stub(sensor_dt=0.0)
+
+    @pytest.mark.parametrize("field", ["duration", "sensor_dt"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_times_rejected_at_construction(self, field, value):
+        times = {"duration": 1.0, "sensor_dt": 0.1, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be .*finite"):
+            AttitudeScenario(omega_fn=lambda t: np.zeros(3), ref_fn=lambda t: np.zeros(3),
+                             q0=Quaternion.identity(), **times)
 
     def test_noise_model_rejects_asymmetric_cov(self):
         bad = np.eye(3)
