@@ -8,6 +8,8 @@ against direct numerical optimization, a simulation harness, and a small
 command line (``mef simulate|check|sweep``).
 """
 
+import types as _types
+
 from .bruteforce import (
     DiscretizedProblem,
     InfeasibleTerminalError,
@@ -33,6 +35,7 @@ from .filter import (
     SingularPError,
     SubstepRecord,
     correction_delta,
+    forcing_terms,
     gradient_rate,
     hessian_rate,
     init,
@@ -85,67 +88,9 @@ from .simulation import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttitudeScenario",
-    "BASIS",
-    "CSV_HEADER",
-    "ConfigError",
-    "DEFAULTS",
-    "DiscretizedProblem",
-    "FilterConfig",
-    "GeneratorBasis",
-    "GroupElement",
-    "InfeasibleTerminalError",
-    "LogRecord",
-    "NoiseModel",
-    "NotInAlgebraError",
-    "ObserverState",
-    "Quaternion",
-    "RunConfig",
-    "SignalSample",
-    "SingularPError",
-    "SubstepRecord",
-    "TruthEpoch",
-    "XI_ORIGIN",
-    "adjoint_coords",
-    "apply_overrides",
-    "attitude_error_angle",
-    "build_run_config",
-    "build_sample",
-    "check_critical_point",
-    "corrupt",
-    "correction_delta",
-    "exp_group",
-    "gradient_hessian_at",
-    "gradient_rate",
-    "group_from_quaternion",
-    "hessian_rate",
-    "hjb_minimizer",
-    "hjb_minimizer_check",
-    "init",
-    "initial_observer_hessian",
-    "load_config_file",
-    "measurement_matrix",
-    "merge_with_defaults",
-    "observe",
-    "optimality_residual",
-    "output_jacobian",
-    "parse_config_text",
-    "propagate_quaternion",
-    "quat_product",
-    "quaternion_basis",
-    "quaternion_wedge",
-    "rotate_to_body",
-    "run",
-    "simulate_truth",
-    "state_estimate",
-    "step",
-    "upsilon",
-    "upsilon_bar",
-    "value_at",
-    "value_rate",
-    "vee",
-    "velocity_coords",
-    "wedge",
-    "write_csv",
-]
+# Every name imported above, and nothing else (the submodules themselves
+# are not part of the flat namespace).
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

@@ -3,8 +3,9 @@
 Three subcommands: ``simulate`` runs a configured scenario and writes a
 CSV log, ``check`` cross-examines the observer against the brute-force
 trajectory optimizer, and ``sweep`` repeats simulate over a list of values
-for one numeric config key. Exit codes: 0 success, 1 failed verification,
-2 configuration error, 3 singular correction solve during a run.
+for one numeric config key. Exit codes: 0 success, 1 failed verification
+or a sweep run that raised another error, 2 configuration error, 3
+singular correction solve during a run.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .simulation import (
 )
 
 EXIT_OK = 0
-EXIT_CHECK_FAILED = 1
+EXIT_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_SINGULAR = 3
 
@@ -139,16 +140,16 @@ def cmd_check(args) -> int:
         status = "PASS" if ok else "FAIL"
         print(f"{name}: {_fmt(value)} (threshold {threshold:g}) {status}")
     print(f"overall: {'PASS' if all_pass else 'FAIL'}")
-    return EXIT_OK if all_pass else EXIT_CHECK_FAILED
+    return EXIT_OK if all_pass else EXIT_FAILED
 
 
 def _sweep_worker(payload: tuple[dict[str, str], str]) -> Union[dict, Exception]:
-    """One sweep run; a config or singular-solve failure is returned, not
-    raised, so that every value still runs."""
+    """One sweep run; a failure is returned, not raised, so that every
+    value still runs."""
     raw, out_path = payload
     try:
         records, summary = run(build_run_config(raw))
-    except (ConfigError, SingularPError) as exc:
+    except Exception as exc:
         return exc
     write_csv(records, out_path)
     return {"csv": out_path, **summary}
@@ -177,8 +178,12 @@ def cmd_sweep(args) -> int:
         outcomes = [_sweep_worker(p) for p in payloads]
 
     for value, outcome in zip(values, outcomes):
-        if isinstance(outcome, Exception):
+        if isinstance(outcome, (ConfigError, SingularPError)):
             raise type(outcome)(f"run {args.param}={value} failed: {outcome}") from outcome
+        if isinstance(outcome, Exception):
+            print(f"run {args.param}={value} failed: {type(outcome).__name__}: {outcome}",
+                  file=sys.stderr)
+            return EXIT_FAILED
 
     summary_path = os.path.join(args.out, f"{stem}_{key_slug}_sweep.csv")
     lines = ["value,csv,final_error_rad,max_opt_residual,total_substeps"]

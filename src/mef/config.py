@@ -27,7 +27,7 @@ import numpy as np
 
 from .filter import FilterConfig
 from .quaternion import XI_ORIGIN, AttitudeScenario, NoiseModel, Quaternion, quat_product
-from .simulation import RunConfig
+from .simulation import RunConfig, initial_state
 
 __all__ = [
     "ConfigError",
@@ -299,12 +299,18 @@ def build_run_config(cfg: dict[str, str]) -> RunConfig:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    hessian_scale = get_float(cfg, "observer.hessian_scale")
+    try:  # a scale whose H_0 overflows or fails init is a config error
+        initial_state(initial_estimate, hessian_scale, XI_ORIGIN)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"hessian scale {hessian_scale:g} gives no valid H_0 "
+                          f"({type(exc).__name__}: {exc})") from exc
     return RunConfig(
         scenario=scenario,
         gains=gains,
         filter=filter_cfg,
         initial_estimate=initial_estimate,
-        initial_hessian_scale=get_float(cfg, "observer.hessian_scale"),
+        initial_hessian_scale=hessian_scale,
         noise=gains if get_bool(cfg, "noise.inject") else None,
     )
 

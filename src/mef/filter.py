@@ -8,6 +8,15 @@ small d x d linear system by LU; with that choice the tangential part of
 eta is invariant under the exact flow, so its drift is a direct measure of
 integration error.
 
+step computes each term the substep equations share once and passes it
+on: Upsilon at the origin once per interval; per substep, the forcing
+terms (output pull and noise damping), wedge(delta), and one product of
+the raw group matrices, checked once for finiteness. The correction solve
+keeps its residual guard every substep. SignalSample checks its inputs;
+build_sample's trusted constructor checks only R, because the velocity
+gain was checked once for its noise model. check_invariants guards the
+state once per epoch.
+
 All operations are pure: they take an ObserverState and return new values
 without mutating their inputs.
 """
@@ -20,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .liegroup import GeneratorBasis, GroupElement, exp_group, upsilon, upsilon_bar, wedge
+from .liegroup import GeneratorBasis, GroupElement, _element, exp_group, upsilon, upsilon_bar, wedge
 
 __all__ = [
     "ObserverState",
@@ -30,6 +39,7 @@ __all__ = [
     "SubstepRecord",
     "init",
     "check_invariants",
+    "forcing_terms",
     "correction_delta",
     "hessian_rate",
     "gradient_rate",
@@ -89,7 +99,7 @@ class SignalSample:
     R: symmetric positive-semidefinite output gain (n, n).
     valid_until: end of the hold interval in seconds.
     Q_inv and noise_shape = B Q^-1 B^T, the diffusion-like term of both
-    rate equations, are derived once on construction.
+    rate equations, are derived once on construction, after every check.
     """
 
     U_coords: np.ndarray
@@ -121,18 +131,41 @@ class SignalSample:
             raise ValueError("Q must be l x l")
         if self.R.shape != (n, n):
             raise ValueError("R must be n x n")
-        if not _symmetric(self.Q, 1e-12):
-            raise ValueError("Q must be symmetric")
-        try:
-            np.linalg.cholesky(self.Q)
-        except np.linalg.LinAlgError:
-            raise ValueError("Q must be positive definite") from None
-        if not _symmetric(self.R, 1e-10):
-            raise ValueError("R must be symmetric")
-        if n > 0 and float(np.linalg.eigvalsh(self.R)[0]) < -1e-10 * max(1.0, float(np.abs(self.R).max())):
-            raise ValueError("R must be positive semidefinite")
+        _check_velocity_gain(self.Q)
+        _check_output_gain(self.R)
         self.Q_inv = np.linalg.inv(self.Q)
         self.noise_shape = self.B @ self.Q_inv @ self.B.T
+
+    @classmethod
+    def _trusted(cls, U_coords, C, y, B, Q, Q_inv, R, valid_until) -> "SignalSample":
+        # For build_sample, whose arrays are float and of the right shapes by
+        # construction, and whose Q was checked and inverted once per noise
+        # model (NoiseModel.velocity_gain): only R, new each epoch, is checked.
+        sample = cls.__new__(cls)
+        sample.U_coords, sample.C, sample.y, sample.B = U_coords, C, y, B
+        sample.Q, sample.R, sample.valid_until = Q, R, valid_until
+        _check_output_gain(R)
+        sample.Q_inv = Q_inv
+        sample.noise_shape = B @ Q_inv @ B.T
+        return sample
+
+
+def _check_velocity_gain(Q: np.ndarray) -> None:
+    """Raise ValueError unless the velocity gain Q is symmetric positive
+    definite (symmetric to 1e-12 relative, and Cholesky succeeds)."""
+    if not _symmetric(Q, 1e-12):
+        raise ValueError("Q must be symmetric")
+    try:
+        np.linalg.cholesky(Q)
+    except np.linalg.LinAlgError:
+        raise ValueError("Q must be positive definite") from None
+
+
+def _check_output_gain(R: np.ndarray) -> None:
+    if not _symmetric(R, 1e-10):
+        raise ValueError("R must be symmetric")
+    if R.shape[0] > 0 and float(np.linalg.eigvalsh(R)[0]) < -1e-10 * max(1.0, float(np.abs(R).max())):
+        raise ValueError("R must be positive semidefinite")
 
 
 def _symmetric(A: np.ndarray, tol: float) -> bool:
@@ -246,34 +279,35 @@ def check_invariants(state: ObserverState) -> None:
             )
 
 
-def _output_pull(state: ObserverState, sample: SignalSample, origin_xi: np.ndarray) -> np.ndarray:
-    # X_hat^-T C^T R (C X_hat^-1 origin - y), the measurement forcing term.
+def forcing_terms(state: ObserverState, sample: SignalSample, cfg: FilterConfig):
+    """The two forcing terms that the correction solve and the gradient
+    rate share at ``state``: the output pull X_hat^-T C^T R (C X_hat^-1
+    origin - y) and the noise damping H B Q^-1 B^T eta, as (pull, damping).
+    """
     X_inv = state.X_hat.inverse
-    residual = sample.C @ (X_inv @ origin_xi) - sample.y
-    return X_inv.T @ (sample.C.T @ (sample.R @ residual))
+    residual = sample.C @ (X_inv @ cfg.origin_xi) - sample.y
+    pull = X_inv.T @ (sample.C.T @ (sample.R @ residual))
+    return pull, state.H @ (sample.noise_shape @ state.eta)
 
 
 def correction_delta(
-    state: ObserverState, sample: SignalSample, cfg: FilterConfig
+    state: ObserverState, Ups: np.ndarray, forcing: np.ndarray, cfg: FilterConfig
 ) -> np.ndarray:
-    """Correction coordinates solving P delta = Upsilon^T (forcing terms).
+    """Correction coordinates solving P delta = Ups^T forcing.
 
-    P = Upsilon^T H Upsilon + Upsilon^T UpsilonBar(eta) + eps I, with both
-    Upsilon factors evaluated at the origin point. The solve is an LU
-    factorization (np.linalg.solve). An exactly singular P, or a relative
-    residual |P delta - rhs| / |rhs| above cfg.p_solve_tolerance, raises
-    SingularPError. A zero right-hand side gives delta = 0 for any P.
+    Ups = upsilon(basis, origin_xi) and forcing = pull - damping from
+    forcing_terms. P = Ups^T H Ups + Ups^T UpsilonBar(eta) + eps I. The
+    solve is an LU factorization (np.linalg.solve). An exactly singular P,
+    or a relative residual |P delta - rhs| / |rhs| above
+    cfg.p_solve_tolerance, raises SingularPError. A zero right-hand side
+    gives delta = 0 for any P.
     """
     basis = state.basis
     if basis.dim_algebra == 0:
         return np.zeros(0)
-    Ups = upsilon(basis, cfg.origin_xi)
     P = Ups.T @ state.H @ Ups + Ups.T @ upsilon_bar(basis, state.eta)
     if cfg.hessian_regularization > 0.0:
         P = P + cfg.hessian_regularization * np.eye(basis.dim_algebra)
-    forcing = _output_pull(state, sample, cfg.origin_xi) - state.H @ (
-        sample.noise_shape @ state.eta
-    )
     rhs = Ups.T @ forcing
     rhs_norm = math.sqrt(rhs @ rhs)
     if rhs_norm == 0.0:
@@ -295,11 +329,10 @@ def correction_delta(
     return delta
 
 
-def hessian_rate(state: ObserverState, sample: SignalSample, delta) -> np.ndarray:
-    """Riccati-type rate of H; the caller symmetrizes after stepping."""
-    Delta = wedge(state.basis, delta)
-    X_inv = state.X_hat.inverse
-    C_pulled = sample.C @ X_inv
+def hessian_rate(state: ObserverState, sample: SignalSample, Delta: np.ndarray) -> np.ndarray:
+    """Riccati-type rate of H for the correction Delta = wedge(delta); the
+    caller symmetrizes after stepping."""
+    C_pulled = sample.C @ state.X_hat.inverse
     return (
         -state.H @ Delta
         - Delta.T @ state.H
@@ -309,20 +342,16 @@ def hessian_rate(state: ObserverState, sample: SignalSample, delta) -> np.ndarra
 
 
 def gradient_rate(
-    state: ObserverState, sample: SignalSample, delta, cfg: FilterConfig
+    state: ObserverState, Delta: np.ndarray, pull: np.ndarray, damping: np.ndarray,
+    cfg: FilterConfig,
 ) -> np.ndarray:
-    """Rate of the value-function gradient at the origin point.
+    """Rate of the value-function gradient at the origin point, for the
+    correction Delta = wedge(delta) and the forcing_terms at ``state``.
 
     With delta from correction_delta, the tangential projection of this
     rate vanishes identically up to the correction-solve residual.
     """
-    Delta = wedge(state.basis, delta)
-    return (
-        -state.H @ (Delta @ cfg.origin_xi)
-        - Delta.T @ state.eta
-        - state.H @ (sample.noise_shape @ state.eta)
-        + _output_pull(state, sample, cfg.origin_xi)
-    )
+    return -state.H @ (Delta @ cfg.origin_xi) - Delta.T @ state.eta - damping + pull
 
 
 def step(
@@ -353,6 +382,7 @@ def step(
     if t_end - state.t <= TIME_SNAP:
         raise ValueError("sample is not valid past the current state time")
     basis = state.basis
+    Ups = upsilon(basis, cfg.origin_xi)
     X_hat, H, eta, t = state.X_hat, state.H, state.eta, state.t
     t_stop = t
     substeps = 0
@@ -360,7 +390,8 @@ def step(
         if t_stop - t <= TIME_SNAP:
             t_stop = min(t_end, t + cfg.dt_max)
         current = ObserverState(X_hat=X_hat, H=H, eta=eta, t=t, basis=basis)
-        delta = correction_delta(current, sample, cfg)
+        pull, damping = forcing_terms(current, sample, cfg)
+        delta = correction_delta(current, Ups, pull - damping, cfg)
         if delta_transform is not None:
             delta = np.asarray(delta_transform(delta), dtype=float)
         if not substeps:
@@ -371,9 +402,17 @@ def step(
         dt = min(cfg.dt_max, remaining)
         if delta_norm > 0.0:
             dt = min(dt, cfg.delta_step_cap / delta_norm)
-        H_dot = hessian_rate(current, sample, delta)
-        eta_dot = gradient_rate(current, sample, delta, cfg)
-        X_hat = exp_group(basis, dt * delta) @ X_hat @ exp_group(basis, dt * sample.U_coords)
+        Delta = wedge(basis, delta)
+        H_dot = hessian_rate(current, sample, Delta)
+        eta_dot = gradient_rate(current, Delta, pull, damping, cfg)
+        # One product of the raw matrices, checked once for finiteness: a
+        # non-finite entry of the inner product makes its whole row of the
+        # outer one non-finite (inf * 0 = NaN), so that check still sees it.
+        X_hat = _element(
+            exp_group(basis, dt * delta).matrix @ X_hat.matrix
+            @ exp_group(basis, dt * sample.U_coords).matrix,
+            basis.orthogonal and X_hat.orthogonal,
+        )
         H_new = H + dt * H_dot
         H = 0.5 * (H_new + H_new.T)
         eta = eta + dt * eta_dot

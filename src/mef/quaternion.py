@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .filter import SignalSample
+from .filter import SignalSample, _check_velocity_gain
 from .liegroup import (
     GroupElement,
     _element,
@@ -239,9 +239,18 @@ class NoiseModel:
 
     @cached_property
     def velocity_gain(self) -> np.ndarray:
-        """The velocity gain Q = (0.25 gyro_cov)^-1 (see build_sample).
-        Read-only: every sample shares it."""
-        return _read_only(np.linalg.inv(0.25 * self.gyro_cov))
+        """The velocity gain Q = (0.25 gyro_cov)^-1 (see build_sample),
+        checked once to be symmetric positive definite, as SignalSample
+        requires. Read-only: every sample shares it, so one check per model
+        decides what a check per sample would."""
+        Q = _read_only(np.linalg.inv(0.25 * self.gyro_cov))
+        _check_velocity_gain(Q)
+        return Q
+
+    @cached_property
+    def velocity_gain_inv(self) -> np.ndarray:
+        """Q^-1, the SignalSample.Q_inv of every sample."""
+        return _read_only(np.linalg.inv(self.velocity_gain))
 
     @cached_property
     def vector_cov_pinv(self) -> np.ndarray:
@@ -282,14 +291,9 @@ def build_sample(
     J = output_jacobian(q_hat)
     norm2 = q_hat.q_r ** 2 + float(q_hat.q_v @ q_hat.q_v)
     R = (J @ noise_model.vector_cov_pinv @ J.T) / (norm2 * norm2)
-    return SignalSample(
-        U_coords=U_coords,
-        C=C,
-        y=y,
-        B=B,
-        Q=noise_model.velocity_gain,
-        R=R,
-        valid_until=t + scenario.sensor_dt,
+    return SignalSample._trusted(
+        U_coords, C, y, B, noise_model.velocity_gain, noise_model.velocity_gain_inv, R,
+        t + scenario.sensor_dt,
     )
 
 

@@ -22,6 +22,7 @@ from .filter import (
     SingularPError,
     check_invariants,
     correction_delta,
+    forcing_terms,
     init,
     optimality_residual,
     state_estimate,
@@ -48,6 +49,7 @@ __all__ = [
     "ObservedEpoch",
     "simulate_truth",
     "corrupt",
+    "initial_state",
     "observe",
     "run",
     "write_csv",
@@ -172,6 +174,13 @@ def initial_observer_hessian(q_hat_0: Quaternion, scale: float) -> np.ndarray:
     return scale ** 2 * X0.matrix @ (Ups @ Ups.T) @ X0.matrix.T
 
 
+def initial_state(q_hat_0: Quaternion, scale: float, origin_xi) -> ObserverState:
+    """The state a run starts from: init with X_hat_0 the group lift of
+    q_hat_0 and H_0 = initial_observer_hessian(q_hat_0, scale)."""
+    return init(BASIS, origin_xi, group_from_quaternion(q_hat_0),
+                initial_observer_hessian(q_hat_0, scale))
+
+
 @dataclass(frozen=True)
 class ObservedEpoch:
     """One sensor epoch as observe yields it: the observer state at the
@@ -206,9 +215,8 @@ def observe(config: RunConfig, delta_transform=None, trace: bool = False):
     else:
         measured = [(e.t, e.omega, e.z) for e in truth]
 
-    X0 = group_from_quaternion(config.initial_estimate)
-    H0 = initial_observer_hessian(config.initial_estimate, config.initial_hessian_scale)
-    state = init(BASIS, config.filter.origin_xi, X0, H0)
+    state = initial_state(config.initial_estimate, config.initial_hessian_scale,
+                          config.filter.origin_xi)
     for k, (epoch, (_, omega_meas, z_meas)) in enumerate(zip(truth, measured)):
         records: list = []
         try:
@@ -225,7 +233,9 @@ def observe(config: RunConfig, delta_transform=None, trace: bool = False):
                 )
             else:
                 end, substeps = state, 0
-                delta = correction_delta(state, sample, config.filter)
+                pull, damping = forcing_terms(state, sample, config.filter)
+                Ups = upsilon(BASIS, config.filter.origin_xi)
+                delta = correction_delta(state, Ups, pull - damping, config.filter)
         except SingularPError as exc:
             raise SingularPError(f"epoch {k} (t={epoch.t:g} s): {exc}") from exc
         yield ObservedEpoch(epoch, state, q_hat, sample, delta, substeps, records)

@@ -11,8 +11,12 @@ from mef import (
     Quaternion,
     SignalSample,
     adjoint_coords,
+    correction_delta,
     exp_group,
+    forcing_terms,
+    gradient_rate,
     upsilon,
+    wedge,
 )
 
 # Config builders under a loaded host must not trip hypothesis's
@@ -65,3 +69,16 @@ def random_filter_instance(rng: np.random.Generator):
         U_coords=rng.standard_normal(3), C=C, y=y, B=B, Q=Q, R=R, valid_until=1.0
     )
     return state, sample
+
+
+def correction_at(state, sample, cfg):
+    """correction_delta at ``state``, with its arguments formed as step
+    forms them."""
+    pull, damping = forcing_terms(state, sample, cfg)
+    return correction_delta(state, upsilon(state.basis, cfg.origin_xi), pull - damping, cfg)
+
+
+def gradient_rate_at(state, sample, delta, cfg):
+    """gradient_rate at ``state`` for the correction coordinates delta."""
+    pull, damping = forcing_terms(state, sample, cfg)
+    return gradient_rate(state, wedge(state.basis, delta), pull, damping, cfg)

@@ -317,7 +317,7 @@ class TestGradientHessian:
             rec = trace[k]
             state = ObserverState(X_hat=rec.X_hat, H=rec.H, eta=rec.eta,
                                   t=rec.t, basis=BASIS)
-            rate = hessian_rate(state, rec.sample, rec.delta)
+            rate = hessian_rate(state, rec.sample, wedge(state.basis, rec.delta))
             rate = 0.5 * (rate + rate.T)
             errors[dt] = float(np.abs(fd - rate).max())
         assert errors[2e-3] <= 1e-2

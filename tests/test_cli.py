@@ -9,10 +9,11 @@ import sys
 import numpy as np
 import pytest
 
+import mef.cli
 from mef import CSV_HEADER, DEFAULTS
 from mef.cli import (
-    EXIT_CHECK_FAILED,
     EXIT_CONFIG,
+    EXIT_FAILED,
     EXIT_OK,
     EXIT_SINGULAR,
     main,
@@ -144,7 +145,7 @@ class TestCheck:
         code = main([
             "check", "--set", "check.duration=0.3", "--sabotage-delta-sign",
         ])
-        assert code == EXIT_CHECK_FAILED
+        assert code == EXIT_FAILED
         out = capsys.readouterr().out
         critical_line = next(
             line for line in out.splitlines()
@@ -283,6 +284,26 @@ class TestSweep:
         assert not (tmp_path / "run_scenario_duration_sweep.csv").exists()
 
 
+    def test_unexpected_worker_error_names_the_value(self, tmp_path, capsys, monkeypatch):
+        real_run = mef.cli.run
+
+        def run(config):
+            if config.scenario.duration == 0.5:
+                raise ZeroDivisionError("injected")
+            return real_run(config)
+
+        monkeypatch.setattr(mef.cli, "run", run)
+        code = main([
+            "sweep", "--out", str(tmp_path), "--jobs", "1",
+            "--param", "scenario.duration", "--values", "0.2,0.5,0.3",
+        ])
+        assert code == EXIT_FAILED
+        err = capsys.readouterr().err
+        assert "run scenario.duration=0.5 failed: ZeroDivisionError: injected" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run_scenario_duration_sweep.csv").exists()
+
+
 class TestConfigBoundary:
     @pytest.mark.parametrize("argv", [
         # nan made the P-solve guard vacuous: this run exits 3 without it.
@@ -301,6 +322,13 @@ class TestConfigBoundary:
         pytest.param(["check", "--dt", "nan"], id="check_dt_nan"),
         pytest.param(["check", "--set", "check.hessian_scale=nan"], id="check_hessian_scale_nan"),
         pytest.param(["simulate", "--config", "."], id="config_is_a_directory"),
+        # H_0 is scale^2 times a projector: the square overflows (1e200), or
+        # rounding leaves H_0 asymmetric beyond init's tolerance (1e100).
+        *[pytest.param([command, "--config", "noisy", *args], id=f"{command}_hessian_scale_{v}")
+          for v in ("1e200", "1e100")
+          for command, args in (("simulate", ["--set", f"observer.hessian_scale={v}"]),
+                                ("sweep", ["--param", "observer.hessian_scale", "--values", v]))],
+        pytest.param(["check", "--set", "check.hessian_scale=1e200"], id="check_hessian_scale_1e200"),
     ])
     def test_bad_input_exits_2_without_csv(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

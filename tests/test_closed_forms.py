@@ -25,7 +25,6 @@ from mef import (
     SingularPError,
     adjoint_coords,
     build_sample,
-    correction_delta,
     exp_group,
     group_from_quaternion,
     output_jacobian,
@@ -38,6 +37,8 @@ from mef.cli import EXIT_SINGULAR, main
 from mef.filter import _symmetric
 from mef.liegroup import _exp_series, _quaternion_exp
 from mef.quaternion import R_PINV_CUTOFF, AttitudeScenario, _mul
+
+from conftest import correction_at
 
 coord = st.floats(-6.0, 6.0, allow_nan=False)
 vec3 = arrays(float, 3, elements=coord)
@@ -184,7 +185,7 @@ class TestCorrectionSolve:
         P = Ups.T @ H @ Ups + Ups.T @ upsilon_bar(BASIS, eta)
         # A regular P: well conditioned and of normal floating-point scale.
         assume(np.abs(P).max() > 1e-3 and np.linalg.cond(P) < 1e6)
-        delta = correction_delta(state, sample, cfg)
+        delta = correction_at(state, sample, cfg)
         forcing = (np.linalg.inv(state.X_hat.matrix).T @ sample.C.T
                    @ (sample.C @ np.linalg.inv(state.X_hat.matrix) @ XI_ORIGIN - sample.y)
                    - H @ (sample.noise_shape @ eta))
@@ -197,14 +198,14 @@ class TestCorrectionSolve:
         e1 = upsilon(BASIS, XI_ORIGIN)[:, 0]
         state, sample = _forced_state(np.outer(e1, e1), np.zeros(4))
         with pytest.raises(SingularPError, match="P is singular"):
-            correction_delta(state, sample, FilterConfig(origin_xi=XI_ORIGIN))
+            correction_at(state, sample, FilterConfig(origin_xi=XI_ORIGIN))
 
     def test_an_overflowing_solve_raises_instead_of_returning_inf(self):
         # H = 0 and a subnormal eta leave P of order 1e-324: LU succeeds, but
         # delta overflows and the residual is NaN, which the guard rejects.
         state, sample = _forced_state(np.zeros((4, 4)), np.full(4, 5e-324))
         with pytest.raises(SingularPError, match="residual nan"):
-            correction_delta(state, sample, FilterConfig(origin_xi=XI_ORIGIN))
+            correction_at(state, sample, FilterConfig(origin_xi=XI_ORIGIN))
 
     def test_zero_hessian_scale_exits_3(self, tmp_path, capsys):
         code = main(["simulate", "--config", "noisy", "--out", str(tmp_path),

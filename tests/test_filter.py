@@ -27,9 +27,7 @@ from mef import (
     SingularPError,
     attitude_error_angle,
     build_sample,
-    correction_delta,
     exp_group,
-    gradient_rate,
     group_from_quaternion,
     hessian_rate,
     init,
@@ -49,6 +47,8 @@ from mef.cli import EXIT_SINGULAR, main
 from mef.filter import ORTHOGONALITY_TOLERANCE, check_invariants
 
 from conftest import (
+    correction_at,
+    gradient_rate_at,
     make_rng,
     random_filter_instance,
     random_group_element,
@@ -170,7 +170,7 @@ class TestCorrectionDelta:
         sample = consistent_sample(q, [0.1, -0.2, 0.05])
         state = init(BASIS, XI_ORIGIN, group_from_quaternion(q),
                      initial_observer_hessian(q, 1.0))
-        delta = correction_delta(state, sample, CFG)
+        delta = correction_at(state, sample, CFG)
         np.testing.assert_allclose(delta, np.zeros(3), atol=1e-12)
 
     def test_identity_weight_reduces_to_projected_forcing(self):
@@ -192,7 +192,7 @@ class TestCorrectionDelta:
         X_inv = np.linalg.inv(X.matrix)
         residual = C @ (X_inv @ XI_ORIGIN) - y
         expected = Ups.T @ (X_inv.T @ (C.T @ (R @ residual)))
-        delta = correction_delta(state, sample, CFG)
+        delta = correction_at(state, sample, CFG)
         np.testing.assert_allclose(delta, expected, atol=1e-10)
 
     def test_randomized_corrections_zero_tangential_gradient_rate(self):
@@ -200,8 +200,8 @@ class TestCorrectionDelta:
         worst = 0.0
         for _ in range(100):
             state, sample = random_filter_instance(rng)
-            delta = correction_delta(state, sample, CFG)
-            rate = gradient_rate(state, sample, delta, CFG)
+            delta = correction_at(state, sample, CFG)
+            rate = gradient_rate_at(state, sample, delta, CFG)
             res = float(np.linalg.norm(upsilon(BASIS, XI_ORIGIN).T @ rate))
             worst = max(worst, res)
         assert worst <= 1e-9
@@ -222,7 +222,7 @@ class TestCorrectionDelta:
             valid_until=1.0,
         )
         with pytest.raises(SingularPError, match="residual"):
-            correction_delta(state, sample, CFG)
+            correction_at(state, sample, CFG)
 
     def test_regularization_restores_solvability(self):
         rng = make_rng(305)
@@ -239,12 +239,12 @@ class TestCorrectionDelta:
         eps = 1e-6
         cfg = FilterConfig(origin_xi=XI_ORIGIN, hessian_regularization=eps)
         rhs = upsilon(BASIS, XI_ORIGIN).T @ (C.T @ (C @ XI_ORIGIN - y))
-        delta = correction_delta(state, sample, cfg)
+        delta = correction_at(state, sample, cfg)
         np.testing.assert_allclose(delta, rhs / eps, rtol=1e-9)
 
     def test_trivial_algebra_returns_empty_correction(self):
         state, sample, cfg = scalar_setup()
-        delta = correction_delta(state, sample, cfg)
+        delta = correction_at(state, sample, cfg)
         assert delta.shape == (0,)
 
 
@@ -265,7 +265,7 @@ class TestHessianRate:
         )
         X_inv = np.linalg.inv(X.matrix)
         expected = X_inv.T @ C.T @ R @ C @ X_inv
-        got = hessian_rate(state, sample, np.zeros(3))
+        got = hessian_rate(state, sample, wedge(state.basis, np.zeros(3)))
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
     def test_zero_weight_zero_output_gives_zero(self):
@@ -278,7 +278,7 @@ class TestHessianRate:
             B=upsilon(BASIS, XI_ORIGIN), Q=np.eye(3), R=np.eye(4),
             valid_until=1.0,
         )
-        got = hessian_rate(state, sample, np.array([0.3, -0.1, 0.7]))
+        got = hessian_rate(state, sample, wedge(state.basis, np.array([0.3, -0.1, 0.7])))
         np.testing.assert_array_equal(got, np.zeros((4, 4)))
 
     def test_transport_terms_cancel_for_identity_weight(self):
@@ -293,12 +293,12 @@ class TestHessianRate:
             U_coords=np.zeros(3), C=np.zeros((4, 4)), y=np.zeros(4),
             B=np.zeros((4, 3)), Q=np.eye(3), R=np.eye(4), valid_until=1.0,
         )
-        got = hessian_rate(state, sample, rng.standard_normal(3))
+        got = hessian_rate(state, sample, wedge(state.basis, rng.standard_normal(3)))
         np.testing.assert_array_equal(got, np.zeros((4, 4)))
 
     def test_scalar_rate_value(self):
         state, sample, _ = scalar_setup()
-        got = hessian_rate(state, sample, np.zeros(0))
+        got = hessian_rate(state, sample, wedge(state.basis, np.zeros(0)))
         expected = -(SCALAR_B ** 2 / SCALAR_Q) * SCALAR_H0 ** 2 \
             + SCALAR_C ** 2 * SCALAR_R
         assert got.shape == (1, 1)
@@ -318,7 +318,7 @@ class TestGradientRate:
         sample = consistent_sample(q, [0.0, 0.0, 0.0])
         state = init(BASIS, XI_ORIGIN, group_from_quaternion(q),
                      initial_observer_hessian(q, 1.0))
-        got = gradient_rate(state, sample, np.zeros(3), CFG)
+        got = gradient_rate_at(state, sample, np.zeros(3), CFG)
         np.testing.assert_allclose(got, np.zeros(4), atol=1e-13)
 
     def test_pure_output_forcing(self):
@@ -338,7 +338,7 @@ class TestGradientRate:
         )
         X_inv = np.linalg.inv(X.matrix)
         expected = X_inv.T @ (C.T @ (R @ (C @ (X_inv @ XI_ORIGIN) - y)))
-        got = gradient_rate(state, sample, np.zeros(3), CFG)
+        got = gradient_rate_at(state, sample, np.zeros(3), CFG)
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
     def test_transport_term_uses_transposed_wedge(self):
@@ -353,14 +353,14 @@ class TestGradientRate:
             B=np.zeros((4, 3)), Q=np.eye(3), R=np.eye(4), valid_until=1.0,
         )
         delta = np.array([0.0, 1.0, 0.0])
-        got = gradient_rate(state, sample, delta, CFG)
+        got = gradient_rate_at(state, sample, delta, CFG)
         np.testing.assert_allclose(got, wedge(BASIS, delta) @ eta, atol=1e-14)
 
     def test_correction_zeroes_tangential_projection(self):
         rng = make_rng(311)
         state, sample = random_filter_instance(rng)
-        delta = correction_delta(state, sample, CFG)
-        rate = gradient_rate(state, sample, delta, CFG)
+        delta = correction_at(state, sample, CFG)
+        rate = gradient_rate_at(state, sample, delta, CFG)
         assert np.linalg.norm(upsilon(BASIS, XI_ORIGIN).T @ rate) <= 1e-10
 
 

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import make_rng, random_group_element, random_unit_vector
 from mef import (
@@ -299,3 +302,77 @@ class TestGroupElement:
         b1, b2 = quaternion_basis(), quaternion_basis()
         assert b1 is not b2
         np.testing.assert_array_equal(b1.generators, b2.generators)
+
+
+# ---------------------------------------------------------------------------
+# Properties on random bases. Skew generators (the quaternion basis, with or
+# without its closed form, and rotated copies of it) give an orthogonal
+# group, inverted by the transpose; conjugating by a sheared matrix, or a
+# diagonal (scaling) basis, gives a non-orthogonal one, inverted with inv.
+# ---------------------------------------------------------------------------
+
+unit_interval = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def bases(draw):
+    kind = draw(st.sampled_from(["quaternion", "series", "rotated", "sheared", "scaling"]))
+    if kind == "quaternion":
+        return BASIS
+    if kind == "scaling":
+        d = draw(st.integers(1, 3))
+        diagonals = draw(arrays(float, (d, 3), elements=unit_interval))
+        assume(np.linalg.svd(diagonals, compute_uv=False)[-1] > 0.1)
+        return GeneratorBasis(np.stack([np.diag(row) for row in diagonals]))
+    if kind == "series":
+        return GeneratorBasis(BASIS.generators)
+    A = draw(arrays(float, (4, 4), elements=unit_interval))
+    if kind == "rotated":
+        assume(np.linalg.svd(A, compute_uv=False)[-1] > 0.1)
+        T, _ = np.linalg.qr(A)
+    else:
+        T = np.eye(4) + 0.5 * A
+        assume(np.linalg.cond(T) < 10.0)
+    return GeneratorBasis(T @ BASIS.generators @ np.linalg.inv(T))
+
+
+def coords(basis, draw_array):
+    return draw_array(arrays(float, basis.dim_algebra, elements=unit_interval))
+
+
+class TestProperties:
+    @given(bases(), st.data())
+    def test_wedge_vee_round_trips(self, basis, data):
+        u = coords(basis, data.draw)
+        A = wedge(basis, u)
+        np.testing.assert_allclose(vee(basis, A), u, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(wedge(basis, vee(basis, A)), A, rtol=0, atol=1e-12)
+
+    @given(bases(), st.data(), arrays(float, 4, elements=unit_interval))
+    def test_action_matrices_act_like_wedge(self, basis, data, x):
+        if basis.dim_embedding != 4:
+            x = x[:basis.dim_embedding]
+        u = coords(basis, data.draw)
+        np.testing.assert_allclose(upsilon(basis, x) @ u, wedge(basis, u) @ x, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(upsilon_bar(basis, x) @ u, wedge(basis, u).T @ x,
+                                   rtol=0, atol=1e-13)
+
+    @given(bases(), st.data())
+    def test_exp_group_matches_the_series_and_inverts(self, basis, data):
+        u = coords(basis, data.draw)
+        X = exp_group(basis, u)
+        np.testing.assert_allclose(X.matrix, _exp_series(wedge(basis, u)), rtol=0, atol=1e-12)
+        assert X.orthogonal == basis.orthogonal
+        np.testing.assert_allclose(X.inverse, np.linalg.inv(X.matrix), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(X.inverse, exp_group(basis, -u).matrix, rtol=0, atol=1e-12)
+
+    @given(bases(), st.data())
+    def test_adjoint_coords_is_a_homomorphism(self, basis, data):
+        X = exp_group(basis, coords(basis, data.draw))
+        Y = exp_group(basis, coords(basis, data.draw))
+        u = coords(basis, data.draw)
+        Ad_X = adjoint_coords(basis, X)
+        np.testing.assert_allclose(adjoint_coords(basis, X @ Y),
+                                   Ad_X @ adjoint_coords(basis, Y), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(wedge(basis, Ad_X @ u),
+                                   X.matrix @ wedge(basis, u) @ X.inverse, rtol=0, atol=1e-10)

@@ -18,7 +18,6 @@ from mef import (
     RunConfig,
     SingularPError,
     attitude_error_angle,
-    correction_delta,
     corrupt,
     initial_observer_hessian,
     observe,
@@ -31,7 +30,7 @@ from mef import (
 )
 from mef.simulation import TruthEpoch
 
-from conftest import make_rng, random_unit_quaternion
+from conftest import correction_at, make_rng, random_unit_quaternion
 
 
 def canonical_scenario(duration: float = 100.0) -> AttitudeScenario:
@@ -250,7 +249,7 @@ class TestRun:
         epochs = list(observe(config))
         assert len(records) == len(epochs) == 51
         for rec, epoch in zip(records, epochs):
-            delta = correction_delta(epoch.state, epoch.sample, config.filter)
+            delta = correction_at(epoch.state, epoch.sample, config.filter)
             assert rec.delta_norm == float(np.linalg.norm(delta))
             assert rec.t == epoch.truth.t
 
