@@ -15,8 +15,6 @@ from .bruteforce import (
     InfeasibleTerminalError,
     check_critical_point,
     gradient_hessian_at,
-    hjb_minimizer,
-    hjb_minimizer_check,
     value_at,
 )
 from .config import (

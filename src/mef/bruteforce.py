@@ -31,8 +31,6 @@ __all__ = [
     "value_at",
     "gradient_hessian_at",
     "check_critical_point",
-    "hjb_minimizer",
-    "hjb_minimizer_check",
 ]
 
 
@@ -272,51 +270,10 @@ def gradient_hessian_at(prob: DiscretizedProblem, e) -> tuple[np.ndarray, np.nda
     return grad_hess[:, 0], 0.5 * (hess + hess.T)
 
 
-def check_critical_point(
-    prob: DiscretizedProblem, basis: GeneratorBasis, origin_xi
-) -> float:
-    """Largest tangential directional derivative of the value at the
-    origin point; near zero when the recorded corrections are optimal."""
-    origin_xi = _terminal_point(prob, origin_xi)
-    grad = -prob._solve(origin_xi[:, None])[-prob.m :, 0]
+def check_critical_point(grad, basis: GeneratorBasis, origin_xi) -> float:
+    """Largest tangential directional derivative max|Ups^T grad| of the
+    value at the origin point, given its gradient there (as returned by
+    gradient_hessian_at); near zero when the recorded corrections are
+    optimal."""
+    grad = np.asarray(grad, dtype=float).reshape(-1)
     return float(np.max(np.abs(upsilon(basis, origin_xi).T @ grad), initial=0.0))
-
-
-def hjb_minimizer(grad, B, Q) -> np.ndarray:
-    """Minimizer Q^-1 B^T grad of the instantaneous disturbance tradeoff."""
-    B = np.asarray(B, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    grad = np.asarray(grad, dtype=float).reshape(-1)
-    return np.linalg.solve(Q, B.T @ grad)
-
-
-def hjb_minimizer_check(H, grad, B, Q, samples: int = 64, seed: int = 0) -> float:
-    """Sampled convexity check that Q^-1 B^T grad minimizes the
-    disturbance tradeoff 0.5 mu^T Q mu - grad^T B mu.
-
-    H describes the same value function but does not enter the minimizer;
-    it is validated for symmetry only. Returns the worst violation
-    cost(mu*) - cost(mu* + perturbation), expected nonpositive.
-    """
-    H = np.asarray(H, dtype=float)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError("H must be square")
-    if float(np.abs(H - H.T).max()) > 1e-8 * max(1.0, float(np.abs(H).max())):
-        raise ValueError("H must be symmetric")
-    B = np.asarray(B, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    grad = np.asarray(grad, dtype=float).reshape(-1)
-    mu_star = hjb_minimizer(grad, B, Q)
-
-    def cost(mu: np.ndarray) -> float:
-        return 0.5 * float(mu @ Q @ mu) - float(grad @ (B @ mu))
-
-    base = cost(mu_star)
-    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=[seed])))
-    scale = 1.0 + float(np.linalg.norm(mu_star))
-    worst = -np.inf
-    ell = B.shape[1]
-    for _ in range(samples):
-        perturbation = scale * gen.standard_normal(ell)
-        worst = max(worst, base - cost(mu_star + perturbation))
-    return float(worst)

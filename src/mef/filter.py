@@ -244,6 +244,8 @@ def init(
     H_0 = np.asarray(H_0, dtype=float)
     if H_0.shape != (m, m):
         raise ValueError("H_0 must be m x m")
+    if not np.isfinite(H_0).all():
+        raise ValueError("H_0 must be finite")
     if float(np.abs(H_0 - H_0.T).max()) > 1e-10:
         raise ValueError("H_0 must be symmetric")
     if float(np.linalg.eigvalsh(H_0)[0]) < -1e-10:

@@ -27,8 +27,6 @@ from mef import (
     RunConfig,
     check_critical_point,
     gradient_hessian_at,
-    hjb_minimizer,
-    hjb_minimizer_check,
     observe,
     value_at,
     wedge,
@@ -285,17 +283,12 @@ class TestGradientHessian:
         np.testing.assert_allclose(hess, H0, atol=1e-6)
 
     def test_agrees_with_observer_on_short_noisy_horizon(self):
-        prob, state, last_sample = build_verification_problem(
-            {"check.duration": "0.2"}, 1e-3
-        )
+        prob, state = build_verification_problem({"check.duration": "0.2"}, 1e-3)
         grad, hess = gradient_hessian_at(prob, XI_ORIGIN)
         grad_rel = np.linalg.norm(grad - state.eta) / np.linalg.norm(state.eta)
         hess_rel = np.linalg.norm(hess - state.H) / np.linalg.norm(state.H)
         assert grad_rel <= 1e-4
         assert hess_rel <= 1e-4
-        violation = hjb_minimizer_check(state.H, state.eta,
-                                        last_sample.B, last_sample.Q)
-        assert violation <= 1e-12
 
     def test_discrete_hessian_difference_matches_rate(self):
         # (H_{k+1} - H_k)/dt of the oracle trajectory reproduces the
@@ -324,6 +317,11 @@ class TestGradientHessian:
         assert errors[1e-3] <= 0.65 * errors[2e-3]
 
 
+def critical_residual(prob):
+    grad, _ = gradient_hessian_at(prob, XI_ORIGIN)
+    return check_critical_point(grad, BASIS, XI_ORIGIN)
+
+
 class TestCheckCriticalPoint:
     def test_open_loop_corrections_are_suboptimal(self):
         rng = make_rng(511)
@@ -331,10 +329,10 @@ class TestCheckCriticalPoint:
             random_problem(rng, N=20, zero_delta=True),
             X_hat=np.stack([np.eye(4)] * 20), anchor=XI_ORIGIN,
         )
-        assert check_critical_point(prob, BASIS, XI_ORIGIN) > 1e-3
+        assert critical_residual(prob) > 1e-3
 
     def test_filter_corrections_noiseless(self):
-        prob, *_ = build_verification_problem(
+        prob, _ = build_verification_problem(
             {
                 "check.duration": "0.3",
                 "check.gyro_sigma_true": "0",
@@ -342,52 +340,22 @@ class TestCheckCriticalPoint:
             },
             1e-3,
         )
-        assert check_critical_point(prob, BASIS, XI_ORIGIN) <= 1e-6
+        assert critical_residual(prob) <= 1e-6
 
     def test_filter_corrections_noisy(self):
-        prob, *_ = build_verification_problem({"check.duration": "0.3"}, 1e-3)
+        prob, _ = build_verification_problem({"check.duration": "0.3"}, 1e-3)
         assert prob.steps == 300
-        assert check_critical_point(prob, BASIS, XI_ORIGIN) <= 1e-5
+        assert critical_residual(prob) <= 1e-5
 
     def test_residual_scales_linearly_with_dt(self):
         residuals = {}
         for dt in (2e-3, 1e-3):
-            prob, *_ = build_verification_problem(
+            prob, _ = build_verification_problem(
                 {"check.duration": "0.2"}, dt
             )
-            residuals[dt] = check_critical_point(prob, BASIS, XI_ORIGIN)
+            residuals[dt] = critical_residual(prob)
         ratio = residuals[2e-3] / residuals[1e-3]
         assert 1.5 <= ratio <= 2.5
-
-
-class TestHjbMinimizer:
-    def test_zero_gradient_gives_zero_minimizer(self):
-        B = np.eye(4)[:, :3]
-        Q = np.eye(3)
-        mu = hjb_minimizer(np.zeros(4), B, Q)
-        np.testing.assert_array_equal(mu, np.zeros(3))
-        assert hjb_minimizer_check(np.eye(4), np.zeros(4), B, Q) <= 0.0
-
-    def test_scalar_closed_form(self):
-        mu = hjb_minimizer(np.array([2.0]), np.array([[1.0]]), np.array([[1.0]]))
-        assert mu[0] == pytest.approx(2.0, abs=1e-15)
-
-    def test_random_instances_never_beat_the_minimizer(self):
-        rng = make_rng(512)
-        for _ in range(10):
-            A = rng.standard_normal((4, 4))
-            H = A @ A.T
-            grad = rng.standard_normal(4)
-            B = rng.standard_normal((4, 3))
-            M = rng.standard_normal((3, 3))
-            Q = M @ M.T + 0.5 * np.eye(3)
-            assert hjb_minimizer_check(H, grad, B, Q) <= 1e-12
-
-    def test_rejects_asymmetric_descriptor(self):
-        H = np.eye(4)
-        H[0, 1] = 0.5
-        with pytest.raises(ValueError, match="symmetric"):
-            hjb_minimizer_check(H, np.zeros(4), np.eye(4)[:, :3], np.eye(3))
 
 
 class TestProblemConstruction:

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import mef.cli
-from mef import CSV_HEADER, DEFAULTS
+import mef.filter
+from mef import CSV_HEADER, DEFAULTS, XI_ORIGIN, DiscretizedProblem
 from mef.cli import (
     EXIT_CONFIG,
     EXIT_FAILED,
@@ -131,7 +132,7 @@ class TestCheck:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert stdout_value(out, "steps") == "300"
-        assert out.count("PASS") == 5  # four rows plus the overall line
+        assert out.count("PASS") == 4  # three rows plus the overall line
         assert stdout_value(out, "overall") == "PASS"
 
     def test_degenerate_solve_exits_3_with_its_epoch(self, capsys):
@@ -153,6 +154,39 @@ class TestCheck:
         )
         assert critical_line.endswith("FAIL")
         assert stdout_value(out, "overall") == "FAIL"
+
+    @pytest.mark.parametrize("rate, bias, row", [
+        # Along the normal direction, H's bias leaves the correction, and
+        # so the other two rows, untouched.
+        ("hessian_rate", 10.0 * np.outer(XI_ORIGIN, XI_ORIGIN), "hessian_agreement_rel"),
+        ("gradient_rate", np.full(4, 1e-4), "gradient_agreement_rel"),
+    ])
+    def test_biased_rate_fails_its_agreement_row(self, rate, bias, row, monkeypatch, capsys):
+        real = getattr(mef.filter, rate)
+        monkeypatch.setattr(mef.filter, rate, lambda *args: real(*args) + bias)
+        code = main(["check", "--set", "check.duration=0.3"])
+        assert code == EXIT_FAILED
+        statuses = {line.split(":")[0]: line.split()[-1]
+                    for line in capsys.readouterr().out.splitlines()
+                    if line.endswith(("PASS", "FAIL"))}
+        assert statuses == {
+            "critical_point_residual": "PASS",
+            "gradient_agreement_rel": "PASS",
+            "hessian_agreement_rel": "PASS",
+            "overall": "FAIL",
+        } | {row: "FAIL"}
+
+    def test_every_row_comes_from_one_batch_of_solves(self, monkeypatch, capsys):
+        columns = []
+        real_solve = DiscretizedProblem._solve
+
+        def solve(self, terminal):
+            columns.append(terminal.shape[1])
+            return real_solve(self, terminal)
+
+        monkeypatch.setattr(DiscretizedProblem, "_solve", solve)
+        assert main(["check", "--set", "check.duration=0.3"]) == EXIT_OK
+        assert columns == [len(XI_ORIGIN) + 1]
 
     def test_residual_halves_with_dt(self, capsys):
         # Full 1 s horizon: the finite-difference agreement rows stay under
@@ -273,6 +307,33 @@ class TestSweep:
         slug = "observer_initial_error_rad"
         for name in (f"run_{slug}_0.2.csv", f"run_{slug}_0.8.csv"):
             assert read(str(dir_a / name)) == read(str(dir_b / name))
+
+    def test_pool_never_outnumbers_the_values(self, tmp_path, monkeypatch):
+        # A real pool forks every worker up front, so only a stand-in may
+        # be asked for this many.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, payloads):
+                return map(func, payloads)
+
+        monkeypatch.setattr(mef.cli, "ProcessPoolExecutor", RecordingPool)
+        code = main([
+            "sweep", "--set", "scenario.duration=1", "--out", str(tmp_path),
+            "--param", "observer.initial_error_rad", "--values", "0.2,0.4",
+            "--jobs", "10000",
+        ])
+        assert code == EXIT_OK
+        assert sizes == [2]
 
     def test_failing_run_exits_2_without_aggregate(self, tmp_path, capsys):
         code = main([

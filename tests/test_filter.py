@@ -154,6 +154,16 @@ class TestInit:
         with pytest.raises(ValueError, match="positive semidefinite"):
             init(BASIS, XI_ORIGIN, GroupElement.identity(4), H0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_prior(self, bad):
+        # Rejected by name, before the eigenvalue solve could fail on it or
+        # the symmetry test could warn about inf - inf.
+        H0 = np.eye(4)
+        H0[1, 2] = H0[2, 1] = bad
+        with pytest.raises(ValueError, match="H_0 must be finite"):
+            init(BASIS, XI_ORIGIN, GroupElement.identity(4), H0)
+
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError, match="origin_xi"):
             init(BASIS, np.ones(3), GroupElement.identity(4), np.eye(4))
