@@ -147,7 +147,7 @@ class DiscretizedProblem:
         dt = float(dts[0])
         if float(np.abs(dts - dt).max()) > 1e-9 * dt:
             raise ValueError("substep sizes are not uniform")
-        Delta = np.stack([wedge(basis, r.delta) for r in records])
+        Delta = wedge(basis, np.stack([r.delta for r in records]))
         B = np.stack([r.sample.B for r in records])
         Q = np.stack([r.sample.Q for r in records])
         C = np.stack([r.sample.C for r in records])

@@ -146,15 +146,15 @@ class GroupElement:
         return self._inverse
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        return _element(self.matrix @ other.matrix,
+        return _element(self.matrix.dot(other.matrix),
                         orthogonal=self.orthogonal and other.orthogonal)
 
     def apply(self, xi) -> np.ndarray:
         """Action on an embedding-space vector."""
-        return self.matrix @ np.asarray(xi, dtype=float)
+        return self.matrix.dot(np.asarray(xi, dtype=float))
 
     def apply_inverse(self, xi) -> np.ndarray:
-        return self.inverse @ np.asarray(xi, dtype=float)
+        return self.inverse.dot(np.asarray(xi, dtype=float))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"GroupElement({self.matrix!r})"
@@ -180,12 +180,12 @@ def _coords(basis: GeneratorBasis, u) -> np.ndarray:
 
 
 def wedge(basis: GeneratorBasis, u) -> np.ndarray:
-    """Algebra matrix sum_i u_i E_i of the coordinate vector u."""
-    u = _coords(basis, u)
+    """Algebra matrix sum_i u_i E_i of the coordinate vector u, or for an
+    (N, d) stack of coordinate rows the (N, m, m) stack of their matrices."""
+    u = np.asarray(u, dtype=float)
+    u = u if u.ndim == 2 and u.shape[1] == basis.dim_algebra else _coords(basis, u)
     m = basis.dim_embedding
-    if basis.dim_algebra == 0:
-        return np.zeros((m, m))
-    return (u @ basis._flat.T).reshape(m, m)
+    return u.dot(basis._flat.T).reshape(u.shape[:-1] + (m, m))
 
 
 def vee(basis: GeneratorBasis, A, tol: float = VEE_TOLERANCE) -> np.ndarray:

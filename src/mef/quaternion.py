@@ -72,7 +72,7 @@ class Quaternion:
     def __init__(self, q_r: float, q_v, tol: float = UNIT_TOLERANCE):
         self.q_r = float(q_r)
         self.q_v = np.asarray(q_v, dtype=float).reshape(3)
-        norm = float(np.sqrt(self.q_r ** 2 + self.q_v @ self.q_v))
+        norm = float(np.sqrt(self.q_r ** 2 + self.q_v.dot(self.q_v)))
         if not abs(norm - 1.0) <= tol:  # written so that NaN fails too
             raise ValueError(f"quaternion norm {norm} is not 1 within {tol}")
 
@@ -113,7 +113,7 @@ def quat_product(q: Quaternion, h: Quaternion) -> Quaternion:
     """Hamilton product of two unit quaternions, renormalized if the result
     drifts from unit norm by more than 1e-12."""
     r, v = _mul(q.q_r, q.q_v, h.q_r, h.q_v)
-    norm = float(np.sqrt(r * r + v @ v))
+    norm = float(np.sqrt(r * r + v.dot(v)))
     if abs(norm - 1.0) > 1e-12:
         r, v = r / norm, v / norm
     return Quaternion(r, v)
@@ -140,7 +140,7 @@ def propagate_quaternion(q: Quaternion, omega, dt: float) -> Quaternion:
     exponential exp(-dt wedge(omega/2)) applied to q.
     """
     mat = BASIS.closed_form_exp(-dt * velocity_coords(omega))
-    return Quaternion.from_vector(mat @ q.as_vector())
+    return Quaternion.from_vector(mat.dot(q.as_vector()))
 
 
 def measurement_matrix(z, z_ref) -> np.ndarray:
@@ -287,10 +287,10 @@ def build_sample(
     U_coords = velocity_coords(omega_meas)
     C = measurement_matrix(z_meas, z_ref)
     y = np.zeros(4)
-    B = upsilon(BASIS, XI_ORIGIN) @ adjoint_coords(BASIS, X_hat)
+    B = upsilon(BASIS, XI_ORIGIN).dot(adjoint_coords(BASIS, X_hat))
     J = output_jacobian(q_hat)
-    norm2 = q_hat.q_r ** 2 + float(q_hat.q_v @ q_hat.q_v)
-    R = (J @ noise_model.vector_cov_pinv @ J.T) / (norm2 * norm2)
+    norm2 = q_hat.q_r ** 2 + float(q_hat.q_v.dot(q_hat.q_v))
+    R = J.dot(noise_model.vector_cov_pinv).dot(J.T) / (norm2 * norm2)
     return SignalSample._trusted(
         U_coords, C, y, B, noise_model.velocity_gain, noise_model.velocity_gain_inv, R,
         t + scenario.sensor_dt,

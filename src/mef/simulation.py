@@ -153,8 +153,8 @@ def corrupt(
     vector_sqrt = _psd_sqrt(noise.vector_cov)
     out = []
     for epoch in truth:
-        omega_meas = epoch.omega + gyro_sqrt @ gyro_gen.standard_normal(3)
-        z_meas = epoch.z + vector_sqrt @ vector_gen.standard_normal(3)
+        omega_meas = epoch.omega + gyro_sqrt.dot(gyro_gen.standard_normal(3))
+        z_meas = epoch.z + vector_sqrt.dot(vector_gen.standard_normal(3))
         out.append((epoch.t, omega_meas, z_meas))
     return out
 
@@ -281,19 +281,17 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+# A CSV row: 15 floats as _fmt writes them ("%.17g" % x == f"{x:.17g}").
+_CSV_ROW = ",".join(["%.17g"] * 15 + ["%d"])
+
+
 def write_csv(records: list[LogRecord], path: str) -> None:
     """Write the log to CSV atomically (see write_text_atomic)."""
     lines = [CSV_HEADER]
     for r in records:
-        fields = (
-            [_fmt(r.t)]
-            + [_fmt(v) for v in r.q_true]
-            + [_fmt(v) for v in r.q_est]
-            + [_fmt(r.error_angle), _fmt(r.delta_norm)]
-            + [_fmt(v) for v in r.opt_residual]
-            + [_fmt(r.value_rate), str(int(r.substeps))]
-        )
-        lines.append(",".join(fields))
+        lines.append(_CSV_ROW % (r.t, *r.q_true.tolist(), *r.q_est.tolist(), r.error_angle,
+                                 r.delta_norm, *r.opt_residual.tolist(), r.value_rate,
+                                 int(r.substeps)))
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 

@@ -1,9 +1,14 @@
 """The substep kernel against a plain transcription of its arithmetic, and
 fault injection for each guard whose place in the pipeline is not obvious:
 the one finiteness check on a substep's product of group matrices, the
+exponential of the velocity that step forms once per step size, the
 velocity-gain checks made once per noise model, and the output-gain checks
-made on every sample that build_sample assembles."""
+made on every sample that build_sample assembles. Last, the one assumption
+that lets the kernel write its products with ndarray.dot: it gives the bits
+of @ on every operand form the kernel uses."""
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -28,7 +33,8 @@ from mef import (
     observe,
     step,
 )
-from mef.config import build_run_config, read_config_source
+import mef.filter
+from mef.config import build_check_config, build_run_config, read_config_source
 from mef.filter import TIME_SNAP
 
 from conftest import make_rng, random_filter_instance
@@ -83,6 +89,16 @@ def noisy_interval():
     return config.filter, epochs[k], epochs[k + 1].state
 
 
+@pytest.fixture(scope="module")
+def check_interval():
+    """The second sensor interval of the fixed-step run that check replays
+    at dt = 2.5e-4 (400 substeps): the observer state at its start, its
+    sample, and the observed records and end state."""
+    config = build_check_config({}, 2.5e-4)
+    epochs = list(itertools.islice(observe(config, trace=True), 3))
+    return config.filter, epochs[1], epochs[2].state
+
+
 def assert_step_matches_transcription(state, sample, cfg, trace, end):
     records, (X, H, eta, t) = transcribed_step(state, sample, cfg)
     assert len(records) == len(trace) >= 5
@@ -111,6 +127,46 @@ class TestTranscription:
         trace: list = []
         end, _, _ = step(state, sample, cfg, trace=trace)
         assert_step_matches_transcription(state, sample, cfg, trace, end)
+
+    def test_a_fixed_step_interval_is_bit_identical(self, check_interval):
+        # Here step reuses exp(dt U) across substeps of equal dt; the
+        # transcription forms it on every substep.
+        cfg, epoch, end = check_interval
+        assert_step_matches_transcription(epoch.state, epoch.sample, cfg, epoch.trace, end)
+
+
+class TestVelocityExponential:
+    @pytest.mark.parametrize("interval", ["check_interval", "noisy_interval"])
+    def test_formed_once_per_step_size(self, request, monkeypatch, interval):
+        """One exp(dt delta) per substep, plus one exp(dt U) for each
+        substep whose dt differs from the previous substep's, the first
+        included."""
+        cfg, epoch, _ = request.getfixturevalue(interval)
+        calls = []
+
+        def counting_exp_group(basis, u):
+            calls.append(u)
+            return exp_group(basis, u)
+
+        monkeypatch.setattr(mef.filter, "exp_group", counting_exp_group)
+        trace: list = []
+        step(epoch.state, epoch.sample, cfg, trace=trace)
+        dts = [record.dt for record in trace]
+        new_sizes = sum(dt != previous for previous, dt in zip([None] + dts, dts))
+        assert len(calls) == len(dts) + new_sizes
+        if interval == "check_interval":
+            assert new_sizes < len(dts) // 10
+
+    def test_a_non_finite_velocity_raises_at_the_first_substep(self, noisy_interval):
+        cfg, epoch, _ = noisy_interval
+        sample = dataclasses.replace(epoch.sample, U_coords=np.array([0.1, np.nan, 0.0]))
+        calls = []
+        trace: list = []
+        with pytest.raises(ValueError, match="group element matrix must be finite"):
+            step(epoch.state, sample, cfg, trace=trace,
+                 delta_transform=lambda delta: calls.append(delta) or delta)
+        assert len(calls) == 1
+        assert trace == []
 
 
 class TestNonFiniteCorrection:
@@ -202,3 +258,44 @@ class TestTrustedSamples:
                               Q=sample.Q, R=sample.R, valid_until=sample.valid_until)
         assert np.array_equal(public.Q_inv, sample.Q_inv)
         assert np.array_equal(public.noise_shape, sample.noise_shape)
+
+
+magnitude = st.floats(1e-8, 1e8)
+dot_entry = st.one_of(magnitude, magnitude.map(lambda x: -x), st.sampled_from([0.0, -0.0]))
+# The operand shapes of the kernel's products, as chains: A @ B or A @ B @ C.
+PRODUCT_FORMS = [
+    ((4, 4), (4, 4)),
+    ((4, 4), (4,)),
+    ((3, 4), (4, 4), (4, 3)),
+    ((4,), (4,)),
+    ((3, 4), (4, 3)),
+    ((4,), (4, 4)),
+    ((3,), (3, 3), (3,)),
+    ((3,), (3, 16)),
+]
+
+
+@st.composite
+def product_chain(draw):
+    """Operands of one PRODUCT_FORMS chain; a 2-D operand is drawn either
+    as a plain array or as the transposed view of one."""
+    operands = []
+    for shape in draw(st.sampled_from(PRODUCT_FORMS)):
+        if len(shape) == 2 and draw(st.booleans()):
+            operands.append(draw(arrays(float, shape[::-1], elements=dot_entry)).T)
+        else:
+            operands.append(draw(arrays(float, shape, elements=dot_entry)))
+    return operands
+
+
+class TestDotIsMatmul:
+    @given(product_chain())
+    def test_dot_gives_the_bits_of_matmul(self, operands):
+        """The kernel writes its 1-D and 2-D products with ndarray.dot, which
+        is only output-neutral if it gives the same bits as @."""
+        by_matmul, by_dot = operands[0], operands[0]
+        for operand in operands[1:]:
+            by_matmul = by_matmul @ operand
+            by_dot = by_dot.dot(operand)
+        assert np.shape(by_dot) == np.shape(by_matmul)
+        assert np.asarray(by_dot).tobytes() == np.asarray(by_matmul).tobytes()

@@ -95,6 +95,18 @@ class TestWedgeVee:
         with pytest.raises(ValueError):
             wedge(BASIS, [1.0, 2.0])
 
+    def test_wedge_of_a_stack_is_the_stack_of_wedges(self):
+        # On this basis each entry of wedge(u) is one signed coordinate or a
+        # sum of zero products, so the one product over the stack is exact
+        # and gives the row-by-row bits, signed zeros included.
+        rows = make_rng(102).normal(size=(60, 3)) * np.logspace(-8, 8, 60)[:, None]
+        rows[:2] = [[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0]]
+        stacked = wedge(BASIS, rows)
+        assert stacked.shape == (60, 4, 4)
+        assert stacked.tobytes() == np.stack([wedge(BASIS, u) for u in rows]).tobytes()
+        with pytest.raises(ValueError):
+            wedge(BASIS, np.zeros((2, 2)))
+
     def test_wedge_squared_is_minus_norm_identity(self):
         rng = make_rng(101)
         for _ in range(50):

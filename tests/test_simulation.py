@@ -28,7 +28,7 @@ from mef import (
     upsilon,
     write_csv,
 )
-from mef.simulation import TruthEpoch
+from mef.simulation import TruthEpoch, _fmt
 
 from conftest import correction_at, make_rng, random_unit_quaternion
 
@@ -289,6 +289,23 @@ class TestWriteCsv:
         assert fields[5] == "0.33333333333333331"
         assert float(fields[5]) == 1.0 / 3.0
         assert fields[15] == "3"
+
+    def test_special_values_are_written_as_fmt_writes_them(self, tmp_path):
+        record = LogRecord(
+            t=-0.0, q_true=np.array([np.nan, np.inf, -np.inf, 5e-324]),
+            q_est=np.array([1e300, -1e-300, 1.0 / 3.0, -0.0]),
+            error_angle=np.float64(0.1), delta_norm=float("nan"),
+            opt_residual=np.array([-5e-324, 2.0 ** 53 + 2.0, -7.0]),
+            value_rate=-np.inf, substeps=np.int64(12),
+        )
+        path = str(tmp_path / "out.csv")
+        write_csv([record], path)
+        expected = ",".join(
+            [_fmt(record.t)] + [_fmt(v) for v in record.q_true] + [_fmt(v) for v in record.q_est]
+            + [_fmt(record.error_angle), _fmt(record.delta_norm)]
+            + [_fmt(v) for v in record.opt_residual] + [_fmt(record.value_rate), "12"]
+        )
+        assert open(path).read().splitlines()[1] == expected
 
     def test_empty_log_writes_header_only(self, tmp_path):
         path = str(tmp_path / "empty.csv")
