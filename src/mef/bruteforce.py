@@ -116,10 +116,6 @@ class DiscretizedProblem:
         return int(self.Delta.shape[0])
 
     @property
-    def horizon(self) -> float:
-        return self.steps * self.dt
-
-    @property
     def m(self) -> int:
         return int(self.Delta.shape[1])
 

@@ -83,9 +83,7 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def build_verification_problem(
-    raw: dict[str, str], dt: Optional[float], sabotage_delta_sign: bool = False
-):
+def build_verification_problem(raw: dict[str, str], dt: Optional[float]):
     """Fixed-step observer run for cross-checking, plus its rebuilt
     optimization problem.
 
@@ -95,7 +93,7 @@ def build_verification_problem(
     """
     config = build_check_config(raw, dt)
     trace: list = []
-    for epoch in observe(config, (lambda d: -d) if sabotage_delta_sign else None, trace=True):
+    for epoch in observe(config, trace=True):
         trace += epoch.trace
     problem = DiscretizedProblem.from_substeps(BASIS, trace, trace[0].H, anchor=XI_ORIGIN)
     return problem, epoch.state
@@ -107,9 +105,7 @@ CHECK_AGREEMENT_TOL = 1e-4
 
 def cmd_check(args) -> int:
     raw, _ = _merged_config(args)
-    problem, state = build_verification_problem(
-        raw, args.dt, sabotage_delta_sign=args.sabotage_delta_sign
-    )
+    problem, state = build_verification_problem(raw, args.dt)
     # One factorization and one batch of m + 1 solves give every row.
     grad, hess = gradient_hessian_at(problem, XI_ORIGIN)
     critical = check_critical_point(grad, BASIS, XI_ORIGIN)
@@ -217,11 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = command("check", cmd_check, "verify the observer against the brute-force optimizer")
     p_check.add_argument("--dt", type=float, help="fixed verification step (default: check.dt)")
-    p_check.add_argument(
-        "--sabotage-delta-sign",
-        action="store_true",
-        help="negate the correction on purpose; the check must then fail",
-    )
 
     p_sweep = command("sweep", cmd_sweep, "repeat simulate over values of one numeric config key")
     p_sweep.add_argument("--param", required=True, help="numeric config key to vary")

@@ -74,8 +74,6 @@ KEYS: dict[str, tuple[str, str]] = {
                            "reference-vector measurement noise standard deviation per axis"),
     "filter.delta_step_cap": ("0.01", "bound on ||correction|| * dt per integrator substep"),
     "filter.dt_max": ("0.1", "largest integrator substep, seconds"),
-    "filter.p_solve_tolerance": ("1e-8", "relative residual bound for the correction solve"),
-    "filter.hessian_regularization": ("0.0", "epsilon added to the correction-solve matrix"),
     "check.duration": ("1.0", "verification horizon, seconds"),
     "check.sensor_dt": ("0.1", "sensor epoch length used by the verification run"),
     "check.dt": ("1e-3", "fixed integration step of the verification run (see --dt)"),
@@ -291,8 +289,6 @@ def build_run_config(cfg: dict[str, str]) -> RunConfig:
             origin_xi=XI_ORIGIN,
             delta_step_cap=get_float(cfg, "filter.delta_step_cap"),
             dt_max=get_float(cfg, "filter.dt_max"),
-            p_solve_tolerance=get_float(cfg, "filter.p_solve_tolerance"),
-            hessian_regularization=get_float(cfg, "filter.hessian_regularization"),
         )
         initial_estimate = _initial_estimate(cfg, q0)
     except ConfigError:

@@ -66,6 +66,9 @@ TIME_SNAP = 1e-12
 # worst case, reach about 2e-11. A drift of 1e-9 would move the estimate by
 # as much, still far below the integration error.
 ORTHOGONALITY_TOLERANCE = 1e-9
+# Largest relative residual |P delta - rhs| / |rhs| that correction_delta
+# accepts from its LU solve; past it, P is treated as singular.
+P_SOLVE_TOLERANCE = 1e-8
 
 
 class SingularPError(RuntimeError):
@@ -139,7 +142,7 @@ class SignalSample:
         if self.R.shape != (n, n):
             raise ValueError("R must be n x n")
         _check_velocity_gain(self.Q)
-        _check_output_gain(self.R)
+        _check_psd(self.R, "R")
         self.Q_inv = np.linalg.inv(self.Q)
         self.noise_shape = self.B.dot(self.Q_inv).dot(self.B.T)
 
@@ -151,7 +154,7 @@ class SignalSample:
         sample = cls.__new__(cls)
         sample.U_coords, sample.C, sample.y, sample.B = U_coords, C, y, B
         sample.Q, sample.R, sample.valid_until = Q, R, valid_until
-        _check_output_gain(R)
+        _check_psd(R, "R")
         sample.Q_inv = Q_inv
         sample.noise_shape = B.dot(Q_inv).dot(B.T)
         return sample
@@ -168,11 +171,14 @@ def _check_velocity_gain(Q: np.ndarray) -> None:
         raise ValueError("Q must be positive definite") from None
 
 
-def _check_output_gain(R: np.ndarray) -> None:
-    if not _symmetric(R, 1e-10):
-        raise ValueError("R must be symmetric")
-    if R.shape[0] > 0 and float(np.linalg.eigvalsh(R)[0]) < -1e-10 * max(1.0, float(np.abs(R).max())):
-        raise ValueError("R must be positive semidefinite")
+def _check_psd(A: np.ndarray, name: str) -> None:
+    """Raise ValueError unless A is symmetric to 1e-10 relative and its
+    smallest eigenvalue is at least -1e-10 max(1, max|A|): the output gain
+    R and the prior H_0 pass or fail by the same rule at any scale."""
+    if not _symmetric(A, 1e-10):
+        raise ValueError(f"{name} must be symmetric")
+    if A.shape[0] > 0 and float(np.linalg.eigvalsh(A)[0]) < -1e-10 * max(1.0, float(np.abs(A).max())):
+        raise ValueError(f"{name} must be positive semidefinite")
 
 
 def _symmetric(A: np.ndarray, tol: float) -> bool:
@@ -203,19 +209,15 @@ class SubstepRecord:
 
 @dataclass
 class FilterConfig:
-    """Integration and solve parameters.
+    """Integration parameters.
 
     origin_xi is the fixed embedding point the estimate is pulled back to.
-    delta_step_cap bounds ||delta|| * dt per substep, dt_max bounds dt,
-    p_solve_tolerance bounds the relative residual of the correction solve,
-    and hessian_regularization adds eps * I to P before solving.
+    delta_step_cap bounds ||delta|| * dt per substep, and dt_max bounds dt.
     """
 
     origin_xi: np.ndarray
     delta_step_cap: float = 0.01
     dt_max: float = 0.1
-    p_solve_tolerance: float = 1e-8
-    hessian_regularization: float = 0.0
 
     def __post_init__(self):
         self.origin_xi = np.asarray(self.origin_xi, dtype=float).reshape(-1)
@@ -224,10 +226,6 @@ class FilterConfig:
             raise ValueError("delta_step_cap must be positive")
         if not self.dt_max > 0.0:
             raise ValueError("dt_max must be positive")
-        if not self.p_solve_tolerance > 0.0:
-            raise ValueError("p_solve_tolerance must be positive")
-        if not self.hessian_regularization >= 0.0:
-            raise ValueError("hessian_regularization must be nonnegative")
 
 
 def init(
@@ -253,10 +251,7 @@ def init(
         raise ValueError("H_0 must be m x m")
     if not np.isfinite(H_0).all():
         raise ValueError("H_0 must be finite")
-    if float(np.abs(H_0 - H_0.T).max()) > 1e-10:
-        raise ValueError("H_0 must be symmetric")
-    if float(np.linalg.eigvalsh(H_0)[0]) < -1e-10:
-        raise ValueError("H_0 must be positive semidefinite")
+    _check_psd(H_0, "H_0")
     H_0 = 0.5 * (H_0 + H_0.T)
     return ObserverState(
         X_hat=X_hat_0,
@@ -299,24 +294,19 @@ def forcing_terms(state: ObserverState, sample: SignalSample, cfg: FilterConfig)
     return pull, state.H.dot(sample.noise_shape.dot(state.eta))
 
 
-def correction_delta(
-    state: ObserverState, Ups: np.ndarray, forcing: np.ndarray, cfg: FilterConfig
-) -> np.ndarray:
+def correction_delta(state: ObserverState, Ups: np.ndarray, forcing: np.ndarray) -> np.ndarray:
     """Correction coordinates solving P delta = Ups^T forcing.
 
     Ups = upsilon(basis, origin_xi) and forcing = pull - damping from
-    forcing_terms. P = Ups^T H Ups + Ups^T UpsilonBar(eta) + eps I. The
-    solve is an LU factorization (np.linalg.solve). An exactly singular P,
-    or a relative residual |P delta - rhs| / |rhs| above
-    cfg.p_solve_tolerance, raises SingularPError. A zero right-hand side
-    gives delta = 0 for any P.
+    forcing_terms. P = Ups^T H Ups + Ups^T UpsilonBar(eta). The solve is an
+    LU factorization (np.linalg.solve). An exactly singular P, or a
+    relative residual |P delta - rhs| / |rhs| above P_SOLVE_TOLERANCE,
+    raises SingularPError. A zero right-hand side gives delta = 0 for any P.
     """
     basis = state.basis
     if basis.dim_algebra == 0:
         return np.zeros(0)
     P = Ups.T.dot(state.H).dot(Ups) + Ups.T.dot(upsilon_bar(basis, state.eta))
-    if cfg.hessian_regularization > 0.0:
-        P = P + cfg.hessian_regularization * np.eye(basis.dim_algebra)
     rhs = Ups.T.dot(forcing)
     rhs_norm = math.sqrt(rhs.dot(rhs))
     if rhs_norm == 0.0:
@@ -325,15 +315,14 @@ def correction_delta(
         delta = np.linalg.solve(P, rhs)
     except np.linalg.LinAlgError:
         raise SingularPError(
-            f"correction solve residual inf exceeds {cfg.p_solve_tolerance:.3e} "
+            f"correction solve residual inf exceeds {P_SOLVE_TOLERANCE:.3e} "
             "(P is singular)"
         ) from None
     residual = P.dot(delta) - rhs
     rel = math.sqrt(residual.dot(residual)) / rhs_norm
-    if not rel <= cfg.p_solve_tolerance:
+    if not rel <= P_SOLVE_TOLERANCE:
         raise SingularPError(
-            f"correction solve residual {rel:.3e} exceeds "
-            f"{cfg.p_solve_tolerance:.3e}"
+            f"correction solve residual {rel:.3e} exceeds {P_SOLVE_TOLERANCE:.3e}"
         )
     return delta
 
@@ -368,7 +357,6 @@ def step(
     sample: SignalSample,
     cfg: FilterConfig,
     trace: Optional[list] = None,
-    delta_transform=None,
 ) -> tuple[ObserverState, int, np.ndarray]:
     """Advance the observer to sample.valid_until in one call.
 
@@ -384,8 +372,9 @@ def step(
     number of substeps taken, and the correction applied by the first of
     them, which is the boundary correction at the interval start.
 
-    ``delta_transform`` remaps the correction before it is applied; it
-    exists for fault-injection diagnostics and must be None in normal use.
+    correction_delta, hessian_rate, gradient_rate and exp_group are looked
+    up as module globals on every call, so a test can replace one of them
+    to inject a fault.
     """
     t_end = sample.valid_until
     if t_end - state.t <= TIME_SNAP:
@@ -401,9 +390,7 @@ def step(
             t_stop = min(t_end, t + cfg.dt_max)
         current = ObserverState(X_hat=X_hat, H=H, eta=eta, t=t, basis=basis)
         pull, damping = forcing_terms(current, sample, cfg)
-        delta = correction_delta(current, Ups, pull - damping, cfg)
-        if delta_transform is not None:
-            delta = np.asarray(delta_transform(delta), dtype=float)
+        delta = correction_delta(current, Ups, pull - damping)
         if not substeps:
             first_delta = delta
         substeps += 1

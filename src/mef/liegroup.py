@@ -188,18 +188,18 @@ def wedge(basis: GeneratorBasis, u) -> np.ndarray:
     return u.dot(basis._flat.T).reshape(u.shape[:-1] + (m, m))
 
 
-def vee(basis: GeneratorBasis, A, tol: float = VEE_TOLERANCE) -> np.ndarray:
+def vee(basis: GeneratorBasis, A) -> np.ndarray:
     """Coordinates of the algebra matrix A in the generator basis.
 
     The projection is least squares, so vee also accepts matrices that are
     only numerically in the span. Raises :class:`NotInAlgebraError` when the
-    projection residual exceeds ``tol`` relative to max(1, ||A||).
+    projection residual exceeds VEE_TOLERANCE relative to max(1, ||A||).
     """
     A = np.asarray(A, dtype=float)
     if A.shape != (basis.dim_embedding, basis.dim_embedding):
         raise ValueError("matrix dimension does not match the basis")
     coords, residual = basis.project(A)
-    if residual > tol * max(1.0, float(np.linalg.norm(A))):
+    if residual > VEE_TOLERANCE * max(1.0, float(np.linalg.norm(A))):
         raise NotInAlgebraError(
             f"matrix is not in the algebra span (residual {residual:.3e})"
         )

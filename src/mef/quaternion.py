@@ -69,17 +69,17 @@ class Quaternion:
 
     __slots__ = ("q_r", "q_v")
 
-    def __init__(self, q_r: float, q_v, tol: float = UNIT_TOLERANCE):
+    def __init__(self, q_r: float, q_v):
         self.q_r = float(q_r)
         self.q_v = np.asarray(q_v, dtype=float).reshape(3)
         norm = float(np.sqrt(self.q_r ** 2 + self.q_v.dot(self.q_v)))
-        if not abs(norm - 1.0) <= tol:  # written so that NaN fails too
-            raise ValueError(f"quaternion norm {norm} is not 1 within {tol}")
+        if not abs(norm - 1.0) <= UNIT_TOLERANCE:  # written so that NaN fails too
+            raise ValueError(f"quaternion norm {norm} is not 1 within {UNIT_TOLERANCE}")
 
     @classmethod
-    def from_vector(cls, v, tol: float = UNIT_TOLERANCE) -> "Quaternion":
+    def from_vector(cls, v) -> "Quaternion":
         v = np.asarray(v, dtype=float).reshape(4)
-        return cls(v[0], v[1:], tol=tol)
+        return cls(v[0], v[1:])
 
     @classmethod
     def identity(cls) -> "Quaternion":
@@ -87,9 +87,6 @@ class Quaternion:
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate(([self.q_r], self.q_v))
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.q_r, -self.q_v)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Quaternion({self.q_r}, {self.q_v})"

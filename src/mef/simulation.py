@@ -199,13 +199,12 @@ class ObservedEpoch:
     trace: list
 
 
-def observe(config: RunConfig, delta_transform=None, trace: bool = False):
+def observe(config: RunConfig, trace: bool = False):
     """Drive the observer from the configured estimate through every
     sensor epoch of the scenario, yielding one ObservedEpoch each.
 
-    ``delta_transform`` is passed to step for fault injection; with
-    ``trace`` each epoch carries the SubstepRecords of its interval. The
-    state is checked once per epoch (check_invariants). A SingularPError,
+    With ``trace`` each epoch carries the SubstepRecords of its interval.
+    The state is checked once per epoch (check_invariants). A SingularPError,
     from that check or from a correction solve, is re-raised with the epoch
     index and time attached.
     """
@@ -229,13 +228,12 @@ def observe(config: RunConfig, delta_transform=None, trace: bool = False):
             if k + 1 < len(truth):
                 end, substeps, delta = step(
                     state, sample, config.filter, trace=records if trace else None,
-                    delta_transform=delta_transform,
                 )
             else:
                 end, substeps = state, 0
                 pull, damping = forcing_terms(state, sample, config.filter)
                 Ups = upsilon(BASIS, config.filter.origin_xi)
-                delta = correction_delta(state, Ups, pull - damping, config.filter)
+                delta = correction_delta(state, Ups, pull - damping)
         except SingularPError as exc:
             raise SingularPError(f"epoch {k} (t={epoch.t:g} s): {exc}") from exc
         yield ObservedEpoch(epoch, state, q_hat, sample, delta, substeps, records)

@@ -75,7 +75,7 @@ def correction_at(state, sample, cfg):
     """correction_delta at ``state``, with its arguments formed as step
     forms them."""
     pull, damping = forcing_terms(state, sample, cfg)
-    return correction_delta(state, upsilon(state.basis, cfg.origin_xi), pull - damping, cfg)
+    return correction_delta(state, upsilon(state.basis, cfg.origin_xi), pull - damping)
 
 
 def gradient_rate_at(state, sample, delta, cfg):

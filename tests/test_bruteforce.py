@@ -366,7 +366,7 @@ class TestProblemConstruction:
         )
         assert prob.steps == len(trace)
         assert prob.dt == pytest.approx(1e-3, abs=1e-15)
-        assert prob.horizon == pytest.approx(0.1, abs=1e-9)
+        assert prob.steps * prob.dt == pytest.approx(0.1, abs=1e-9)
         np.testing.assert_array_equal(prob.Delta[3],
                                       wedge(BASIS, trace[3].delta))
 

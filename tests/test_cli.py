@@ -32,6 +32,12 @@ def stdout_value(captured: str, key: str) -> str:
     return match.group(1)
 
 
+def row_statuses(captured: str) -> dict[str, str]:
+    """PASS or FAIL of each row check printed, and of the overall line."""
+    return {line.split(":")[0]: line.split()[-1] for line in captured.splitlines()
+            if line.endswith(("PASS", "FAIL"))}
+
+
 def test_importing_the_cli_leaves_scipy_unloaded():
     # simulate and sweep never need scipy; only check's KKT solve loads it.
     code = "import sys, mef.cli; sys.exit('scipy' in sys.modules)"
@@ -104,7 +110,7 @@ class TestSimulate:
         code = main([
             "simulate", "--config", "noiseless", "--out", str(tmp_path),
             "--set", "scenario.duration=1",
-            "--set", "filter.p_solve_tolerance=1e-30",
+            "--set", "observer.hessian_scale=0",
         ])
         assert code == EXIT_SINGULAR
         err = capsys.readouterr().err
@@ -136,24 +142,41 @@ class TestCheck:
         assert stdout_value(out, "overall") == "PASS"
 
     def test_degenerate_solve_exits_3_with_its_epoch(self, capsys):
-        code = main(["check", "--set", "filter.p_solve_tolerance=1e-30"])
+        # With a zero prior, P is zero at the first substep.
+        code = main(["check", "--set", "check.hessian_scale=0"])
         assert code == EXIT_SINGULAR
         err = capsys.readouterr().err
-        assert "singular correction solve" in err
-        assert "epoch" in err
+        assert "singular correction solve: epoch 0 (t=0 s)" in err
+        assert "(P is singular)" in err
 
-    def test_sabotaged_correction_fails_critical_point(self, capsys):
-        code = main([
-            "check", "--set", "check.duration=0.3", "--sabotage-delta-sign",
-        ])
+    def test_sabotaged_correction_fails_critical_point(self, monkeypatch, capsys):
+        real = mef.filter.correction_delta
+        monkeypatch.setattr(mef.filter, "correction_delta", lambda *args: -real(*args))
+        code = main(["check"])
         assert code == EXIT_FAILED
         out = capsys.readouterr().out
-        critical_line = next(
-            line for line in out.splitlines()
-            if line.startswith("critical_point_residual")
-        )
-        assert critical_line.endswith("FAIL")
+        assert stdout_value(out, "critical_point_residual") == (
+            "0.048761256437215468 (threshold 1e-05) FAIL")
+        assert stdout_value(out, "gradient_agreement_rel") == (
+            "1.9858742718471227e-05 (threshold 0.0001) PASS")
+        assert stdout_value(out, "hessian_agreement_rel") == (
+            "3.6880147517576894e-07 (threshold 0.0001) PASS")
         assert stdout_value(out, "overall") == "FAIL"
+
+    def test_coarse_step_fails_gradient_agreement_only(self, capsys):
+        # Euler error in the gradient grows linearly with dt: 9.50e-5 at
+        # dt = 2e-3 passes the 1e-4 threshold, 2.37e-4 at 5e-3 does not.
+        assert main(["check", "--dt", "2e-3"]) == EXIT_OK
+        assert row_statuses(capsys.readouterr().out)["overall"] == "PASS"
+        assert main(["check", "--dt", "5e-3"]) == EXIT_FAILED
+        out = capsys.readouterr().out
+        assert float(stdout_value(out, "gradient_agreement_rel").split()[0]) > 1e-4
+        assert row_statuses(out) == {
+            "critical_point_residual": "PASS",
+            "gradient_agreement_rel": "FAIL",
+            "hessian_agreement_rel": "PASS",
+            "overall": "FAIL",
+        }
 
     @pytest.mark.parametrize("rate, bias, row", [
         # Along the normal direction, H's bias leaves the correction, and
@@ -166,10 +189,7 @@ class TestCheck:
         monkeypatch.setattr(mef.filter, rate, lambda *args: real(*args) + bias)
         code = main(["check", "--set", "check.duration=0.3"])
         assert code == EXIT_FAILED
-        statuses = {line.split(":")[0]: line.split()[-1]
-                    for line in capsys.readouterr().out.splitlines()
-                    if line.endswith(("PASS", "FAIL"))}
-        assert statuses == {
+        assert row_statuses(capsys.readouterr().out) == {
             "critical_point_residual": "PASS",
             "gradient_agreement_rel": "PASS",
             "hessian_agreement_rel": "PASS",
@@ -367,10 +387,6 @@ class TestSweep:
 
 class TestConfigBoundary:
     @pytest.mark.parametrize("argv", [
-        # nan made the P-solve guard vacuous: this run exits 3 without it.
-        pytest.param(["simulate", "--set", "scenario.duration=1",
-                      "--set", "observer.hessian_scale=0",
-                      "--set", "filter.p_solve_tolerance=nan"], id="p_solve_tolerance_nan"),
         pytest.param(["simulate", "--set", "filter.dt_max=nan"], id="dt_max_nan"),
         pytest.param(["simulate", "--set", "observer.hessian_scale=nan"], id="hessian_scale_nan"),
         pytest.param(["simulate", "--set", "scenario.duration=inf"], id="duration_inf"),
@@ -383,12 +399,11 @@ class TestConfigBoundary:
         pytest.param(["check", "--dt", "nan"], id="check_dt_nan"),
         pytest.param(["check", "--set", "check.hessian_scale=nan"], id="check_hessian_scale_nan"),
         pytest.param(["simulate", "--config", "."], id="config_is_a_directory"),
-        # H_0 is scale^2 times a projector: the square overflows (1e200), or
-        # rounding leaves H_0 asymmetric beyond init's tolerance (1e100).
-        *[pytest.param([command, "--config", "noisy", *args], id=f"{command}_hessian_scale_{v}")
-          for v in ("1e200", "1e100")
-          for command, args in (("simulate", ["--set", f"observer.hessian_scale={v}"]),
-                                ("sweep", ["--param", "observer.hessian_scale", "--values", v]))],
+        # H_0 is scale^2 times a projector: the square overflows.
+        *[pytest.param([command, "--config", "noisy", *args], id=f"{command}_hessian_scale_1e200")
+          for command, args in (("simulate", ["--set", "observer.hessian_scale=1e200"]),
+                                ("sweep", ["--param", "observer.hessian_scale",
+                                           "--values", "1e200"]))],
         pytest.param(["check", "--set", "check.hessian_scale=1e200"], id="check_hessian_scale_1e200"),
     ])
     def test_bad_input_exits_2_without_csv(self, argv, tmp_path, monkeypatch, capsys):
@@ -396,6 +411,23 @@ class TestConfigBoundary:
         code = main(argv + ["--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.csv")) == []
+
+    # init accepts rounding-level asymmetry at any scale (4e-10 at
+    # max|H_0| = 1e8); explicit Euler on H N H then diverges within 10 epochs.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("argv", [
+        *[pytest.param(["simulate", "--set", f"observer.hessian_scale={v}"],
+                       id=f"simulate_hessian_scale_{v}") for v in ("1e4", "1e100")],
+        pytest.param(["sweep", "--param", "observer.hessian_scale", "--values", "1e100"],
+                     id="sweep_hessian_scale_1e100"),
+    ])
+    def test_huge_prior_is_accepted_and_diverges(self, argv, tmp_path, capsys):
+        code = main([argv[0], "--config", "noisy", *argv[1:], "--out", str(tmp_path)])
+        assert code == EXIT_SINGULAR
+        err = capsys.readouterr().err
+        assert "singular correction solve" in err
+        assert "config error" not in err
         assert list(tmp_path.rglob("*.csv")) == []
 
 

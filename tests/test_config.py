@@ -148,8 +148,6 @@ class TestOverridesAndMerge:
             "noise.vector_sigma",
             "filter.delta_step_cap",
             "filter.dt_max",
-            "filter.p_solve_tolerance",
-            "filter.hessian_regularization",
             "check.duration",
             "check.sensor_dt",
             "check.dt",
@@ -314,13 +312,9 @@ class TestBuildRunConfig:
         rc = build_run_config({
             "filter.delta_step_cap": "0.002",
             "filter.dt_max": "0.05",
-            "filter.p_solve_tolerance": "1e-6",
-            "filter.hessian_regularization": "1e-9",
         })
         assert rc.filter.delta_step_cap == 0.002
         assert rc.filter.dt_max == 0.05
-        assert rc.filter.p_solve_tolerance == 1e-6
-        assert rc.filter.hessian_regularization == 1e-9
 
     def test_malformed_numbers_surface_as_config_errors(self):
         with pytest.raises(ConfigError, match="expected a number"):

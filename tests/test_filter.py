@@ -11,6 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import mef.filter
 import mef.simulation
 from mef import (
     BASIS,
@@ -231,26 +232,16 @@ class TestCorrectionDelta:
             R=np.eye(4),
             valid_until=1.0,
         )
-        with pytest.raises(SingularPError, match="residual"):
+        with pytest.raises(SingularPError,
+                           match=r"residual inf exceeds 1\.000e-08 \(P is singular\)"):
             correction_at(state, sample, CFG)
 
-    def test_regularization_restores_solvability(self):
-        rng = make_rng(305)
-        C = rng.standard_normal((4, 4))
-        y = rng.standard_normal(4)
-        state = ObserverState(
-            X_hat=GroupElement.identity(4), H=np.zeros((4, 4)),
-            eta=np.zeros(4), t=0.0, basis=BASIS,
-        )
-        sample = SignalSample(
-            U_coords=np.zeros(3), C=C, y=y, B=upsilon(BASIS, XI_ORIGIN),
-            Q=np.eye(3), R=np.eye(4), valid_until=1.0,
-        )
-        eps = 1e-6
-        cfg = FilterConfig(origin_xi=XI_ORIGIN, hessian_regularization=eps)
-        rhs = upsilon(BASIS, XI_ORIGIN).T @ (C.T @ (C @ XI_ORIGIN - y))
-        delta = correction_at(state, sample, cfg)
-        np.testing.assert_allclose(delta, rhs / eps, rtol=1e-9)
+    def test_residual_above_the_module_tolerance_raises(self, monkeypatch):
+        state, sample = random_filter_instance(make_rng(305))
+        correction_at(state, sample, CFG)
+        monkeypatch.setattr(mef.filter, "P_SOLVE_TOLERANCE", 1e-30)
+        with pytest.raises(SingularPError, match=r"correction solve residual \S+ exceeds 1\.000e-30$"):
+            correction_at(state, sample, CFG)
 
     def test_trivial_algebra_returns_empty_correction(self):
         state, sample, cfg = scalar_setup()
@@ -444,7 +435,7 @@ class TestStep:
         assert rec.dt == pytest.approx(out.t - state.t, abs=1e-15)
         assert rec.delta is delta
 
-    def test_delta_transform_hook_overrides_correction(self):
+    def test_patched_correction_replaces_the_solve(self, monkeypatch):
         rng = make_rng(317)
         q = random_unit_quaternion(rng)
         q_far = quat_product(q, offset_quaternion(0.5, [0.0, 0.0, 1.0]))
@@ -452,7 +443,8 @@ class TestStep:
         sample = consistent_sample(q, omega)
         state = init(BASIS, XI_ORIGIN, group_from_quaternion(q_far),
                      initial_observer_hessian(q_far, 1.0))
-        out, _, _ = step(state, sample, CFG, delta_transform=lambda d: np.zeros(3))
+        monkeypatch.setattr(mef.filter, "correction_delta", lambda *args: np.zeros(3))
+        out, _, _ = step(state, sample, CFG)
         expected = state.X_hat @ exp_group(BASIS, 0.1 * velocity_coords(omega))
         np.testing.assert_allclose(out.X_hat.matrix, expected.matrix, atol=1e-12)
 
@@ -733,17 +725,7 @@ class TestFilterConfigValidation:
         with pytest.raises(ValueError, match="dt_max"):
             FilterConfig(origin_xi=XI_ORIGIN, dt_max=-0.1)
 
-    def test_rejects_nonpositive_solve_tolerance(self):
-        with pytest.raises(ValueError, match="p_solve_tolerance"):
-            FilterConfig(origin_xi=XI_ORIGIN, p_solve_tolerance=0.0)
-
-    def test_rejects_negative_regularization(self):
-        with pytest.raises(ValueError, match="hessian_regularization"):
-            FilterConfig(origin_xi=XI_ORIGIN, hessian_regularization=-1e-9)
-
-    @pytest.mark.parametrize("field", [
-        "delta_step_cap", "dt_max", "p_solve_tolerance", "hessian_regularization",
-    ])
+    @pytest.mark.parametrize("field", ["delta_step_cap", "dt_max"])
     def test_rejects_nan(self, field):
         with pytest.raises(ValueError, match=field):
             FilterConfig(origin_xi=XI_ORIGIN, **{field: float("nan")})

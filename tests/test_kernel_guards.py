@@ -157,14 +157,17 @@ class TestVelocityExponential:
         if interval == "check_interval":
             assert new_sizes < len(dts) // 10
 
-    def test_a_non_finite_velocity_raises_at_the_first_substep(self, noisy_interval):
+    def test_a_non_finite_velocity_raises_at_the_first_substep(self, noisy_interval,
+                                                               monkeypatch):
         cfg, epoch, _ = noisy_interval
         sample = dataclasses.replace(epoch.sample, U_coords=np.array([0.1, np.nan, 0.0]))
         calls = []
+        real = mef.filter.correction_delta
+        monkeypatch.setattr(mef.filter, "correction_delta",
+                            lambda *args: calls.append(args) or real(*args))
         trace: list = []
         with pytest.raises(ValueError, match="group element matrix must be finite"):
-            step(epoch.state, sample, cfg, trace=trace,
-                 delta_transform=lambda delta: calls.append(delta) or delta)
+            step(epoch.state, sample, cfg, trace=trace)
         assert len(calls) == 1
         assert trace == []
 
@@ -173,27 +176,29 @@ class TestNonFiniteCorrection:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("at", [1, 3])
-    def test_raises_at_the_substep_it_enters(self, noisy_interval, bad, at):
+    def test_raises_at_the_substep_it_enters(self, noisy_interval, bad, at, monkeypatch):
         # An infinite delta gives dt = cap / inf = 0: the substep would not
         # advance t, so the loop would spin if nothing raised.
         cfg, epoch, _ = noisy_interval
         calls = []
+        real = mef.filter.correction_delta
 
-        def corrupt(delta):
-            calls.append(delta)
+        def corrupt(*args):
+            calls.append(args)
             assert len(calls) <= at, "step went on past a non-finite correction"
-            return np.full(3, bad) if len(calls) == at else delta
+            return np.full(3, bad) if len(calls) == at else real(*args)
 
+        monkeypatch.setattr(mef.filter, "correction_delta", corrupt)
         trace: list = []
         with pytest.raises(ValueError, match="group element matrix must be finite"):
-            step(epoch.state, epoch.sample, cfg, trace=trace, delta_transform=corrupt)
+            step(epoch.state, epoch.sample, cfg, trace=trace)
         assert len(calls) == at
         assert len(trace) == at - 1
 
 
 class TestProductFiniteness:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflow_inside_the_product_is_caught(self):
+    def test_overflow_inside_the_product_is_caught(self, monkeypatch):
         """X_hat near the largest double on a scaling group: exp(dt delta)
         X_hat overflows in its first row, which the outer product turns into
         inf and NaN (inf * 0) across that row, so the one check raises."""
@@ -204,8 +209,9 @@ class TestProductFiniteness:
         sample = SignalSample(U_coords=[0.0], C=np.zeros((4, 4)), y=np.zeros(4),
                               B=np.zeros((4, 1)), Q=[[1.0]], R=np.eye(4), valid_until=1.0)
         cfg = FilterConfig(origin_xi=[1.0, 0.0, 0.0, 0.0])
+        monkeypatch.setattr(mef.filter, "correction_delta", lambda *args: np.ones(1))
         with pytest.raises(ValueError, match="group element matrix must be finite"):
-            step(state, sample, cfg, delta_transform=lambda d: np.ones(1))
+            step(state, sample, cfg)
 
 
 SCENARIO = AttitudeScenario(omega_fn=lambda t: np.zeros(3), ref_fn=lambda t: np.array([0.0, 0.0, 1.0]),

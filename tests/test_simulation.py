@@ -54,15 +54,13 @@ def misaligned_estimate(angle: float = 0.99 * np.pi) -> Quaternion:
 
 
 def make_config(duration: float, *, initial_estimate=None, noise=None,
-                seed: int = 0, scale: float = 1.0,
-                p_solve_tolerance: float = 1e-8) -> RunConfig:
+                seed: int = 0, scale: float = 1.0) -> RunConfig:
     if initial_estimate is None:
         initial_estimate = misaligned_estimate()
     return RunConfig(
         scenario=canonical_scenario(duration),
         gains=canonical_gains(seed),
-        filter=FilterConfig(origin_xi=XI_ORIGIN,
-                            p_solve_tolerance=p_solve_tolerance),
+        filter=FilterConfig(origin_xi=XI_ORIGIN),
         initial_estimate=initial_estimate,
         initial_hessian_scale=scale,
         noise=canonical_gains(seed) if noise else None,
@@ -254,8 +252,9 @@ class TestRun:
             assert rec.t == epoch.truth.t
 
     def test_degenerate_solve_reports_epoch(self):
-        with pytest.raises(SingularPError, match=r"epoch \d+ \(t="):
-            run(make_config(1.0, p_solve_tolerance=1e-30))
+        # A zero prior makes P zero while the misaligned estimate pulls.
+        with pytest.raises(SingularPError, match=r"epoch 0 \(t=0 s\): .*\(P is singular\)"):
+            run(make_config(1.0, scale=0.0))
 
 
 class TestWriteCsv:

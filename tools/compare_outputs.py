@@ -10,11 +10,12 @@ from their own ``src``:
 
 - ``mef simulate`` on the ``noisy`` preset with seeds 3, 0, 8, 15, 6, 4,
   12 and 7, and on the ``noiseless`` preset;
-- ``mef check`` at ``--dt 1e-3``, at ``--dt 2.5e-4``, and with
-  ``--sabotage-delta-sign``;
-- two runs that exit 3: the ``noisy`` preset with seed 43, whose
-  correction solve fails late (t = 96.4 s), and the default preset with
-  ``--set observer.hessian_scale=1e3``, whose state overflows at epoch 10.
+- ``mef check`` at ``--dt 1e-3`` and ``--dt 2.5e-4``, and at ``--dt 5e-3``,
+  whose gradient agreement row fails (exit 1);
+- three runs that exit 3: the ``noisy`` preset with seed 43, whose
+  correction solve fails late (t = 96.4 s), the default preset with
+  ``--set observer.hessian_scale=1e3``, whose state overflows at epoch 10,
+  and ``check --set check.hessian_scale=0``, whose P is zero at epoch 0.
 
 For each command the exit code, stdout, stderr and the CSV bytes are
 compared. The ``wall_time_s:`` and ``csv:`` lines of stdout are ignored,
@@ -44,9 +45,10 @@ COMMANDS = (
     + [["simulate", "--config", "noiseless"],
        ["check", "--dt", "1e-3"],
        ["check", "--dt", "2.5e-4"],
-       ["check", "--sabotage-delta-sign"],
+       ["check", "--dt", "5e-3"],
        ["simulate", "--config", "noisy", "--seed", "43"],
-       ["simulate", "--set", "observer.hessian_scale=1e3"]]
+       ["simulate", "--set", "observer.hessian_scale=1e3"],
+       ["check", "--set", "check.hessian_scale=0"]]
 )
 IGNORED_PREFIXES = ("wall_time_s:", "csv:")
 # "path:line: Category: message in op" and the indented source line after it.
