@@ -12,10 +12,10 @@ step computes each term the substep equations share once and passes it
 on: Upsilon at the origin once per interval; per substep, the forcing
 terms (output pull and noise damping), wedge(delta), and one product of
 the raw group matrices, checked once for finiteness. The correction solve
-keeps its residual guard every substep. SignalSample checks its inputs;
-build_sample's trusted constructor checks only R, because the velocity
-gain was checked once for its noise model. check_invariants guards the
-state once per epoch.
+keeps its residual guard every substep. Every SignalSample checks all of
+its inputs; the check and inverse of its velocity gain Q are memoized on
+Q's value, so the samples of a run, which share one Q, check and invert it
+once. check_invariants guards the state once per epoch.
 
 On the attitude instance every product is of 4 x 4, 4 x 3 or 4-vector
 operands, and costs its numpy call, not its flops. 1-D and 2-D products
@@ -30,6 +30,7 @@ without mutating their inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -108,8 +109,9 @@ class SignalSample:
     B, Q: input map (m, l) and its symmetric positive-definite gain (l, l).
     R: symmetric positive-semidefinite output gain (n, n).
     valid_until: end of the hold interval in seconds.
-    Q_inv and noise_shape = B Q^-1 B^T, the diffusion-like term of both
-    rate equations, are derived once on construction, after every check.
+    Q_inv, read-only and shared by every sample with an equal Q, and
+    noise_shape = B Q^-1 B^T, the diffusion-like term of both rate
+    equations, are derived on construction.
     """
 
     U_coords: np.ndarray
@@ -141,34 +143,28 @@ class SignalSample:
             raise ValueError("Q must be l x l")
         if self.R.shape != (n, n):
             raise ValueError("R must be n x n")
-        _check_velocity_gain(self.Q)
+        self.Q_inv = _velocity_gain_inverse(self.Q.shape, self.Q.tobytes())
         _check_psd(self.R, "R")
-        self.Q_inv = np.linalg.inv(self.Q)
         self.noise_shape = self.B.dot(self.Q_inv).dot(self.B.T)
 
-    @classmethod
-    def _trusted(cls, U_coords, C, y, B, Q, Q_inv, R, valid_until) -> "SignalSample":
-        # For build_sample, whose arrays are float and of the right shapes by
-        # construction, and whose Q was checked and inverted once per noise
-        # model (NoiseModel.velocity_gain): only R, new each epoch, is checked.
-        sample = cls.__new__(cls)
-        sample.U_coords, sample.C, sample.y, sample.B = U_coords, C, y, B
-        sample.Q, sample.R, sample.valid_until = Q, R, valid_until
-        _check_psd(R, "R")
-        sample.Q_inv = Q_inv
-        sample.noise_shape = B.dot(Q_inv).dot(B.T)
-        return sample
 
-
-def _check_velocity_gain(Q: np.ndarray) -> None:
-    """Raise ValueError unless the velocity gain Q is symmetric positive
-    definite (symmetric to 1e-12 relative, and Cholesky succeeds)."""
+@functools.lru_cache(maxsize=16)
+def _velocity_gain_inverse(shape: tuple, data: bytes) -> np.ndarray:
+    """Read-only Q^-1 of the velocity gain Q with this shape and these
+    float64 bytes. Raises ValueError unless Q is symmetric positive definite
+    (symmetric to 1e-12 relative, and Cholesky succeeds). Memoized on Q's
+    value, not its identity: a Q edited in place is a new key, and a Q that
+    fails is checked again on every use."""
+    Q = np.frombuffer(data).reshape(shape)
     if not _symmetric(Q, 1e-12):
         raise ValueError("Q must be symmetric")
     try:
         np.linalg.cholesky(Q)
     except np.linalg.LinAlgError:
         raise ValueError("Q must be positive definite") from None
+    Q_inv = np.linalg.inv(Q)
+    Q_inv.flags.writeable = False
+    return Q_inv
 
 
 def _check_psd(A: np.ndarray, name: str) -> None:

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .filter import SignalSample, _check_velocity_gain
+from .filter import SignalSample
 from .liegroup import (
     GroupElement,
     _element,
@@ -53,6 +53,10 @@ XI_ORIGIN = np.array([1.0, 0.0, 0.0, 0.0])
 # Shared generator basis of the quaternion group.
 BASIS = quaternion_basis()
 
+# upsilon(BASIS, XI_ORIGIN), the left factor of every sample's input map B.
+_UPSILON_ORIGIN = upsilon(BASIS, XI_ORIGIN)
+_UPSILON_ORIGIN.flags.writeable = False
+
 
 def _skew(v: np.ndarray) -> np.ndarray:
     return np.array(
@@ -80,10 +84,6 @@ class Quaternion:
     def from_vector(cls, v) -> "Quaternion":
         v = np.asarray(v, dtype=float).reshape(4)
         return cls(v[0], v[1:])
-
-    @classmethod
-    def identity(cls) -> "Quaternion":
-        return cls(1.0, np.zeros(3))
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate(([self.q_r], self.q_v))
@@ -237,17 +237,8 @@ class NoiseModel:
     @cached_property
     def velocity_gain(self) -> np.ndarray:
         """The velocity gain Q = (0.25 gyro_cov)^-1 (see build_sample),
-        checked once to be symmetric positive definite, as SignalSample
-        requires. Read-only: every sample shares it, so one check per model
-        decides what a check per sample would."""
-        Q = _read_only(np.linalg.inv(0.25 * self.gyro_cov))
-        _check_velocity_gain(Q)
-        return Q
-
-    @cached_property
-    def velocity_gain_inv(self) -> np.ndarray:
-        """Q^-1, the SignalSample.Q_inv of every sample."""
-        return _read_only(np.linalg.inv(self.velocity_gain))
+        shared read-only by every sample; SignalSample checks it."""
+        return _read_only(np.linalg.inv(0.25 * self.gyro_cov))
 
     @cached_property
     def vector_cov_pinv(self) -> np.ndarray:
@@ -284,14 +275,12 @@ def build_sample(
     U_coords = velocity_coords(omega_meas)
     C = measurement_matrix(z_meas, z_ref)
     y = np.zeros(4)
-    B = upsilon(BASIS, XI_ORIGIN).dot(adjoint_coords(BASIS, X_hat))
+    B = _UPSILON_ORIGIN.dot(adjoint_coords(BASIS, X_hat))
     J = output_jacobian(q_hat)
     norm2 = q_hat.q_r ** 2 + float(q_hat.q_v.dot(q_hat.q_v))
     R = J.dot(noise_model.vector_cov_pinv).dot(J.T) / (norm2 * norm2)
-    return SignalSample._trusted(
-        U_coords, C, y, B, noise_model.velocity_gain, noise_model.velocity_gain_inv, R,
-        t + scenario.sensor_dt,
-    )
+    return SignalSample(U_coords=U_coords, C=C, y=y, B=B, Q=noise_model.velocity_gain, R=R,
+                        valid_until=t + scenario.sensor_dt)
 
 
 def group_from_quaternion(q: Quaternion) -> GroupElement:

@@ -15,14 +15,13 @@ from typing import Optional
 
 import numpy as np
 
+from . import filter as _filter
 from .filter import (
     FilterConfig,
     ObserverState,
     SignalSample,
     SingularPError,
     check_invariants,
-    correction_delta,
-    forcing_terms,
     init,
     optimality_residual,
     state_estimate,
@@ -230,10 +229,12 @@ def observe(config: RunConfig, trace: bool = False):
                     state, sample, config.filter, trace=records if trace else None,
                 )
             else:
+                # Looked up through mef.filter, as step does, so that a
+                # patched correction_delta reaches this solve too.
                 end, substeps = state, 0
-                pull, damping = forcing_terms(state, sample, config.filter)
+                pull, damping = _filter.forcing_terms(state, sample, config.filter)
                 Ups = upsilon(BASIS, config.filter.origin_xi)
-                delta = correction_delta(state, Ups, pull - damping)
+                delta = _filter.correction_delta(state, Ups, pull - damping)
         except SingularPError as exc:
             raise SingularPError(f"epoch {k} (t={epoch.t:g} s): {exc}") from exc
         yield ObservedEpoch(epoch, state, q_hat, sample, delta, substeps, records)

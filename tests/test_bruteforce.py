@@ -129,7 +129,7 @@ def fixed_step_trace(dt: float, duration: float = 0.1,
     scenario = AttitudeScenario(
         omega_fn=lambda t: np.array([0.1 * np.cos(0.1 * t), 0.0, 0.2]),
         ref_fn=lambda t: np.array([np.sin(t), 0.0, np.cos(t)]),
-        q0=Quaternion.identity(), duration=duration, sensor_dt=0.1,
+        q0=Quaternion(1.0, np.zeros(3)), duration=duration, sensor_dt=0.1,
     )
     gains = NoiseModel(gyro_cov=0.01 ** 2 * np.eye(3),
                        vector_cov=1.0 * np.eye(3))

@@ -123,7 +123,7 @@ class TestOutputGain:
         V = 0.5 * (V + V.T)
         noise = NoiseModel(gyro_cov=np.eye(3), vector_cov=V)
         scenario = AttitudeScenario(omega_fn=None, ref_fn=lambda t: np.array([0.0, 0.0, 1.0]),
-                                    q0=Quaternion.identity(), duration=1.0, sensor_dt=0.1)
+                                    q0=Quaternion(1.0, np.zeros(3)), duration=1.0, sensor_dt=0.1)
         sample = build_sample(0.0, q_hat, group_from_quaternion(q_hat), np.zeros(3),
                               [0.0, 0.0, 1.0], scenario, noise)
         J = output_jacobian(q_hat)

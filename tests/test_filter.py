@@ -102,7 +102,7 @@ def consistent_sample(q: Quaternion, omega, t: float = 0.0) -> SignalSample:
     scenario = AttitudeScenario(
         omega_fn=lambda _t: np.asarray(omega, dtype=float),
         ref_fn=lambda _t: np.array([0.0, 0.0, 1.0]),
-        q0=Quaternion.identity(),
+        q0=Quaternion(1.0, np.zeros(3)),
         duration=1.0,
         sensor_dt=0.1,
     )
@@ -536,7 +536,7 @@ def trajectory():
     scenario = AttitudeScenario(
         omega_fn=lambda t: np.array([0.1 * np.cos(0.1 * t), 0.0, 0.2]),
         ref_fn=lambda t: np.array([np.sin(t), 0.0, np.cos(t)]),
-        q0=Quaternion.identity(),
+        q0=Quaternion(1.0, np.zeros(3)),
         duration=2.0,
         sensor_dt=0.1,
     )
@@ -612,7 +612,7 @@ class TestStateEstimate:
         state = init(BASIS, XI_ORIGIN, group_from_quaternion(q_hat),
                      np.zeros((4, 4)))
         est = Quaternion.from_vector(state_estimate(state, CFG))
-        assert attitude_error_angle(Quaternion.identity(), est) == pytest.approx(
+        assert attitude_error_angle(Quaternion(1.0, np.zeros(3)), est) == pytest.approx(
             0.99 * np.pi, abs=1e-12
         )
 
@@ -712,8 +712,19 @@ class TestSignalSampleValidation:
         kw["Q"] = np.diag([2.0, 4.0, 8.0])
         sample = SignalSample(**kw)
         np.testing.assert_allclose(sample.Q_inv, np.diag([0.5, 0.25, 0.125]))
+        assert not sample.Q_inv.flags.writeable
         expected = kw["B"] @ sample.Q_inv @ kw["B"].T
         np.testing.assert_allclose(sample.noise_shape, expected)
+
+    def test_a_gain_edited_in_place_is_checked_again(self):
+        """The velocity-gain check is memoized on Q's value, not on the
+        array: a Q made asymmetric after one sample fails the next."""
+        kw = self.good_kwargs()
+        kw["Q"] = np.diag([2.0, 4.0, 8.0])
+        SignalSample(**kw)
+        kw["Q"][0, 1] = 0.5
+        with pytest.raises(ValueError, match="Q must be symmetric"):
+            SignalSample(**kw)
 
 
 class TestFilterConfigValidation:

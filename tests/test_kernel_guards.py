@@ -1,9 +1,11 @@
 """The substep kernel against a plain transcription of its arithmetic, and
 fault injection for each guard whose place in the pipeline is not obvious:
 the one finiteness check on a substep's product of group matrices, the
-exponential of the velocity that step forms once per step size, the
-velocity-gain checks made once per noise model, and the output-gain checks
-made on every sample that build_sample assembles. Last, the one assumption
+exponential of the velocity that step forms once per step size, and the
+checks of the one sample constructor, which every sample build_sample
+assembles passes through: the velocity-gain checks, memoized on the gain's
+value so that a run makes them once, and the output-gain checks. Last, the
+one assumption
 that lets the kernel write its products with ndarray.dot: it gives the bits
 of @ on every operand form the kernel uses."""
 
@@ -31,6 +33,7 @@ from mef import (
     exp_group,
     group_from_quaternion,
     observe,
+    run,
     step,
 )
 import mef.filter
@@ -215,10 +218,10 @@ class TestProductFiniteness:
 
 
 SCENARIO = AttitudeScenario(omega_fn=lambda t: np.zeros(3), ref_fn=lambda t: np.array([0.0, 0.0, 1.0]),
-                            q0=Quaternion.identity(), duration=1.0, sensor_dt=0.1)
+                            q0=Quaternion(1.0, np.zeros(3)), duration=1.0, sensor_dt=0.1)
 
 
-def sample_for(noise: NoiseModel, q_hat: Quaternion = Quaternion.identity()) -> SignalSample:
+def sample_for(noise: NoiseModel, q_hat: Quaternion = SCENARIO.q0) -> SignalSample:
     return build_sample(0.0, q_hat, group_from_quaternion(q_hat), np.array([0.1, -0.2, 0.3]),
                         np.array([0.0, 0.1, 0.99]), SCENARIO, noise)
 
@@ -251,19 +254,33 @@ eigenvalues = st.lists(eigenvalue, min_size=3, max_size=3)
 entries = arrays(float, (3, 3), elements=st.floats(-1.0, 1.0))
 
 
-class TestTrustedSamples:
+class TestOneSampleConstructor:
     @given(arrays(float, 4, elements=st.floats(-1.0, 1.0)), st.floats(-5e-10, 5e-10),
            eigenvalues, entries, st.lists(st.floats(0.01, 10.0), min_size=3, max_size=3), entries)
-    def test_every_built_sample_passes_the_public_checks(self, q, stretch, v_eigs, A, g_eigs, G):
+    def test_every_built_sample_holds_the_inverse_of_its_gain(self, q, stretch, v_eigs, A,
+                                                               g_eigs, G):
+        """Every check passes on the samples build_sample makes from valid
+        covariances, and the memoized Q_inv is np.linalg.inv(Q) bit for bit."""
         norm = float(np.linalg.norm(q))
         q = q / norm if norm > 1e-3 else np.array([1.0, 0.0, 0.0, 0.0])
         q_hat = Quaternion.from_vector(q * (1.0 + stretch))
         noise = NoiseModel(gyro_cov=psd(g_eigs, G), vector_cov=psd(v_eigs, A))
         sample = sample_for(noise, q_hat)
-        public = SignalSample(U_coords=sample.U_coords, C=sample.C, y=sample.y, B=sample.B,
-                              Q=sample.Q, R=sample.R, valid_until=sample.valid_until)
-        assert np.array_equal(public.Q_inv, sample.Q_inv)
-        assert np.array_equal(public.noise_shape, sample.noise_shape)
+        Q_inv = np.linalg.inv(sample.Q)
+        assert sample.Q_inv.tobytes() == Q_inv.tobytes()
+        assert sample.noise_shape.tobytes() == sample.B.dot(Q_inv).dot(sample.B.T).tobytes()
+
+    def test_a_run_checks_its_gain_once(self, monkeypatch):
+        """The 21 samples of a short noisy run share one Q: one Cholesky
+        check (and one inverse) for the whole run."""
+        cholesky = np.linalg.cholesky
+        calls = []
+        monkeypatch.setattr(np.linalg, "cholesky", lambda A: calls.append(A) or cholesky(A))
+        mef.filter._velocity_gain_inverse.cache_clear()
+        raw, _ = read_config_source("noisy")
+        records, _ = run(build_run_config(raw | {"scenario.duration": "2.0"}))
+        assert len(records) == 21
+        assert len(calls) == 1
 
 
 magnitude = st.floats(1e-8, 1e8)

@@ -45,7 +45,7 @@ def scenario_stub(sensor_dt: float = 0.1) -> AttitudeScenario:
     return AttitudeScenario(
         omega_fn=lambda t: np.zeros(3),
         ref_fn=lambda t: np.array([0.0, 0.0, 1.0]),
-        q0=Quaternion.identity(),
+        q0=Quaternion(1.0, np.zeros(3)),
         duration=1.0,
         sensor_dt=sensor_dt,
     )
@@ -81,7 +81,7 @@ class TestQuatProduct:
     def test_identity_element(self):
         rng = make_rng(201)
         q = random_unit_quaternion(rng)
-        out = quat_product(q, Quaternion.identity())
+        out = quat_product(q, Quaternion(1.0, np.zeros(3)))
         np.testing.assert_allclose(out.as_vector(), q.as_vector(), atol=1e-15)
 
     def test_conjugate_is_inverse(self):
@@ -130,7 +130,7 @@ class TestVelocityCoords:
 class TestRotateToBody:
     def test_identity_attitude(self):
         z_ref = np.array([0.3, -0.4, 0.5])
-        np.testing.assert_allclose(rotate_to_body(Quaternion.identity(), z_ref), z_ref)
+        np.testing.assert_allclose(rotate_to_body(Quaternion(1.0, np.zeros(3)), z_ref), z_ref)
 
     def test_quarter_turn_about_e3(self):
         q = Quaternion(np.cos(np.pi / 4.0), [0.0, 0.0, np.sin(np.pi / 4.0)])
@@ -179,12 +179,12 @@ class TestPropagation:
     def test_rotation_accumulates_about_fixed_axis(self):
         # Constant rate 2pi/10 about e3 for 10 s is a full revolution; the
         # quaternion returns to plus or minus itself.
-        q = Quaternion.identity()
+        q = Quaternion(1.0, np.zeros(3))
         omega = np.array([0.0, 0.0, 2.0 * np.pi / 10.0])
         for _ in range(100):
             q = propagate_quaternion(q, omega, 0.1)
         assert abs(abs(q.q_r) - 1.0) <= 1e-9
-        assert attitude_error_angle(q, Quaternion.identity()) <= 1e-6
+        assert attitude_error_angle(q, Quaternion(1.0, np.zeros(3))) <= 1e-6
 
 
 class TestMeasurementMatrix:
@@ -220,7 +220,7 @@ class TestMeasurementMatrix:
 
 class TestOutputJacobian:
     def test_identity_estimate(self):
-        J = output_jacobian(Quaternion.identity())
+        J = output_jacobian(Quaternion(1.0, np.zeros(3)))
         np.testing.assert_array_equal(J, np.vstack([np.zeros(3), np.eye(3)]))
 
     def test_columns_orthonormal(self):
@@ -244,7 +244,7 @@ class TestBuildSample:
     def test_velocity_gain_inverse_quarters_covariance(self):
         noise = NoiseModel(gyro_cov=0.01 ** 2 * np.eye(3), vector_cov=np.eye(3))
         sample = build_sample(
-            0.0, Quaternion.identity(), GroupElement.identity(4),
+            0.0, Quaternion(1.0, np.zeros(3)), GroupElement.identity(4),
             np.zeros(3), [0.0, 0.0, 1.0], scenario_stub(), noise,
         )
         np.testing.assert_allclose(
@@ -255,7 +255,7 @@ class TestBuildSample:
         sigma = 0.7
         noise = NoiseModel(gyro_cov=np.eye(3), vector_cov=sigma ** 2 * np.eye(3))
         sample = build_sample(
-            0.0, Quaternion.identity(), GroupElement.identity(4),
+            0.0, Quaternion(1.0, np.zeros(3)), GroupElement.identity(4),
             np.zeros(3), [0.0, 0.0, 1.0], scenario_stub(), noise,
         )
         expected = np.diag([0.0, sigma ** -2, sigma ** -2, sigma ** -2])
@@ -264,7 +264,7 @@ class TestBuildSample:
     def test_identity_observer_input_map(self):
         noise = NoiseModel(gyro_cov=np.eye(3), vector_cov=np.eye(3))
         sample = build_sample(
-            0.0, Quaternion.identity(), GroupElement.identity(4),
+            0.0, Quaternion(1.0, np.zeros(3)), GroupElement.identity(4),
             np.zeros(3), [0.0, 0.0, 1.0], scenario_stub(), noise,
         )
         np.testing.assert_allclose(sample.B, upsilon(BASIS, XI_ORIGIN), atol=1e-14)
@@ -301,7 +301,7 @@ class TestBuildSample:
     def test_measurement_target_is_zero(self):
         noise = NoiseModel(gyro_cov=np.eye(3), vector_cov=np.eye(3))
         sample = build_sample(
-            0.0, Quaternion.identity(), GroupElement.identity(4),
+            0.0, Quaternion(1.0, np.zeros(3)), GroupElement.identity(4),
             np.zeros(3), [0.0, 0.0, 1.0], scenario_stub(), noise,
         )
         np.testing.assert_array_equal(sample.y, np.zeros(4))
@@ -310,7 +310,7 @@ class TestBuildSample:
 
 class TestGroupFromQuaternion:
     def test_identity(self):
-        X = group_from_quaternion(Quaternion.identity())
+        X = group_from_quaternion(Quaternion(1.0, np.zeros(3)))
         np.testing.assert_allclose(X.matrix, np.eye(4), atol=1e-15)
 
     def test_negative_identity(self):
@@ -348,7 +348,7 @@ class TestAttitudeErrorAngle:
     def test_initial_misalignment_angle(self):
         angle = 0.99 * np.pi
         offset = Quaternion(np.cos(angle / 2.0), [np.sin(angle / 2.0), 0.0, 0.0])
-        q = Quaternion.identity()
+        q = Quaternion(1.0, np.zeros(3))
         assert abs(attitude_error_angle(q, quat_product(q, offset)) - angle) <= 1e-12
 
     def test_range_and_symmetry(self):
@@ -385,7 +385,7 @@ class TestScenarioAndNoiseTypes:
         times = {"duration": 1.0, "sensor_dt": 0.1, field: value}
         with pytest.raises(ValueError, match=f"{field} must be .*finite"):
             AttitudeScenario(omega_fn=lambda t: np.zeros(3), ref_fn=lambda t: np.zeros(3),
-                             q0=Quaternion.identity(), **times)
+                             q0=Quaternion(1.0, np.zeros(3)), **times)
 
     def test_noise_model_rejects_asymmetric_cov(self):
         bad = np.eye(3)

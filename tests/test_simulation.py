@@ -28,6 +28,7 @@ from mef import (
     upsilon,
     write_csv,
 )
+import mef.filter
 from mef.simulation import TruthEpoch, _fmt
 
 from conftest import correction_at, make_rng, random_unit_quaternion
@@ -37,7 +38,7 @@ def canonical_scenario(duration: float = 100.0) -> AttitudeScenario:
     return AttitudeScenario(
         omega_fn=lambda t: np.array([0.1 * np.cos(0.1 * t), 0.0, 0.2]),
         ref_fn=lambda t: np.array([np.sin(t), 0.0, np.cos(t)]),
-        q0=Quaternion.identity(),
+        q0=Quaternion(1.0, np.zeros(3)),
         duration=duration,
         sensor_dt=0.1,
     )
@@ -100,7 +101,7 @@ class TestSimulateTruth:
         scenario = AttitudeScenario(
             omega_fn=lambda t: np.array([0.0, 0.0, 2.0 * np.pi / 10.0]),
             ref_fn=lambda t: np.array([0.0, 0.0, 1.0]),
-            q0=Quaternion.identity(), duration=10.0, sensor_dt=0.1,
+            q0=Quaternion(1.0, np.zeros(3)), duration=10.0, sensor_dt=0.1,
         )
         truth = simulate_truth(scenario)
         assert attitude_error_angle(truth[0].q, truth[-1].q) <= 1e-6
@@ -109,7 +110,7 @@ class TestSimulateTruth:
         scenario = AttitudeScenario(
             omega_fn=lambda t: np.zeros(3),
             ref_fn=lambda t: np.array([0.0, 0.0, 1.1]),
-            q0=Quaternion.identity(), duration=1.0, sensor_dt=0.1,
+            q0=Quaternion(1.0, np.zeros(3)), duration=1.0, sensor_dt=0.1,
         )
         with pytest.raises(ValueError, match="unit length"):
             simulate_truth(scenario)
@@ -118,7 +119,7 @@ class TestSimulateTruth:
 class TestCorrupt:
     def fabricated_truth(self, count: int) -> list:
         epoch = TruthEpoch(
-            t=0.0, q=Quaternion.identity(),
+            t=0.0, q=Quaternion(1.0, np.zeros(3)),
             z_ref=np.array([0.0, 0.0, 1.0]), z=np.array([0.0, 0.0, 1.0]),
             omega=np.zeros(3),
         )
@@ -197,7 +198,7 @@ class TestInitialObserverHessian:
 class TestRun:
     def test_zero_initial_error_stays_at_truth(self):
         records, summary = run(
-            make_config(1.0, initial_estimate=Quaternion.identity())
+            make_config(1.0, initial_estimate=Quaternion(1.0, np.zeros(3)))
         )
         assert len(records) == 11
         for rec in records:
@@ -250,6 +251,13 @@ class TestRun:
             delta = correction_at(epoch.state, epoch.sample, config.filter)
             assert rec.delta_norm == float(np.linalg.norm(delta))
             assert rec.t == epoch.truth.t
+
+    def test_patched_correction_reaches_the_last_epoch(self, monkeypatch):
+        """Every correction a run logs, the last epoch's included, comes
+        from mef.filter.correction_delta, the fault-injection seam."""
+        monkeypatch.setattr(mef.filter, "correction_delta", lambda *args: np.zeros(3))
+        records, _ = run(make_config(1.0, noise=True, seed=3))
+        assert [rec.delta_norm for rec in records] == [0.0] * 11
 
     def test_degenerate_solve_reports_epoch(self):
         # A zero prior makes P zero while the misaligned estimate pulls.

@@ -15,17 +15,20 @@ from their own ``src``:
 - three runs that exit 3: the ``noisy`` preset with seed 43, whose
   correction solve fails late (t = 96.4 s), the default preset with
   ``--set observer.hessian_scale=1e3``, whose state overflows at epoch 10,
-  and ``check --set check.hessian_scale=0``, whose P is zero at epoch 0.
+  and ``check --set check.hessian_scale=0``, whose P is zero at epoch 0;
+- ``mef sweep`` over the ``noisy`` preset's seeds 3 and 0 with
+  ``--jobs 2``, so that both runs are made in forked pool workers.
 
 For each command the exit code, stdout, stderr and the CSV bytes are
-compared. The ``wall_time_s:`` and ``csv:`` lines of stdout are ignored,
-since they name the machine's speed and the output directory. A Python
-warning in stderr is compared by its category and message only, without
-the file, line, source text, or the name of the numpy operation that
-raised it (``overflow encountered in matmul`` and ``... in dot`` compare
-equal): a new, lost or different kind of warning still shows. Every
-difference is printed, and the script exits 1 if there is any, 0
-otherwise.
+compared, with the command's output directory written as ``OUT`` in
+stdout and in the CSVs (the sweep summary names each run's CSV path).
+The ``wall_time_s:`` line of stdout is ignored, since it names the
+machine's speed. A Python warning in stderr is compared by its category
+and message only, without the file, line, source text, or the name of the
+numpy operation that raised it (``overflow encountered in matmul`` and
+``... in dot`` compare equal): a new, lost or different kind of warning
+still shows. Every difference is printed, and the script exits 1 if there
+is any, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -48,9 +51,10 @@ COMMANDS = (
        ["check", "--dt", "5e-3"],
        ["simulate", "--config", "noisy", "--seed", "43"],
        ["simulate", "--set", "observer.hessian_scale=1e3"],
-       ["check", "--set", "check.hessian_scale=0"]]
+       ["check", "--set", "check.hessian_scale=0"],
+       ["sweep", "--config", "noisy", "--param", "seed", "--values", "3,0", "--jobs", "2"]]
 )
-IGNORED_PREFIXES = ("wall_time_s:", "csv:")
+IGNORED_PREFIXES = ("wall_time_s:",)
 # "path:line: Category: message in op" and the indented source line after it.
 WARNING = re.compile(r"^\S.*?: (\w+Warning): (.*?)(?: in [\w ]+)?\n  .*$", re.M)
 
@@ -67,14 +71,15 @@ def export(rev: str, dest: Path) -> None:
 
 def run(tree: Path, argv: list[str], out: Path) -> tuple[int, str, str, dict[str, bytes]]:
     """Exit code, stdout without the ignored lines, stderr, and the CSVs
-    written."""
+    written, with ``out`` written as OUT in stdout and the CSVs."""
     out.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-m", "mef.cli", *argv, "--out", str(out)],
                           cwd=out, env=env, capture_output=True, text=True)
     stdout = "\n".join(line for line in proc.stdout.splitlines()
-                       if not line.startswith(IGNORED_PREFIXES))
-    csvs = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+                       if not line.startswith(IGNORED_PREFIXES)).replace(str(out), "OUT")
+    csvs = {p.name: p.read_bytes().replace(bytes(out), b"OUT")
+            for p in sorted(out.glob("*.csv"))}
     return proc.returncode, stdout, WARNING.sub(r"\1: \2", proc.stderr), csvs
 
 
