@@ -4,16 +4,21 @@ Rebuilds the finite-horizon estimation problem the observer claims to
 solve: over all disturbance sequences and initial errors consistent with
 the forward-Euler error dynamics and a fixed terminal error, minimize the
 initial cost plus the accumulated disturbance energy. The constraints are
-linear and every cost term is quadratic, so the optimum solves the sparse
-KKT system of an equality-constrained quadratic program. Its matrix does
-not depend on the terminal error; it is factored once with SuperLU, after
-which each terminal point costs one solve.
+linear and every cost term is quadratic, so the optimum solves the KKT
+system of an equality-constrained quadratic program. Its unknowns are
+ordered stage by stage, each step's error, disturbance and dynamics
+multiplier together, as interior-point MPC solvers do, so the matrix is
+banded with half-bandwidth 2m + l - 1 at any horizon. It does not depend on
+the terminal error: one band LU with partial pivoting (LAPACK gbtrf; the
+matrix is symmetric indefinite) serves every terminal point, each costing
+one gbtrs solve, and scipy.sparse is never loaded.
 
 The value function is therefore exactly quadratic in the terminal error,
 and the multiplier of the terminal constraint is minus its gradient. One
 solve gives the gradient, and one solve per coordinate, driven by a unit
-terminal point alone, gives a Hessian column. These exact derivatives are
-then compared against the observer's propagated quantities.
+terminal point alone, gives a Hessian column; all m + 1 solves share the
+one factorization. These exact derivatives are then compared against the
+observer's propagated quantities.
 """
 
 from __future__ import annotations
@@ -41,19 +46,6 @@ class InfeasibleTerminalError(ValueError):
     alone reaches every terminal point, so this only fires for degenerate
     step matrices (or a numerically broken solve).
     """
-
-
-def _block_entries(blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # COO triplets of stacked dense blocks: values (K, p, q) placed with
-    # their top-left corners at (rows[k], cols[k]).
-    out = []
-    for values, rows, cols in blocks:
-        p, q = values.shape[-2:]
-        r = np.asarray(rows)[:, None, None] + np.arange(p)[None, :, None]
-        c = np.asarray(cols)[:, None, None] + np.arange(q)[None, None, :]
-        r, c, v = np.broadcast_arrays(r, c, values)
-        out.append((r.ravel(), c.ravel(), v.ravel()))
-    return tuple(np.concatenate(parts) for parts in zip(*out))
 
 
 @dataclass(frozen=True)
@@ -143,66 +135,68 @@ class DiscretizedProblem:
         dt = float(dts[0])
         if float(np.abs(dts - dt).max()) > 1e-9 * dt:
             raise ValueError("substep sizes are not uniform")
-        Delta = wedge(basis, np.stack([r.delta for r in records]))
-        B = np.stack([r.sample.B for r in records])
-        Q = np.stack([r.sample.Q for r in records])
-        C = np.stack([r.sample.C for r in records])
-        X_hat = np.stack([r.X_hat.matrix for r in records])
-        y = np.stack([r.sample.y for r in records])
-        R = np.stack([r.sample.R for r in records])
+        # The records of one sensor interval share its sample: stack each
+        # distinct sample once and expand by each record's slot.
+        samples = {id(r.sample): r.sample for r in records}
+        slot = {key: k for k, key in enumerate(samples)}
+        which = np.array([slot[id(r.sample)] for r in records])
+        stacked = {name: np.stack([getattr(s, name) for s in samples.values()])[which]
+                   for name in ("B", "Q", "C", "y", "R")}
         return cls(
-            dt=dt, Delta=Delta, B=B, Q=Q, C=C, X_hat=X_hat, y=y, R=R,
-            H0=H0, anchor=anchor,
+            dt=dt, Delta=wedge(basis, np.stack([r.delta for r in records])),
+            X_hat=np.stack([r.X_hat.matrix for r in records]),
+            H0=H0, anchor=anchor, **stacked,
         )
 
-    # Unknowns are stacked as z = (e_0, mu_0, e_1, mu_1, ..., e_N); the
-    # constraints e_{k+1} = (I + dt*Delta_k) e_k + dt*B_k mu_k, then e_N = e_T.
+    # Unknowns are stacked stage by stage as z = (e_0, mu_0, lam_0, ...,
+    # e_{N-1}, mu_{N-1}, lam_{N-1}, e_N, lam_N), lam_k the multiplier of
+    # e_{k+1} = (I + dt*Delta_k) e_k + dt*B_k mu_k and lam_N that of e_N = e_T.
+    # Each row then reaches at most 2m + l - 1 columns either side.
 
     def _kkt_state(self) -> dict:
         if self._kkt is not None:
             return self._kkt
         # Imported here: only check needs scipy, and simulate and sweep
         # should not pay for loading it.
-        import scipy.sparse as sp
-        from scipy.sparse.linalg import splu
+        from scipy.linalg.lapack import dgbtrf
 
         N, m, l = self.steps, self.m, self.l
-        stride = m + l
-        nz = (N + 1) * m + N * l
+        stride = 2 * m + l
+        w = stride - 1  # lower and upper bandwidth
+        size = N * stride + 2 * m
         starts = np.arange(N) * stride
         C_tilde = self.C @ np.linalg.inv(self.X_hat)
-        A_step = np.eye(m)[None, :, :] + self.dt * self.Delta
         CtR = np.swapaxes(C_tilde, 1, 2) @ self.R
 
-        cost = [
-            (self.H0[None], [0], [0]),
-            (self.dt * CtR @ C_tilde, starts, starts),
-            (self.dt * self.Q, starts + m, starts + m),
-        ]
-        con_rows = nz + np.arange(N + 1) * m
-        constraints = [
-            (-A_step, con_rows[:N], starts),
-            (-self.dt * self.B, con_rows[:N], starts + m),
-            (np.eye(m)[None], con_rows, np.append(starts + stride, N * stride)),
-        ]
-        pr, pc, pv = _block_entries(cost)
-        er, ec, ev = _block_entries(constraints)
-        size = nz + (N + 1) * m
-        K = sp.csc_matrix(
-            (np.concatenate([pv, ev, ev]),
-             (np.concatenate([pr, er, ec]), np.concatenate([pc, ec, er]))),
-            shape=(size, size),
-        )
-        K.eliminate_zeros()  # zero entries would only widen the LU pattern
-
-        c = np.zeros(nz)
-        c[starts[:, None] + np.arange(m)] = -self.dt * np.einsum("kij,kj->ki", CtR, self.y)
-        c[:m] -= self.H0 @ self.anchor
-        try:
-            lu = splu(K)
-        except RuntimeError as exc:
-            raise InfeasibleTerminalError(f"singular optimality system: {exc}") from exc
-        object.__setattr__(self, "_kkt", {"lu": lu, "K": K, "c": c, "C_tilde": C_tilde})
+        stage = np.zeros((N, stride, stride))
+        stage[:, :m, :m] = self.dt * CtR @ C_tilde
+        stage[0, :m, :m] += self.H0
+        stage[:, m : m + l, m : m + l] = self.dt * self.Q
+        stage[:, m + l :, :m] = -(np.eye(m) + self.dt * self.Delta)
+        stage[:, m + l :, m : m + l] = -self.dt * self.B
+        stage[:, : m + l, m + l :] = np.swapaxes(stage[:, m + l :, : m + l], 1, 2)
+        # LAPACK band storage for dgbtrf: K[i, j] sits at ab[2w + i - j, j],
+        # above w rows of room for the fill-in that pivoting brings.
+        ab = np.zeros((3 * w + 1, size), order="F")
+        i, j = np.indices((stride, stride))
+        ab[2 * w + i - j, starts[:, None, None] + j] = stage
+        # The identity coupling lam_k to e_{k+1} (row lam_k, m columns to
+        # its right) and e_N to lam_N (row e_N), and its transpose.
+        coupled = np.append(starts + stride, N * stride + m)[:, None] + np.arange(m)
+        ab[2 * w - m, coupled] = 1.0
+        ab[2 * w + m, coupled - m] = 1.0
+        rhs = np.zeros(size)
+        rhs[starts[:, None] + np.arange(m)] = self.dt * np.einsum("kij,kj->ki", CtR, self.y)
+        rhs[:m] += self.H0 @ self.anchor
+        lu, pivots, info = dgbtrf(ab, w, w, overwrite_ab=True)
+        if info > 0:
+            raise InfeasibleTerminalError(
+                f"singular optimality system: zero pivot in column {info}"
+            )
+        object.__setattr__(self, "_kkt", {
+            "lu": lu, "pivots": pivots, "stage": stage, "coupled": coupled,
+            "rhs": rhs, "C_tilde": C_tilde,
+        })
         return self._kkt
 
     def _solve(self, terminal: np.ndarray) -> np.ndarray:
@@ -210,12 +204,22 @@ class DiscretizedProblem:
         array ``terminal``. Column 0 is the problem ending at terminal[:, 0];
         the others drop the linear cost term, leaving the response to their
         terminal point alone."""
+        from scipy.linalg.lapack import dgbtrs
+
         st = self._kkt_state()
-        rhs = np.zeros((st["K"].shape[0], terminal.shape[1]))
-        rhs[: st["c"].size, 0] = -st["c"]
-        rhs[-self.m :] = terminal
-        sol = st["lu"].solve(rhs)
-        residual = np.linalg.norm(st["K"] @ sol - rhs, axis=0)
+        N, m, stride = self.steps, self.m, 2 * self.m + self.l
+        rhs = np.zeros((st["rhs"].size, terminal.shape[1]), order="F")
+        rhs[:, 0] = st["rhs"]
+        rhs[-m:] = terminal
+        sol, _ = dgbtrs(st["lu"], stride - 1, stride - 1, rhs, st["pivots"])
+        # The residual against the unfactored matrix, formed from its blocks.
+        Kz = np.zeros_like(sol)
+        stages = sol[: N * stride].reshape(N, stride, -1)
+        Kz[: N * stride] = (st["stage"] @ stages).reshape(N * stride, -1)
+        coupled = st["coupled"]
+        Kz[coupled - m] += sol[coupled]
+        Kz[coupled] += sol[coupled - m]
+        residual = np.linalg.norm(Kz - rhs, axis=0)
         if not np.all(residual <= 1e-6 * (1.0 + np.linalg.norm(rhs, axis=0))):
             raise InfeasibleTerminalError(
                 f"optimality system solve failed (residual {residual.max():.3e})"
@@ -225,9 +229,9 @@ class DiscretizedProblem:
     def _cost(self, z: np.ndarray) -> float:
         # The objective from its definition on the solved trajectory: no
         # expanded constant term that could cancel under a stiff prior.
-        N, m = self.steps, self.m
-        e_mu = z[: N * (m + self.l)].reshape(N, m + self.l)
-        e, mu = e_mu[:, :m], e_mu[:, m:]
+        N, m, l = self.steps, self.m, self.l
+        stages = z[: N * (2 * m + l)].reshape(N, 2 * m + l)
+        e, mu = stages[:, :m], stages[:, m : m + l]
         d = e[0] - self.anchor
         r = self.y - np.einsum("kij,kj->ki", self._kkt_state()["C_tilde"], e)
         running = (np.einsum("ki,kij,kj->", mu, self.Q, mu)

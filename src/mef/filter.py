@@ -182,7 +182,7 @@ def _symmetric(A: np.ndarray, tol: float) -> bool:
     # rtol of 1e-5, without its generic broadcasting and infinity handling
     # (an infinite or NaN entry fails).
     magnitude = np.abs(A)
-    atol = tol * max(1.0, float(magnitude.max()))
+    atol = tol * max(1.0, float(magnitude.max(initial=0.0)))
     return bool((np.abs(A - A.T) <= atol + 1e-5 * magnitude.T).all())
 
 

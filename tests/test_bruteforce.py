@@ -13,6 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.optimize
 
 from mef import (
@@ -32,19 +33,24 @@ from mef import (
     wedge,
 )
 from mef.cli import build_verification_problem
+from mef.config import build_check_config
 from mef.filter import ObserverState, hessian_rate
 
 from conftest import make_rng
 
 
-def random_problem(rng, N: int = 10, dt: float = 0.01,
-                   zero_delta: bool = False) -> DiscretizedProblem:
-    m, l, n = 4, 3, 4
+def random_problem(rng, N: int = 10, dt: float = 0.01, zero_delta: bool = False,
+                   shape: tuple[int, int, int] = (4, 3, 4)) -> DiscretizedProblem:
+    """Random well-posed problem with state, input and output dimensions
+    shape = (m, l, n); Delta is a wedge matrix when m = 4."""
+    m, l, n = shape
     if zero_delta:
         Delta = np.zeros((N, m, m))
-    else:
+    elif m == 4:
         Delta = np.stack([wedge(BASIS, 0.5 * rng.standard_normal(3))
                           for _ in range(N)])
+    else:
+        Delta = 0.5 * rng.standard_normal((N, m, m))
     B = 0.7 * rng.standard_normal((N, m, l))
     Q = np.stack([
         (lambda M: M @ M.T + 0.5 * np.eye(l))(rng.standard_normal((l, l)))
@@ -121,6 +127,53 @@ def reference_value(prob: DiscretizedProblem, e_T: np.ndarray) -> float:
         options={"gtol": 1e-9, "maxiter": 5000},
     )
     return float(res.fun)
+
+
+def dense_kkt_solutions(prob: DiscretizedProblem, terminal: np.ndarray) -> np.ndarray:
+    """The KKT solutions of _solve, from a dense matrix written out from the
+    problem's definition and permuted into the solver's stage order.
+
+    Dense order: x = (e_0..e_N, mu_0..mu_{N-1}), then the multipliers of
+    e_{k+1} - A_k e_k - dt B_k mu_k = 0 (k < N) and of e_N = e_T.
+    """
+    N, m, l = prob.steps, prob.m, prob.l
+    A = np.eye(m)[None] + prob.dt * prob.Delta
+    Ct = prob.C @ np.linalg.inv(prob.X_hat)
+    nx = (N + 1) * m + N * l
+    P, c = np.zeros((nx, nx)), np.zeros(nx)
+    E = np.zeros(((N + 1) * m, nx))
+
+    def e(k):
+        return slice(k * m, (k + 1) * m)
+
+    def mu(k):
+        return slice((N + 1) * m + k * l, (N + 1) * m + (k + 1) * l)
+
+    P[e(0), e(0)] = prob.H0
+    c[e(0)] = -prob.H0 @ prob.anchor
+    for k in range(N):
+        P[e(k), e(k)] += prob.dt * Ct[k].T @ prob.R[k] @ Ct[k]
+        P[mu(k), mu(k)] = prob.dt * prob.Q[k]
+        c[e(k)] -= prob.dt * Ct[k].T @ prob.R[k] @ prob.y[k]
+        E[e(k), e(k + 1)] = np.eye(m)
+        E[e(k), e(k)] = -A[k]
+        E[e(k), mu(k)] = -prob.dt * prob.B[k]
+    E[e(N), e(N)] = np.eye(m)
+    K = np.block([[P, E.T], [E, np.zeros((E.shape[0], E.shape[0]))]])
+    rhs = np.zeros((K.shape[0], terminal.shape[1]))
+    rhs[:nx, 0] = -c
+    rhs[-m:] = terminal
+    dense = np.linalg.solve(K, rhs)
+    # Stage k holds (e_k, mu_k, lam_k); the last holds (e_N, lam_N).
+    stride, stages = 2 * m + l, np.arange(N)[:, None] * (2 * m + l)
+    order = np.concatenate([
+        np.append(stages + np.arange(m), N * stride + np.arange(m)),
+        (stages + m + np.arange(l)).ravel(),
+        np.append(stages + m + l + np.arange(m), N * stride + m + np.arange(m)),
+    ])
+    stage_ordered = np.empty_like(dense)
+    stage_ordered[order] = dense
+    return stage_ordered
 
 
 def fixed_step_trace(dt: float, duration: float = 0.1,
@@ -225,6 +278,38 @@ class TestValueAt:
         prob = random_problem(make_rng(505), N=2)
         with pytest.raises(ValueError, match="dimension"):
             value_at(prob, np.zeros(3))
+
+
+class TestBandSolve:
+    @pytest.mark.parametrize("shape, N", [((4, 3, 4), 12), ((3, 1, 2), 9), ((2, 3, 1), 1)])
+    def test_columns_match_a_dense_solve(self, shape, N):
+        rng = make_rng(520)
+        prob = random_problem(rng, N=N, shape=shape)
+        terminal = np.column_stack([rng.standard_normal(shape[0]), np.eye(shape[0])])
+        got = prob._solve(terminal)
+        expected = dense_kkt_solutions(prob, terminal)
+        error = np.linalg.norm(got - expected, axis=0)
+        assert np.all(error <= 1e-10 * np.linalg.norm(expected, axis=0))
+
+    @pytest.mark.parametrize("fault", ["factor", "solve"])
+    def test_residual_guard_catches_a_corrupted_solve(self, fault, monkeypatch):
+        prob = random_problem(make_rng(521))
+        e = np.full(4, 0.3)
+        value_at(prob, e)
+        state = prob._kkt_state()
+        if fault == "factor":
+            w = 2 * prob.m + prob.l - 1
+            state["lu"][2 * w] *= 1.0 + 1e-4  # the diagonal of U
+        else:
+            real = scipy.linalg.lapack.dgbtrs
+
+            def scaled_solve(*args):
+                x, info = real(*args)
+                return x * (1.0 + 1e-4), info
+
+            monkeypatch.setattr(scipy.linalg.lapack, "dgbtrs", scaled_solve)
+        with pytest.raises(InfeasibleTerminalError, match="solve failed"):
+            value_at(prob, e)
 
 
 class TestGradientHessian:
@@ -369,6 +454,23 @@ class TestProblemConstruction:
         assert prob.steps * prob.dt == pytest.approx(0.1, abs=1e-9)
         np.testing.assert_array_equal(prob.Delta[3],
                                       wedge(BASIS, trace[3].delta))
+
+    @pytest.mark.parametrize("trace", [
+        lambda: fixed_step_trace(1e-3, duration=0.3)[0],
+        lambda: [rec for epoch in observe(build_check_config({"check.duration": "0.3"}, 1e-3),
+                                          trace=True) for rec in epoch.trace],
+    ], ids=["fixed-step", "noisy-check"])
+    def test_from_substeps_stacks_the_records_bit_for_bit(self, trace):
+        # Each interval's sample is stacked once and expanded; the arrays
+        # must equal a record-by-record stack byte for byte.
+        trace = trace()
+        assert len({id(r.sample) for r in trace}) == 3 < len(trace)
+        prob = DiscretizedProblem.from_substeps(BASIS, trace, trace[0].H, XI_ORIGIN)
+        for name in ("B", "Q", "C", "y", "R"):
+            stacked = np.stack([getattr(r.sample, name) for r in trace])
+            assert getattr(prob, name).tobytes() == stacked.tobytes(), name
+        assert prob.Delta.tobytes() == wedge(BASIS, np.stack([r.delta for r in trace])).tobytes()
+        assert prob.X_hat.tobytes() == np.stack([r.X_hat.matrix for r in trace]).tobytes()
 
     def test_from_substeps_rejects_nonuniform_steps(self):
         trace, _ = fixed_step_trace(1e-3, duration=0.1)

@@ -726,6 +726,20 @@ class TestSignalSampleValidation:
         with pytest.raises(ValueError, match="Q must be symmetric"):
             SignalSample(**kw)
 
+    def test_empty_input_map_is_a_noise_free_sample(self):
+        # No velocity noise at all (l = 0): Q is 0 x 0 and the weight only
+        # gathers output information, hdot = c^2 r, which Euler integrates
+        # exactly.
+        state, sample, cfg = scalar_setup(valid_until=0.5)
+        sample = dataclasses.replace(sample, B=np.zeros((1, 0)), Q=np.zeros((0, 0)))
+        assert sample.Q_inv.shape == (0, 0)
+        np.testing.assert_array_equal(sample.noise_shape, np.zeros((1, 1)))
+        end, substeps, _ = step(state, sample, cfg)
+        assert substeps == 5000
+        np.testing.assert_allclose(
+            end.H, [[SCALAR_H0 + SCALAR_C ** 2 * SCALAR_R * 0.5]], rtol=1e-12
+        )
+
 
 class TestFilterConfigValidation:
     def test_rejects_nonpositive_step_cap(self):

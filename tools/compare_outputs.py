@@ -28,11 +28,14 @@ and message only, without the file, line, source text, or the name of the
 numpy operation that raised it (``overflow encountered in matmul`` and
 ``... in dot`` compare equal): a new, lost or different kind of warning
 still shows. Every difference is printed, and the script exits 1 if there
-is any, 0 otherwise.
+is any, 0 otherwise. For stdout, each differing pair of lines is printed
+too, with the relative difference of the two numbers of a ``name: number``
+line (a check row), which counts as a difference however small.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
 import subprocess
@@ -55,6 +58,7 @@ COMMANDS = (
        ["sweep", "--config", "noisy", "--param", "seed", "--values", "3,0", "--jobs", "2"]]
 )
 IGNORED_PREFIXES = ("wall_time_s:",)
+NUMBER_LINE = re.compile(r"^([\w.]+): ([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)(?:\s|$)")
 # "path:line: Category: message in op" and the indented source line after it.
 WARNING = re.compile(r"^\S.*?: (\w+Warning): (.*?)(?: in [\w ]+)?\n  .*$", re.M)
 
@@ -83,6 +87,21 @@ def run(tree: Path, argv: list[str], out: Path) -> tuple[int, str, str, dict[str
     return proc.returncode, stdout, WARNING.sub(r"\1: \2", proc.stderr), csvs
 
 
+def print_stdout_differences(here: str, there: str) -> None:
+    """Print each differing pair of stdout lines, this checkout's first,
+    and for a ``name: number ...`` pair also the numbers' relative
+    difference."""
+    for a, b in itertools.zip_longest(here.splitlines(), there.splitlines(), fillvalue=""):
+        if a == b:
+            continue
+        print(f"    here:  {a}\n    there: {b}")
+        x, y = NUMBER_LINE.match(a), NUMBER_LINE.match(b)
+        if x and y and x[1] == y[1]:
+            u, v = float(x[2]), float(y[2])
+            scale = max(abs(u), abs(v))
+            print(f"    relative difference: {abs(u - v) / scale if scale else 0.0:.3e}")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -102,6 +121,8 @@ def main(argv: list[str]) -> int:
             for name, a, b in zip(("exit code", "stdout", "stderr", "CSV"), here, there):
                 if a != b:
                     print(f"  {name} differs")
+                    if name == "stdout":
+                        print_stdout_differences(a, b)
     print(f"{differences} of {len(COMMANDS)} commands differ from {rev}")
     return 1 if differences else 0
 
