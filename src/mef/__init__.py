@@ -65,7 +65,6 @@ from .quaternion import (
     build_sample,
     group_from_quaternion,
     measurement_matrix,
-    output_jacobian,
     propagate_quaternion,
     quat_product,
     rotate_to_body,

@@ -93,8 +93,10 @@ def _is_number(text: str) -> bool:
     return True
 
 
-# Keys sweep may vary: plain scalars, i.e. those whose default is a number.
-NUMERIC_KEYS = frozenset(key for key, default in DEFAULTS.items() if _is_number(default))
+# Keys sweep may vary: the plain scalars (default a number) that simulate
+# reads. It reads no check.* key: a sweep over one would repeat one run.
+NUMERIC_KEYS = frozenset(key for key, default in DEFAULTS.items()
+                         if _is_number(default) and not key.startswith("check."))
 
 
 def _split_pair(item: str, where: str) -> tuple[str, str]:
@@ -297,7 +299,7 @@ def build_run_config(cfg: dict[str, str]) -> RunConfig:
         raise ConfigError(str(exc)) from exc
     hessian_scale = get_float(cfg, "observer.hessian_scale")
     try:  # a scale whose H_0 overflows or fails init is a config error
-        initial_state(initial_estimate, hessian_scale, XI_ORIGIN)
+        initial_state(initial_estimate, hessian_scale)
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"hessian scale {hessian_scale:g} gives no valid H_0 "
                           f"({type(exc).__name__}: {exc})") from exc

@@ -224,22 +224,14 @@ class FilterConfig:
             raise ValueError("dt_max must be positive")
 
 
-def init(
-    basis: GeneratorBasis,
-    origin_xi,
-    X_hat_0: GroupElement,
-    H_0,
-) -> ObserverState:
+def init(basis: GeneratorBasis, X_hat_0: GroupElement, H_0) -> ObserverState:
     """Initial observer state at t = 0.
 
-    The initial estimate is identified with X_hat_0 through
-    xi_0 = X_hat_0^-1 origin_xi, which places the value-function minimum at
-    the origin and makes the initial gradient exactly zero.
+    The initial estimate is X_hat_0^-1 origin_xi, with the origin_xi of the
+    FilterConfig that steps it; the value-function minimum is then at the
+    origin and the initial gradient is exactly zero.
     """
-    origin_xi = np.asarray(origin_xi, dtype=float).reshape(-1)
     m = basis.dim_embedding
-    if origin_xi.shape != (m,):
-        raise ValueError("origin_xi dimension does not match the basis")
     if X_hat_0.matrix.shape != (m, m):
         raise ValueError("X_hat_0 dimension does not match the basis")
     H_0 = np.asarray(H_0, dtype=float)
@@ -300,8 +292,6 @@ def correction_delta(state: ObserverState, Ups: np.ndarray, forcing: np.ndarray)
     raises SingularPError. A zero right-hand side gives delta = 0 for any P.
     """
     basis = state.basis
-    if basis.dim_algebra == 0:
-        return np.zeros(0)
     P = Ups.T.dot(state.H).dot(Ups) + Ups.T.dot(upsilon_bar(basis, state.eta))
     rhs = Ups.T.dot(forcing)
     rhs_norm = math.sqrt(rhs.dot(rhs))

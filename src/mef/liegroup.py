@@ -6,6 +6,11 @@ set of m x m matrices E_1..E_d spanning the Lie algebra. Coordinate vectors
 u in R^d correspond to algebra elements sum_i u_i E_i (the wedge map), and
 group elements are built by exponentiating algebra elements or multiplying
 existing elements, so membership is maintained structurally.
+
+One least-squares projection onto the generator span answers every
+membership question: vee, of a matrix or a stack; adjoint_coords, vee of
+the conjugated generators; and the basis's closure check. The trivial
+algebra (d = 0) needs no special case: numpy's empty shapes answer it.
 """
 
 from __future__ import annotations
@@ -77,37 +82,34 @@ class GeneratorBasis:
         self.closed_form_exp = closed_form_exp
         self.orthogonal = not bool(np.any(gens + np.swapaxes(gens, 1, 2)))
 
-        # Flattened generators as columns of an (m^2, d) matrix; vee() is a
-        # least-squares projection onto their span.
+        # Flattened generators as columns of an (m^2, d) matrix; _project
+        # maps matrices onto their span by least squares.
         self._flat = gens.reshape(self.dim_algebra, self.dim_embedding ** 2).T
-        if self.dim_algebra > 0:
-            if np.linalg.matrix_rank(self._flat) < self.dim_algebra:
-                raise ValueError("generators are linearly dependent")
-            self._flat_pinv = np.linalg.pinv(self._flat)
-        else:
-            self._flat_pinv = np.zeros((0, self.dim_embedding ** 2))
-        self._check_closure()
+        if np.linalg.matrix_rank(self._flat) < self.dim_algebra:
+            raise ValueError("generators are linearly dependent")
+        self._flat_pinv = np.linalg.pinv(self._flat)
+        # Every commutator [E_i, E_j], i < j, must lie in the span.
+        i, j = np.triu_indices(self.dim_algebra, 1)
+        outside = _project(self, gens[i] @ gens[j] - gens[j] @ gens[i], CLOSURE_TOLERANCE)[1]
+        if outside is not None:
+            k, residual = outside
+            raise ValueError("generator span is not closed under the commutator "
+                             f"(pair {i[k]},{j[k]}: residual {residual:.3e})")
 
-    def _check_closure(self) -> None:
-        d = self.dim_algebra
-        for i in range(d):
-            for j in range(i + 1, d):
-                Ei, Ej = self.generators[i], self.generators[j]
-                comm = Ei @ Ej - Ej @ Ei
-                coords, residual = self.project(comm)
-                if residual > CLOSURE_TOLERANCE * max(1.0, float(np.linalg.norm(comm))):
-                    raise ValueError(
-                        "generator span is not closed under the commutator "
-                        f"(pair {i},{j}: residual {residual:.3e})"
-                    )
 
-    def project(self, A: np.ndarray) -> tuple[np.ndarray, float]:
-        """Least-squares coordinates of A in the generator span plus the
-        projection residual (Frobenius norm of the unexplained part)."""
-        flat = np.asarray(A, dtype=float).reshape(-1)
-        coords = self._flat_pinv @ flat
-        residual = float(np.linalg.norm(self._flat @ coords - flat))
-        return coords, residual
+def _project(basis: GeneratorBasis, stack: np.ndarray, tol: float):
+    """Least-squares coordinates (d, N) of an (N, m, m) stack in the span, and
+    (index, residual) of its first matrix A whose residual ||A - wedge(coords)||
+    exceeds tol * max(1, ||A||) (a NaN or inf entry does), or None."""
+    flat = stack.reshape(len(stack), basis.dim_embedding ** 2)
+    coords = basis._flat_pinv @ flat.T
+    residual = flat - (basis._flat @ coords).T
+    res2 = (residual * residual).sum(axis=1)
+    held = res2 <= tol ** 2 * np.maximum(1.0, (flat * flat).sum(axis=1))
+    if held.all():
+        return coords, None
+    k = int(held.argmin())
+    return coords, (k, math.sqrt(res2[k]))
 
 
 class GroupElement:
@@ -189,21 +191,22 @@ def wedge(basis: GeneratorBasis, u) -> np.ndarray:
 
 
 def vee(basis: GeneratorBasis, A) -> np.ndarray:
-    """Coordinates of the algebra matrix A in the generator basis.
+    """Coordinates of the algebra matrix A in the generator basis, or for an
+    (N, m, m) stack of matrices the (N, d) stack of their coordinate rows.
 
     The projection is least squares, so vee also accepts matrices that are
-    only numerically in the span. Raises :class:`NotInAlgebraError` when the
-    projection residual exceeds VEE_TOLERANCE relative to max(1, ||A||).
+    only numerically in the span. Raises :class:`NotInAlgebraError` when a
+    projection residual exceeds VEE_TOLERANCE relative to max(1, ||A||), or
+    when A has a NaN or infinite entry.
     """
     A = np.asarray(A, dtype=float)
-    if A.shape != (basis.dim_embedding, basis.dim_embedding):
+    m = basis.dim_embedding
+    if A.ndim not in (2, 3) or A.shape[-2:] != (m, m):
         raise ValueError("matrix dimension does not match the basis")
-    coords, residual = basis.project(A)
-    if residual > VEE_TOLERANCE * max(1.0, float(np.linalg.norm(A))):
-        raise NotInAlgebraError(
-            f"matrix is not in the algebra span (residual {residual:.3e})"
-        )
-    return coords
+    coords, outside = _project(basis, A.reshape(-1, m, m), VEE_TOLERANCE)
+    if outside is not None:
+        raise NotInAlgebraError(f"matrix is not in the algebra span (residual {outside[1]:.3e})")
+    return coords.T if A.ndim == 3 else coords[:, 0]
 
 
 def upsilon(basis: GeneratorBasis, xi) -> np.ndarray:
@@ -215,8 +218,6 @@ def upsilon(basis: GeneratorBasis, xi) -> np.ndarray:
     xi = np.asarray(xi, dtype=float).reshape(-1)
     if xi.shape[0] != basis.dim_embedding:
         raise ValueError("point dimension does not match the basis")
-    if basis.dim_algebra == 0:
-        return np.zeros((basis.dim_embedding, 0))
     return (basis.generators @ xi).T
 
 
@@ -225,8 +226,6 @@ def upsilon_bar(basis: GeneratorBasis, xi) -> np.ndarray:
     xi = np.asarray(xi, dtype=float).reshape(-1)
     if xi.shape[0] != basis.dim_embedding:
         raise ValueError("point dimension does not match the basis")
-    if basis.dim_algebra == 0:
-        return np.zeros((basis.dim_embedding, 0))
     return (xi @ basis.generators).T
 
 
@@ -262,27 +261,12 @@ def exp_group(basis: GeneratorBasis, u) -> GroupElement:
 def adjoint_coords(basis: GeneratorBasis, X: GroupElement) -> np.ndarray:
     """d x d matrix of the conjugation map u -> vee(X wedge(u) X^-1).
 
-    Column i is vee(X E_i X^-1); all d conjugated generators are projected
-    in one matmul. Raises :class:`NotInAlgebraError` when a conjugated
-    generator leaves the algebra span (the per-column residual test of
-    :func:`vee`), which signals a basis/group inconsistency.
+    Column i is vee(X E_i X^-1): the stack of conjugated generators goes
+    through one vee. Raises :class:`NotInAlgebraError` when a conjugated
+    generator leaves the algebra span, which signals a basis/group
+    inconsistency.
     """
-    d = basis.dim_algebra
-    if d == 0:
-        return np.zeros((0, 0))
-    # Row i of ``conj`` is X E_i X^-1 flattened; column i of the result
-    # holds its coordinates. Residuals are compared squared, per row.
-    conj = (X.matrix @ basis.generators @ X.inverse).reshape(d, -1)
-    coords = basis._flat_pinv @ conj.T
-    residual = conj - (basis._flat @ coords).T
-    res2 = (residual * residual).sum(axis=1)
-    scale2 = np.maximum(1.0, (conj * conj).sum(axis=1))
-    if not (res2 <= VEE_TOLERANCE ** 2 * scale2).all():
-        raise NotInAlgebraError(
-            "conjugated generator is not in the algebra span "
-            f"(residual {float(np.sqrt(res2.max())):.3e})"
-        )
-    return coords
+    return vee(basis, X.matrix @ basis.generators @ X.inverse).T
 
 
 # ---------------------------------------------------------------------------

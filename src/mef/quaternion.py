@@ -24,6 +24,7 @@ from .liegroup import (
     quaternion_basis,
     quaternion_wedge,
     upsilon,
+    upsilon_bar,
 )
 
 __all__ = [
@@ -37,7 +38,6 @@ __all__ = [
     "rotate_to_body",
     "propagate_quaternion",
     "measurement_matrix",
-    "output_jacobian",
     "build_sample",
     "group_from_quaternion",
     "attitude_error_angle",
@@ -156,15 +156,6 @@ def measurement_matrix(z, z_ref) -> np.ndarray:
     return C
 
 
-def output_jacobian(q_hat: Quaternion) -> np.ndarray:
-    """4x3 derivative of the implicit output with respect to the measured
-    vector, evaluated at the estimate: [-q_v^T; q_r I + skew(q_v)]."""
-    J = np.zeros((4, 3))
-    J[0, :] = -q_hat.q_v
-    J[1:, :] = q_hat.q_r * np.eye(3) + _skew(q_hat.q_v)
-    return J
-
-
 @dataclass
 class AttitudeScenario:
     """Truth-side description of one attitude run."""
@@ -260,8 +251,9 @@ def build_sample(
     The velocity gain Q is noise_model.velocity_gain, the inverse of
     0.25 * gyro_cov (halving the rate halves the noise, quartering its
     covariance). The output gain R is the pseudo-inverse of J V J^T, with
-    J the output Jacobian and V = vector_cov; it has rank 3, and the null
-    direction lies along the estimate and carries no information.
+    V = vector_cov and J = upsilon_bar(q_hat) the output Jacobian: C is
+    affine in z, and the noise nu moves C q_hat by exactly J nu. R has rank
+    3; its null direction lies along the estimate and carries no information.
 
     R is built in closed form. The columns of J are orthogonal with norm
     |q_hat|, so J^T J = |q_hat|^2 I and J = |q_hat| W with W^T W = I.
@@ -276,7 +268,7 @@ def build_sample(
     C = measurement_matrix(z_meas, z_ref)
     y = np.zeros(4)
     B = _UPSILON_ORIGIN.dot(adjoint_coords(BASIS, X_hat))
-    J = output_jacobian(q_hat)
+    J = upsilon_bar(BASIS, q_hat.as_vector())
     norm2 = q_hat.q_r ** 2 + float(q_hat.q_v.dot(q_hat.q_v))
     R = J.dot(noise_model.vector_cov_pinv).dot(J.T) / (norm2 * norm2)
     return SignalSample(U_coords=U_coords, C=C, y=y, B=B, Q=noise_model.velocity_gain, R=R,

@@ -48,6 +48,7 @@ __all__ = [
     "ObservedEpoch",
     "simulate_truth",
     "corrupt",
+    "initial_observer_hessian",
     "initial_state",
     "observe",
     "run",
@@ -173,11 +174,10 @@ def initial_observer_hessian(q_hat_0: Quaternion, scale: float) -> np.ndarray:
     return scale ** 2 * X0.matrix @ (Ups @ Ups.T) @ X0.matrix.T
 
 
-def initial_state(q_hat_0: Quaternion, scale: float, origin_xi) -> ObserverState:
+def initial_state(q_hat_0: Quaternion, scale: float) -> ObserverState:
     """The state a run starts from: init with X_hat_0 the group lift of
     q_hat_0 and H_0 = initial_observer_hessian(q_hat_0, scale)."""
-    return init(BASIS, origin_xi, group_from_quaternion(q_hat_0),
-                initial_observer_hessian(q_hat_0, scale))
+    return init(BASIS, group_from_quaternion(q_hat_0), initial_observer_hessian(q_hat_0, scale))
 
 
 @dataclass(frozen=True)
@@ -213,8 +213,7 @@ def observe(config: RunConfig, trace: bool = False):
     else:
         measured = [(e.t, e.omega, e.z) for e in truth]
 
-    state = initial_state(config.initial_estimate, config.initial_hessian_scale,
-                          config.filter.origin_xi)
+    state = initial_state(config.initial_estimate, config.initial_hessian_scale)
     for k, (epoch, (_, omega_meas, z_meas)) in enumerate(zip(truth, measured)):
         records: list = []
         try:

@@ -169,12 +169,17 @@ class TestCheck:
         code = main(["check"])
         assert code == EXIT_FAILED
         out = capsys.readouterr().out
-        assert stdout_value(out, "critical_point_residual") == (
-            "0.048761256437214615 (threshold 1e-05) FAIL")
-        assert stdout_value(out, "gradient_agreement_rel") == (
-            "1.9858742730571485e-05 (threshold 0.0001) PASS")
-        assert stdout_value(out, "hessian_agreement_rel") == (
-            "3.6880146358399796e-07 (threshold 0.0001) PASS")
+        # Each row's verdict is exact; its value is held to 1e-12 relative,
+        # well above the round-off of the verifier's solve.
+        expected = {
+            "critical_point_residual": (0.048761256437214615, "(threshold 1e-05) FAIL"),
+            "gradient_agreement_rel": (1.9858742730571485e-05, "(threshold 0.0001) PASS"),
+            "hessian_agreement_rel": (3.6880146358399796e-07, "(threshold 0.0001) PASS"),
+        }
+        for row, (value, verdict) in expected.items():
+            printed, rest = stdout_value(out, row).split(" ", 1)
+            assert rest == verdict
+            assert float(printed) == pytest.approx(value, rel=1e-12, abs=0)
         assert stdout_value(out, "overall") == "FAIL"
 
     def test_coarse_step_fails_gradient_agreement_only(self, capsys):
@@ -254,6 +259,17 @@ class TestSweep:
         ])
         assert code == EXIT_CONFIG
         assert "not a sweepable numeric key" in capsys.readouterr().err
+
+    def test_check_key_exits_2(self, tmp_path, capsys):
+        # simulate reads no check.* key: every run of such a sweep would be
+        # the same run.
+        code = main([
+            "sweep", "--out", str(tmp_path), "--set", "scenario.duration=1",
+            "--param", "check.dt", "--values", "1e-3,5e-3",
+        ])
+        assert code == EXIT_CONFIG
+        assert "'check.dt' is not a sweepable numeric key" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_value_list_exits_2(self, tmp_path, capsys):
         code = main([

@@ -27,7 +27,6 @@ from mef import (
     build_sample,
     exp_group,
     group_from_quaternion,
-    output_jacobian,
     quaternion_wedge,
     upsilon,
     upsilon_bar,
@@ -126,7 +125,7 @@ class TestOutputGain:
                                     q0=Quaternion(1.0, np.zeros(3)), duration=1.0, sensor_dt=0.1)
         sample = build_sample(0.0, q_hat, group_from_quaternion(q_hat), np.zeros(3),
                               [0.0, 0.0, 1.0], scenario, noise)
-        J = output_jacobian(q_hat)
+        J = upsilon_bar(BASIS, q_hat.as_vector())
         expected = np.linalg.pinv(J @ V @ J.T, rcond=R_PINV_CUTOFF)
         scale = max(1.0, float(np.abs(expected).max()))
         np.testing.assert_allclose(sample.R, expected, rtol=0, atol=1e-10 * scale)

@@ -131,7 +131,7 @@ class TestInit:
         rng = make_rng(300)
         A = rng.standard_normal((4, 4))
         H0 = A @ A.T
-        state = init(BASIS, XI_ORIGIN, GroupElement.identity(4), H0)
+        state = init(BASIS, GroupElement.identity(4), H0)
         np.testing.assert_array_equal(state.eta, np.zeros(4))
         assert state.t == 0.0
         np.testing.assert_allclose(state.H, H0, atol=1e-14)
@@ -140,7 +140,7 @@ class TestInit:
         q_hat = offset_quaternion(0.99 * np.pi, [1.0, 0.0, 0.0])
         H0 = initial_observer_hessian(q_hat, 0.1)
         assert np.linalg.matrix_rank(H0, tol=1e-12) == 3
-        state = init(BASIS, XI_ORIGIN, group_from_quaternion(q_hat), H0)
+        state = init(BASIS, group_from_quaternion(q_hat), H0)
         # The prior must not pull along the normal direction at the start.
         np.testing.assert_allclose(state.H @ XI_ORIGIN, np.zeros(4), atol=1e-14)
 
@@ -148,12 +148,12 @@ class TestInit:
         H0 = np.eye(4)
         H0[0, 1] = 1e-3
         with pytest.raises(ValueError, match="symmetric"):
-            init(BASIS, XI_ORIGIN, GroupElement.identity(4), H0)
+            init(BASIS, GroupElement.identity(4), H0)
 
     def test_rejects_indefinite_prior(self):
         H0 = np.diag([1.0, 1.0, 1.0, -1.0])
         with pytest.raises(ValueError, match="positive semidefinite"):
-            init(BASIS, XI_ORIGIN, GroupElement.identity(4), H0)
+            init(BASIS, GroupElement.identity(4), H0)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -163,15 +163,13 @@ class TestInit:
         H0 = np.eye(4)
         H0[1, 2] = H0[2, 1] = bad
         with pytest.raises(ValueError, match="H_0 must be finite"):
-            init(BASIS, XI_ORIGIN, GroupElement.identity(4), H0)
+            init(BASIS, GroupElement.identity(4), H0)
 
     def test_rejects_mismatched_shapes(self):
-        with pytest.raises(ValueError, match="origin_xi"):
-            init(BASIS, np.ones(3), GroupElement.identity(4), np.eye(4))
         with pytest.raises(ValueError, match="X_hat_0"):
-            init(BASIS, XI_ORIGIN, GroupElement.identity(3), np.eye(4))
+            init(BASIS, GroupElement.identity(3), np.eye(4))
         with pytest.raises(ValueError, match="m x m"):
-            init(BASIS, XI_ORIGIN, GroupElement.identity(4), np.eye(3))
+            init(BASIS, GroupElement.identity(4), np.eye(3))
 
 
 class TestCorrectionDelta:
@@ -179,8 +177,7 @@ class TestCorrectionDelta:
         rng = make_rng(301)
         q = random_unit_quaternion(rng)
         sample = consistent_sample(q, [0.1, -0.2, 0.05])
-        state = init(BASIS, XI_ORIGIN, group_from_quaternion(q),
-                     initial_observer_hessian(q, 1.0))
+        state = init(BASIS, group_from_quaternion(q), initial_observer_hessian(q, 1.0))
         delta = correction_at(state, sample, CFG)
         np.testing.assert_allclose(delta, np.zeros(3), atol=1e-12)
 
@@ -317,8 +314,7 @@ class TestGradientRate:
         rng = make_rng(308)
         q = random_unit_quaternion(rng)
         sample = consistent_sample(q, [0.0, 0.0, 0.0])
-        state = init(BASIS, XI_ORIGIN, group_from_quaternion(q),
-                     initial_observer_hessian(q, 1.0))
+        state = init(BASIS, group_from_quaternion(q), initial_observer_hessian(q, 1.0))
         got = gradient_rate_at(state, sample, np.zeros(3), CFG)
         np.testing.assert_allclose(got, np.zeros(4), atol=1e-13)
 
@@ -388,13 +384,17 @@ class TestStep:
         np.testing.assert_array_equal(out.eta, state.eta)
         assert out.t == 0.1
 
+    def test_rejects_origin_of_wrong_length(self):
+        state, sample = self.equilibrium_state(make_rng(312))
+        with pytest.raises(ValueError, match="point dimension does not match the basis"):
+            step(state, sample, FilterConfig(origin_xi=np.ones(3)))
+
     def test_zero_residual_step_is_pure_velocity_transport(self):
         rng = make_rng(313)
         q = random_unit_quaternion(rng)
         omega = np.array([0.1, -0.2, 0.05])
         sample = consistent_sample(q, omega)
-        state = init(BASIS, XI_ORIGIN, group_from_quaternion(q),
-                     initial_observer_hessian(q, 1.0))
+        state = init(BASIS, group_from_quaternion(q), initial_observer_hessian(q, 1.0))
         out, _, _ = step(state, sample, CFG)
         expected = state.X_hat @ exp_group(BASIS, 0.1 * velocity_coords(omega))
         np.testing.assert_allclose(out.X_hat.matrix, expected.matrix, atol=1e-12)
@@ -422,8 +422,7 @@ class TestStep:
         rng = make_rng(316)
         q = random_unit_quaternion(rng)
         sample = consistent_sample(q, [0.3, 0.0, -0.1])
-        state = init(BASIS, XI_ORIGIN, group_from_quaternion(q),
-                     initial_observer_hessian(q, 1.0))
+        state = init(BASIS, group_from_quaternion(q), initial_observer_hessian(q, 1.0))
         trace = []
         out, substeps, delta = step(state, sample, CFG, trace=trace)
         assert substeps == len(trace) == 1
@@ -441,8 +440,7 @@ class TestStep:
         q_far = quat_product(q, offset_quaternion(0.5, [0.0, 0.0, 1.0]))
         omega = np.array([0.05, 0.02, -0.04])
         sample = consistent_sample(q, omega)
-        state = init(BASIS, XI_ORIGIN, group_from_quaternion(q_far),
-                     initial_observer_hessian(q_far, 1.0))
+        state = init(BASIS, group_from_quaternion(q_far), initial_observer_hessian(q_far, 1.0))
         monkeypatch.setattr(mef.filter, "correction_delta", lambda *args: np.zeros(3))
         out, _, _ = step(state, sample, CFG)
         expected = state.X_hat @ exp_group(BASIS, 0.1 * velocity_coords(omega))
@@ -452,13 +450,12 @@ class TestStep:
 class TestInvariantGuard:
     def test_accepts_a_fresh_state(self):
         q = offset_quaternion(2.0, [0.0, 1.0, 0.0])
-        check_invariants(init(BASIS, XI_ORIGIN, group_from_quaternion(q),
-                              initial_observer_hessian(q, 1.0)))
+        check_invariants(init(BASIS, group_from_quaternion(q), initial_observer_hessian(q, 1.0)))
 
     @pytest.mark.parametrize("field", ["H", "eta"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_a_non_finite_state(self, field, bad):
-        state = init(BASIS, XI_ORIGIN, GroupElement.identity(4), np.eye(4))
+        state = init(BASIS, GroupElement.identity(4), np.eye(4))
         value = getattr(state, field).copy()
         value[1] = bad
         with pytest.raises(SingularPError, match="not finite"):
@@ -470,14 +467,14 @@ class TestInvariantGuard:
                           (1.0 + ORTHOGONALITY_TOLERANCE, False)):
             drifted = GroupElement(M * scale)
             drifted.orthogonal = True  # as exp_group and products set it
-            state = init(BASIS, XI_ORIGIN, drifted, np.eye(4))
+            state = init(BASIS, drifted, np.eye(4))
             if ok:
                 check_invariants(state)
             else:
                 with pytest.raises(SingularPError, match="orthogonality drift"):
                     check_invariants(state)
         # An element not known to be orthogonal is inverted with inv: no bound.
-        check_invariants(init(BASIS, XI_ORIGIN, GroupElement(2.0 * M), np.eye(4)))
+        check_invariants(init(BASIS, GroupElement(2.0 * M), np.eye(4)))
 
     def test_violation_is_tagged_with_its_epoch_and_exits_3(self, monkeypatch, tmp_path, capsys):
         real_step = mef.simulation.step
@@ -508,8 +505,7 @@ class TestLongHorizon:
                                     q0=q, duration=20.0, sensor_dt=0.01)
         gains = NoiseModel(gyro_cov=0.01 ** 2 * np.eye(3), vector_cov=np.eye(3))
         cfg = FilterConfig(origin_xi=XI_ORIGIN, dt_max=0.01 / 50, delta_step_cap=1e18)
-        state = init(BASIS, XI_ORIGIN, group_from_quaternion(q_hat),
-                     initial_observer_hessian(q_hat, 1.0))
+        state = init(BASIS, group_from_quaternion(q_hat), initial_observer_hessian(q_hat, 1.0))
         z = rotate_to_body(q, z_ref)
         total = 0
         for k in range(2000):
@@ -591,7 +587,7 @@ class TestCanonicalTrajectory:
 
 class TestStateEstimate:
     def test_identity_returns_origin(self):
-        state = init(BASIS, XI_ORIGIN, GroupElement.identity(4), np.zeros((4, 4)))
+        state = init(BASIS, GroupElement.identity(4), np.zeros((4, 4)))
         np.testing.assert_array_equal(state_estimate(state, CFG), XI_ORIGIN)
 
     def test_exponential_gives_cosine_sine_coordinates(self):
@@ -609,8 +605,7 @@ class TestStateEstimate:
 
     def test_large_initial_misalignment_roundtrip(self):
         q_hat = offset_quaternion(0.99 * np.pi, [1.0, 0.0, 0.0])
-        state = init(BASIS, XI_ORIGIN, group_from_quaternion(q_hat),
-                     np.zeros((4, 4)))
+        state = init(BASIS, group_from_quaternion(q_hat), np.zeros((4, 4)))
         est = Quaternion.from_vector(state_estimate(state, CFG))
         assert attitude_error_angle(Quaternion(1.0, np.zeros(3)), est) == pytest.approx(
             0.99 * np.pi, abs=1e-12
@@ -619,15 +614,14 @@ class TestStateEstimate:
 
 class TestDiagnostics:
     def test_fresh_state_has_zero_residual(self):
-        state = init(BASIS, XI_ORIGIN, GroupElement.identity(4), np.eye(4))
+        state = init(BASIS, GroupElement.identity(4), np.eye(4))
         np.testing.assert_array_equal(optimality_residual(state, CFG), np.zeros(3))
 
     def test_value_rate_zero_at_rest(self):
         rng = make_rng(319)
         q = random_unit_quaternion(rng)
         sample = consistent_sample(q, [0.0, 0.0, 0.0])
-        state = init(BASIS, XI_ORIGIN, group_from_quaternion(q),
-                     initial_observer_hessian(q, 1.0))
+        state = init(BASIS, group_from_quaternion(q), initial_observer_hessian(q, 1.0))
         assert abs(value_rate(state, sample, np.zeros(3), CFG)) < 1e-16
 
     def test_value_rate_is_weighted_residual_energy(self):

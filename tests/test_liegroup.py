@@ -54,6 +54,17 @@ class TestBasisConstruction:
         assert basis.dim_algebra == 0
         np.testing.assert_array_equal(wedge(basis, np.zeros(0)), np.zeros((2, 2)))
 
+    def test_trivial_algebra_gives_empty_shapes(self):
+        basis = GeneratorBasis(np.zeros((0, 2, 2)))
+        assert vee(basis, np.zeros((2, 2))).shape == (0,)
+        assert vee(basis, np.zeros((5, 2, 2))).shape == (5, 0)
+        assert adjoint_coords(basis, GroupElement(np.diag([2.0, 1.0]))).shape == (0, 0)
+        assert upsilon(basis, [1.0, 2.0]).shape == (2, 0)
+        assert upsilon_bar(basis, [1.0, 2.0]).shape == (2, 0)
+        # The span of no generators holds only the zero matrix.
+        with pytest.raises(NotInAlgebraError):
+            vee(basis, np.eye(2))
+
     def test_commutator_closure_of_quaternion_basis(self):
         for i in range(3):
             for j in range(3):
@@ -142,6 +153,31 @@ class TestWedgeVee:
     def test_vee_dimension_mismatch(self):
         with pytest.raises(ValueError):
             vee(BASIS, np.zeros((3, 3)))
+        with pytest.raises(ValueError):
+            vee(BASIS, np.zeros((2, 2, 4, 4)))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_vee_rejects_non_finite_entries(self, bad):
+        # An infinite entry makes the projection warn on its way to NaN.
+        A = wedge(BASIS, [1.0, 2.0, 3.0])
+        A[0, 1] = A[1, 0] = bad
+        with pytest.raises(NotInAlgebraError):
+            vee(BASIS, A)
+        with pytest.raises(NotInAlgebraError):
+            vee(BASIS, np.stack([np.zeros((4, 4)), A]))
+
+    def test_vee_of_a_stack_is_the_stack_of_vees(self):
+        rng = make_rng(119)
+        stack = wedge(BASIS, rng.standard_normal((20, 3)) * np.logspace(-6, 6, 20)[:, None])
+        stacked = vee(BASIS, stack)
+        assert stacked.shape == (20, 3)
+        np.testing.assert_array_equal(stacked, np.stack([vee(BASIS, A) for A in stack]))
+        assert vee(BASIS, np.zeros((0, 4, 4))).shape == (0, 3)
+        A = stack[5].copy()
+        A[2, 2] = 1.0
+        with pytest.raises(NotInAlgebraError):
+            vee(BASIS, np.concatenate([stack, A[None]]))
 
 
 class TestActionMatrices:
