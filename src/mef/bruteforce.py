@@ -144,7 +144,7 @@ class DiscretizedProblem:
                    for name in ("B", "Q", "C", "y", "R")}
         return cls(
             dt=dt, Delta=wedge(basis, np.stack([r.delta for r in records])),
-            X_hat=np.stack([r.X_hat.matrix for r in records]),
+            X_hat=np.stack([r.X_hat for r in records]),
             H0=H0, anchor=anchor, **stacked,
         )
 

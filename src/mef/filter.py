@@ -8,14 +8,21 @@ small d x d linear system by LU; with that choice the tangential part of
 eta is invariant under the exact flow, so its drift is a direct measure of
 integration error.
 
-step computes each term the substep equations share once and passes it
-on: Upsilon at the origin once per interval; per substep, the forcing
-terms (output pull and noise damping), wedge(delta), and one product of
-the raw group matrices, checked once for finiteness. The correction solve
-keeps its residual guard every substep. Every SignalSample checks all of
-its inputs; the check and inverse of its velocity gain Q are memoized on
-Q's value, so the samples of a run, which share one Q, check and invert it
-once. check_invariants guards the state once per epoch.
+step walks an interval on plain arrays: X_hat's matrix X, its inverse
+X_inv, H and eta. It builds one ObserverState per interval, at the end,
+and each SubstepRecord holds the raw matrix X. The rate pieces take
+arrays: forcing_terms(X_inv, H, eta, sample, origin),
+correction_delta(basis, H, eta, Ups, forcing),
+hessian_rate(X_inv, H, sample, Delta) and
+gradient_rate(H, eta, Delta, pull, damping, origin). step computes each
+term they share once and passes it on: Upsilon at the origin once per
+interval; per substep, the forcing terms (output pull and noise damping),
+wedge(delta), and one product of the raw group matrices, checked once for
+finiteness. The correction solve keeps its residual guard every substep.
+Every SignalSample checks all of its inputs; the check and inverse of its
+velocity gain Q are memoized on Q's value, so the samples of a run, which
+share one Q, check and invert it once. check_invariants guards the state
+once per epoch.
 
 On the attitude instance every product is of 4 x 4, 4 x 3 or 4-vector
 operands, and costs its numpy call, not its flops. 1-D and 2-D products
@@ -24,8 +31,8 @@ are therefore written with ndarray.dot: it calls the same BLAS routine as
 keep @'s grouping: -A @ B is (-A).dot(B), as -A.dot(B) could flip a zero's
 sign. step forms exp(dt U) only when dt changes; U is fixed per interval.
 
-All operations are pure: they take an ObserverState and return new values
-without mutating their inputs.
+All operations are pure: they return new values without mutating their
+inputs.
 """
 
 from __future__ import annotations
@@ -33,11 +40,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .liegroup import GeneratorBasis, GroupElement, _element, exp_group, upsilon, upsilon_bar, wedge
+from .liegroup import (GeneratorBasis, GroupElement, _element, _finite, exp_group, upsilon,
+                       upsilon_bar, wedge)
 
 __all__ = [
     "ObserverState",
@@ -87,10 +95,10 @@ class SingularPError(RuntimeError):
 class ObserverState:
     """Observer triple (X_hat, H, eta) at time t.
 
-    The basis rides along so that rate evaluations need no extra argument;
-    it is shared, never copied. H is kept symmetric by construction. The
-    tangential part of eta staying near zero is the observer's defining
-    property; it is monitored through optimality_residual, not enforced.
+    The basis rides along with the state; it is shared, never copied. H is
+    kept symmetric by construction. The tangential part of eta staying near
+    zero is the observer's defining property; it is monitored through
+    optimality_residual, not enforced.
     """
 
     X_hat: GroupElement
@@ -186,18 +194,18 @@ def _symmetric(A: np.ndarray, tol: float) -> bool:
     return bool((np.abs(A - A.T) <= atol + 1e-5 * magnitude.T).all())
 
 
-@dataclass(frozen=True)
-class SubstepRecord:
+class SubstepRecord(NamedTuple):
     """Snapshot of one integrator substep, taken at the substep start.
 
     Consumed by the brute-force verifier, which rebuilds the discretized
-    estimation problem from exactly the quantities the filter used.
+    estimation problem from exactly the quantities the filter used. X_hat
+    is the raw (m, m) group matrix.
     """
 
     t: float
     dt: float
     delta: np.ndarray
-    X_hat: GroupElement
+    X_hat: np.ndarray
     H: np.ndarray
     eta: np.ndarray
     sample: SignalSample
@@ -271,18 +279,20 @@ def check_invariants(state: ObserverState) -> None:
             )
 
 
-def forcing_terms(state: ObserverState, sample: SignalSample, cfg: FilterConfig):
+def forcing_terms(X_inv: np.ndarray, H: np.ndarray, eta: np.ndarray,
+                  sample: SignalSample, origin: np.ndarray):
     """The two forcing terms that the correction solve and the gradient
-    rate share at ``state``: the output pull X_hat^-T C^T R (C X_hat^-1
-    origin - y) and the noise damping H B Q^-1 B^T eta, as (pull, damping).
+    rate share, for X_inv = X_hat^-1: the output pull X_hat^-T C^T R
+    (C X_hat^-1 origin - y) and the noise damping H B Q^-1 B^T eta, as
+    (pull, damping).
     """
-    X_inv = state.X_hat.inverse
-    residual = sample.C.dot(X_inv.dot(cfg.origin_xi)) - sample.y
+    residual = sample.C.dot(X_inv.dot(origin)) - sample.y
     pull = X_inv.T.dot(sample.C.T.dot(sample.R.dot(residual)))
-    return pull, state.H.dot(sample.noise_shape.dot(state.eta))
+    return pull, H.dot(sample.noise_shape.dot(eta))
 
 
-def correction_delta(state: ObserverState, Ups: np.ndarray, forcing: np.ndarray) -> np.ndarray:
+def correction_delta(basis: GeneratorBasis, H: np.ndarray, eta: np.ndarray,
+                     Ups: np.ndarray, forcing: np.ndarray) -> np.ndarray:
     """Correction coordinates solving P delta = Ups^T forcing.
 
     Ups = upsilon(basis, origin_xi) and forcing = pull - damping from
@@ -291,9 +301,9 @@ def correction_delta(state: ObserverState, Ups: np.ndarray, forcing: np.ndarray)
     relative residual |P delta - rhs| / |rhs| above P_SOLVE_TOLERANCE,
     raises SingularPError. A zero right-hand side gives delta = 0 for any P.
     """
-    basis = state.basis
-    P = Ups.T.dot(state.H).dot(Ups) + Ups.T.dot(upsilon_bar(basis, state.eta))
-    rhs = Ups.T.dot(forcing)
+    Ups_T = Ups.T
+    P = Ups_T.dot(H).dot(Ups) + Ups_T.dot(upsilon_bar(basis, eta))
+    rhs = Ups_T.dot(forcing)
     rhs_norm = math.sqrt(rhs.dot(rhs))
     if rhs_norm == 0.0:
         return np.zeros(basis.dim_algebra)
@@ -313,29 +323,28 @@ def correction_delta(state: ObserverState, Ups: np.ndarray, forcing: np.ndarray)
     return delta
 
 
-def hessian_rate(state: ObserverState, sample: SignalSample, Delta: np.ndarray) -> np.ndarray:
-    """Riccati-type rate of H for the correction Delta = wedge(delta); the
-    caller symmetrizes after stepping."""
-    C_pulled = sample.C.dot(state.X_hat.inverse)
+def hessian_rate(X_inv: np.ndarray, H: np.ndarray, sample: SignalSample,
+                 Delta: np.ndarray) -> np.ndarray:
+    """Riccati-type rate of H for the correction Delta = wedge(delta), with
+    X_inv = X_hat^-1; the caller symmetrizes after stepping."""
+    C_pulled = sample.C.dot(X_inv)
     return (
-        (-state.H).dot(Delta)
-        - Delta.T.dot(state.H)
-        - state.H.dot(sample.noise_shape).dot(state.H)
+        (-H).dot(Delta)
+        - Delta.T.dot(H)
+        - H.dot(sample.noise_shape).dot(H)
         + C_pulled.T.dot(sample.R.dot(C_pulled))
     )
 
 
-def gradient_rate(
-    state: ObserverState, Delta: np.ndarray, pull: np.ndarray, damping: np.ndarray,
-    cfg: FilterConfig,
-) -> np.ndarray:
+def gradient_rate(H: np.ndarray, eta: np.ndarray, Delta: np.ndarray, pull: np.ndarray,
+                  damping: np.ndarray, origin: np.ndarray) -> np.ndarray:
     """Rate of the value-function gradient at the origin point, for the
-    correction Delta = wedge(delta) and the forcing_terms at ``state``.
+    correction Delta = wedge(delta) and the forcing_terms at (H, eta).
 
     With delta from correction_delta, the tangential projection of this
     rate vanishes identically up to the correction-solve residual.
     """
-    return (-state.H).dot(Delta.dot(cfg.origin_xi)) - Delta.T.dot(state.eta) - damping + pull
+    return (-H).dot(Delta.dot(origin)) - Delta.T.dot(eta) - damping + pull
 
 
 def step(
@@ -358,62 +367,54 @@ def step(
     number of substeps taken, and the correction applied by the first of
     them, which is the boundary correction at the interval start.
 
-    correction_delta, hessian_rate, gradient_rate and exp_group are looked
-    up as module globals on every call, so a test can replace one of them
-    to inject a fault.
+    forcing_terms, correction_delta, hessian_rate, gradient_rate and
+    exp_group are looked up as module globals on every call, so a test can
+    replace one of them to inject a fault.
     """
     t_end = sample.valid_until
     if t_end - state.t <= TIME_SNAP:
         raise ValueError("sample is not valid past the current state time")
     basis = state.basis
-    Ups = upsilon(basis, cfg.origin_xi)
-    X_hat, H, eta, t = state.X_hat, state.H, state.eta, state.t
+    origin, dt_max, cap, U = cfg.origin_xi, cfg.dt_max, cfg.delta_step_cap, sample.U_coords
+    Ups = upsilon(basis, origin)
+    # The substeps carry raw arrays; X_hat is wrapped once, at the end.
+    orthogonal = basis.orthogonal and state.X_hat.orthogonal
+    X, X_inv = state.X_hat.matrix, state.X_hat.inverse
+    H, eta, t = state.H, state.eta, state.t
     t_stop = t
     substeps = 0
     exp_dt = None
     while t_end - t > TIME_SNAP:
         if t_stop - t <= TIME_SNAP:
-            t_stop = min(t_end, t + cfg.dt_max)
-        current = ObserverState(X_hat=X_hat, H=H, eta=eta, t=t, basis=basis)
-        pull, damping = forcing_terms(current, sample, cfg)
-        delta = correction_delta(current, Ups, pull - damping)
+            t_stop = min(t_end, t + dt_max)
+        pull, damping = forcing_terms(X_inv, H, eta, sample, origin)
+        delta = correction_delta(basis, H, eta, Ups, pull - damping)
         if not substeps:
             first_delta = delta
         substeps += 1
         delta_norm = math.sqrt(delta.dot(delta))
         remaining = t_stop - t
-        dt = min(cfg.dt_max, remaining)
-        if delta_norm > 0.0:
-            dt = min(dt, cfg.delta_step_cap / delta_norm)
+        dt = remaining if remaining < dt_max else dt_max
+        if delta_norm > 0.0 and cap / delta_norm < dt:
+            dt = cap / delta_norm
         Delta = wedge(basis, delta)
-        H_dot = hessian_rate(current, sample, Delta)
-        eta_dot = gradient_rate(current, Delta, pull, damping, cfg)
+        H_dot = hessian_rate(X_inv, H, sample, Delta)
+        eta_dot = gradient_rate(H, eta, Delta, pull, damping, origin)
         if dt != exp_dt:
-            exp_dt, exp_U = dt, exp_group(basis, dt * sample.U_coords).matrix
+            exp_dt, exp_U = dt, exp_group(basis, dt * U).matrix
         # One product of the raw matrices, checked once for finiteness: a
         # non-finite entry of the inner product makes its whole row of the
         # outer one non-finite (inf * 0 = NaN), so that check still sees it.
-        X_hat = _element(
-            exp_group(basis, dt * delta).matrix.dot(X_hat.matrix).dot(exp_U),
-            basis.orthogonal and X_hat.orthogonal,
-        )
+        X_next = _finite(exp_group(basis, dt * delta).matrix.dot(X).dot(exp_U))
+        if trace is not None:
+            trace.append(SubstepRecord(t, dt, delta, X, H, eta, sample))
+        X = X_next
+        X_inv = X.T if orthogonal else np.linalg.inv(X)
         H_new = H + dt * H_dot
         H = 0.5 * (H_new + H_new.T)
         eta = eta + dt * eta_dot
         t = t_stop if dt >= remaining else t + dt
-        if trace is not None:
-            trace.append(
-                SubstepRecord(
-                    t=current.t,
-                    dt=dt,
-                    delta=delta,
-                    X_hat=current.X_hat,
-                    H=current.H,
-                    eta=current.eta,
-                    sample=sample,
-                )
-            )
-    end = ObserverState(X_hat=X_hat, H=H, eta=eta, t=t, basis=basis)
+    end = ObserverState(X_hat=_element(X, orthogonal), H=H, eta=eta, t=t, basis=basis)
     return end, substeps, first_delta
 
 

@@ -38,6 +38,7 @@ __all__ = [
 VEE_TOLERANCE = 1e-8
 # Tolerance for the Lie-subalgebra closure check at basis construction.
 CLOSURE_TOLERANCE = 1e-10
+_FLOAT = np.dtype(float)
 
 
 class NotInAlgebraError(ValueError):
@@ -55,7 +56,7 @@ class GeneratorBasis:
         list of generators (d = 0) is accepted and describes the trivial
         algebra of an m x m identity-only group.
     closed_form_exp : callable, optional
-        Map from coordinate vectors (d,) to group matrices (m, m). When
+        Map from coordinate vectors (d,) to float (m, m) ndarrays. When
         present, :func:`exp_group` uses it instead of the generic series.
 
     Attributes
@@ -88,6 +89,10 @@ class GeneratorBasis:
         if np.linalg.matrix_rank(self._flat) < self.dim_algebra:
             raise ValueError("generators are linearly dependent")
         self._flat_pinv = np.linalg.pinv(self._flat)
+        # Generators regrouped as an (m, m*d) matrix whose column k*d + i is
+        # row k of E_i^T: upsilon_bar is one product against it.
+        self._bar = np.ascontiguousarray(gens.transpose(1, 2, 0)).reshape(
+            self.dim_embedding, self.dim_embedding * self.dim_algebra)
         # Every commutator [E_i, E_j], i < j, must lie in the span.
         i, j = np.triu_indices(self.dim_algebra, 1)
         outside = _project(self, gens[i] @ gens[j] - gens[j] @ gens[i], CLOSURE_TOLERANCE)[1]
@@ -102,8 +107,11 @@ def _project(basis: GeneratorBasis, stack: np.ndarray, tol: float):
     (index, residual) of its first matrix A whose residual ||A - wedge(coords)||
     exceeds tol * max(1, ||A||) (a NaN or inf entry does), or None."""
     flat = stack.reshape(len(stack), basis.dim_embedding ** 2)
-    coords = basis._flat_pinv @ flat.T
-    residual = flat - (basis._flat @ coords).T
+    # An infinite entry turns into NaNs here (inf * 0, inf - inf), which the
+    # residual test rejects without a warning.
+    with np.errstate(invalid="ignore"):
+        coords = basis._flat_pinv @ flat.T
+        residual = flat - (basis._flat @ coords).T
     res2 = (residual * residual).sum(axis=1)
     held = res2 <= tol ** 2 * np.maximum(1.0, (flat * flat).sum(axis=1))
     if held.all():
@@ -129,9 +137,7 @@ class GroupElement:
         mat = np.asarray(matrix, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("group element matrix must be square")
-        if not np.isfinite(mat).all():
-            raise ValueError("group element matrix must be finite")
-        self.matrix = mat
+        self.matrix = _finite(mat)
         self.orthogonal = False
         self._inverse = None
 
@@ -162,16 +168,29 @@ class GroupElement:
         return f"GroupElement({self.matrix!r})"
 
 
-def _element(matrix, orthogonal: bool) -> GroupElement:
-    # For the constructors above, exp_group and group_from_quaternion, which
-    # know from how they built the matrix whether it belongs to an
-    # orthogonal group.
-    element = GroupElement(matrix)
+def _finite(matrix: np.ndarray) -> np.ndarray:
+    # Counting the finite entries costs a third of isfinite(...).all() on a
+    # 4 x 4, and the kernel tests two or three matrices per substep.
+    if np.count_nonzero(np.isfinite(matrix)) != matrix.size:
+        raise ValueError("group element matrix must be finite")
+    return matrix
+
+
+def _element(matrix: np.ndarray, orthogonal: bool) -> GroupElement:
+    # For the constructors above, exp_group, group_from_quaternion and step,
+    # which build a square float matrix and know from how they built it
+    # whether it belongs to an orthogonal group.
+    element = GroupElement.__new__(GroupElement)
+    element.matrix = _finite(matrix)
     element.orthogonal = orthogonal
+    element._inverse = None
     return element
 
 
 def _coords(basis: GeneratorBasis, u) -> np.ndarray:
+    # The kernel's own coordinate vectors pass as they are.
+    if type(u) is np.ndarray and u.dtype is _FLOAT and u.shape == (basis.dim_algebra,):
+        return u
     u = np.asarray(u, dtype=float).reshape(-1)
     if u.shape[0] != basis.dim_algebra:
         raise ValueError(
@@ -215,18 +234,21 @@ def upsilon(basis: GeneratorBasis, xi) -> np.ndarray:
     Satisfies upsilon(xi) @ u = wedge(u) @ xi for every u, turning algebra
     coordinates into the action of the corresponding algebra element on xi.
     """
-    xi = np.asarray(xi, dtype=float).reshape(-1)
-    if xi.shape[0] != basis.dim_embedding:
-        raise ValueError("point dimension does not match the basis")
-    return (basis.generators @ xi).T
+    return (basis.generators @ _point(basis, xi)).T
 
 
 def upsilon_bar(basis: GeneratorBasis, xi) -> np.ndarray:
     """m x d matrix with column i = E_i^T xi (transposed action)."""
+    return _point(basis, xi).dot(basis._bar).reshape(basis.dim_embedding, basis.dim_algebra)
+
+
+def _point(basis: GeneratorBasis, xi) -> np.ndarray:
+    if type(xi) is np.ndarray and xi.dtype is _FLOAT and xi.shape == (basis.dim_embedding,):
+        return xi
     xi = np.asarray(xi, dtype=float).reshape(-1)
     if xi.shape[0] != basis.dim_embedding:
         raise ValueError("point dimension does not match the basis")
-    return (xi @ basis.generators).T
+    return xi
 
 
 def _exp_series(A: np.ndarray) -> np.ndarray:
@@ -296,14 +318,8 @@ def _quaternion_exp(coords: np.ndarray) -> np.ndarray:
     c = math.cos(theta)
     s = math.sin(theta) / theta if theta > 0.0 else 1.0
     s1, s2, s3 = s * d1, s * d2, s * d3
-    return np.array(
-        [
-            [c, s1, s2, s3],
-            [-s1, c, -s3, s2],
-            [-s2, s3, c, -s1],
-            [-s3, -s2, s1, c],
-        ]
-    )
+    return np.array((c, s1, s2, s3, -s1, c, -s3, s2,
+                     -s2, s3, c, -s1, -s3, -s2, s1, c)).reshape(4, 4)
 
 
 def quaternion_basis() -> GeneratorBasis:

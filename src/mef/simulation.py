@@ -231,9 +231,10 @@ def observe(config: RunConfig, trace: bool = False):
                 # Looked up through mef.filter, as step does, so that a
                 # patched correction_delta reaches this solve too.
                 end, substeps = state, 0
-                pull, damping = _filter.forcing_terms(state, sample, config.filter)
-                Ups = upsilon(BASIS, config.filter.origin_xi)
-                delta = _filter.correction_delta(state, Ups, pull - damping)
+                X_inv, origin = state.X_hat.inverse, config.filter.origin_xi
+                pull, damping = _filter.forcing_terms(X_inv, state.H, state.eta, sample, origin)
+                delta = _filter.correction_delta(BASIS, state.H, state.eta, upsilon(BASIS, origin),
+                                                 pull - damping)
         except SingularPError as exc:
             raise SingularPError(f"epoch {k} (t={epoch.t:g} s): {exc}") from exc
         yield ObservedEpoch(epoch, state, q_hat, sample, delta, substeps, records)

@@ -34,7 +34,7 @@ from mef import (
 )
 from mef.cli import build_verification_problem
 from mef.config import build_check_config
-from mef.filter import ObserverState, hessian_rate
+from mef.filter import hessian_rate
 
 from conftest import make_rng
 
@@ -393,9 +393,7 @@ class TestGradientHessian:
             _, h_after = gradient_hessian_at(after, XI_ORIGIN)
             fd = (h_after - h_before) / dt
             rec = trace[k]
-            state = ObserverState(X_hat=rec.X_hat, H=rec.H, eta=rec.eta,
-                                  t=rec.t, basis=BASIS)
-            rate = hessian_rate(state, rec.sample, wedge(state.basis, rec.delta))
+            rate = hessian_rate(rec.X_hat.T, rec.H, rec.sample, wedge(BASIS, rec.delta))
             rate = 0.5 * (rate + rate.T)
             errors[dt] = float(np.abs(fd - rate).max())
         assert errors[2e-3] <= 1e-2
@@ -470,7 +468,7 @@ class TestProblemConstruction:
             stacked = np.stack([getattr(r.sample, name) for r in trace])
             assert getattr(prob, name).tobytes() == stacked.tobytes(), name
         assert prob.Delta.tobytes() == wedge(BASIS, np.stack([r.delta for r in trace])).tobytes()
-        assert prob.X_hat.tobytes() == np.stack([r.X_hat.matrix for r in trace]).tobytes()
+        assert prob.X_hat.tobytes() == np.stack([r.X_hat for r in trace]).tobytes()
 
     def test_from_substeps_rejects_nonuniform_steps(self):
         trace, _ = fixed_step_trace(1e-3, duration=0.1)

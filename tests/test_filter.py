@@ -263,7 +263,7 @@ class TestHessianRate:
         )
         X_inv = np.linalg.inv(X.matrix)
         expected = X_inv.T @ C.T @ R @ C @ X_inv
-        got = hessian_rate(state, sample, wedge(state.basis, np.zeros(3)))
+        got = hessian_rate(state.X_hat.inverse, state.H, sample, wedge(state.basis, np.zeros(3)))
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
     def test_zero_weight_zero_output_gives_zero(self):
@@ -276,7 +276,8 @@ class TestHessianRate:
             B=upsilon(BASIS, XI_ORIGIN), Q=np.eye(3), R=np.eye(4),
             valid_until=1.0,
         )
-        got = hessian_rate(state, sample, wedge(state.basis, np.array([0.3, -0.1, 0.7])))
+        got = hessian_rate(state.X_hat.inverse, state.H, sample,
+                           wedge(state.basis, np.array([0.3, -0.1, 0.7])))
         np.testing.assert_array_equal(got, np.zeros((4, 4)))
 
     def test_transport_terms_cancel_for_identity_weight(self):
@@ -291,12 +292,13 @@ class TestHessianRate:
             U_coords=np.zeros(3), C=np.zeros((4, 4)), y=np.zeros(4),
             B=np.zeros((4, 3)), Q=np.eye(3), R=np.eye(4), valid_until=1.0,
         )
-        got = hessian_rate(state, sample, wedge(state.basis, rng.standard_normal(3)))
+        got = hessian_rate(state.X_hat.inverse, state.H, sample,
+                           wedge(state.basis, rng.standard_normal(3)))
         np.testing.assert_array_equal(got, np.zeros((4, 4)))
 
     def test_scalar_rate_value(self):
         state, sample, _ = scalar_setup()
-        got = hessian_rate(state, sample, wedge(state.basis, np.zeros(0)))
+        got = hessian_rate(state.X_hat.inverse, state.H, sample, wedge(state.basis, np.zeros(0)))
         expected = -(SCALAR_B ** 2 / SCALAR_Q) * SCALAR_H0 ** 2 \
             + SCALAR_C ** 2 * SCALAR_R
         assert got.shape == (1, 1)
@@ -429,7 +431,7 @@ class TestStep:
         rec = trace[0]
         assert rec.t == state.t
         assert rec.sample is sample
-        np.testing.assert_array_equal(rec.X_hat.matrix, state.X_hat.matrix)
+        np.testing.assert_array_equal(rec.X_hat, state.X_hat.matrix)
         np.testing.assert_array_equal(rec.eta, state.eta)
         assert rec.dt == pytest.approx(out.t - state.t, abs=1e-15)
         assert rec.delta is delta

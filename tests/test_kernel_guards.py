@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mef import (
-    BASIS,
     XI_ORIGIN,
     AttitudeScenario,
     FilterConfig,
@@ -33,6 +32,7 @@ from mef import (
     exp_group,
     group_from_quaternion,
     observe,
+    quaternion_basis,
     run,
     step,
 )
@@ -46,9 +46,12 @@ from conftest import make_rng, random_filter_instance
 def transcribed_step(state, sample, cfg):
     """The substeps of step written out on raw arrays, each term computed
     where the rate equations use it (the output pull twice, Upsilon and
-    wedge(delta) per use), in the floating-point order of the library.
+    wedge(delta) per use), in the floating-point order of the library. An
+    orthogonal X_hat is inverted by its transpose, any other by inv.
     Returns the per-substep (delta, dt, X_hat, H, eta) and the end state."""
-    gens, origin, N = state.basis.generators, cfg.origin_xi, sample.noise_shape
+    basis, origin, N = state.basis, cfg.origin_xi, sample.noise_shape
+    gens, orthogonal = basis.generators, state.X_hat.orthogonal
+    flat = gens.reshape(len(gens), -1)
     X, H, eta, t = state.X_hat.matrix, state.H, state.eta, state.t
     t_stop, records = t, []
     while sample.valid_until - t > TIME_SNAP:
@@ -56,7 +59,7 @@ def transcribed_step(state, sample, cfg):
             t_stop = min(sample.valid_until, t + cfg.dt_max)
         Ups = (gens @ origin).T
         P = Ups.T @ H @ Ups + Ups.T @ (eta @ gens).T
-        X_inv = X.T
+        X_inv = X.T if orthogonal else np.linalg.inv(X)
         pull = X_inv.T @ (sample.C.T @ (sample.R @ (sample.C @ (X_inv @ origin) - sample.y)))
         rhs = Ups.T @ (pull - H @ (N @ eta))
         delta = np.linalg.solve(P, rhs)
@@ -64,14 +67,14 @@ def transcribed_step(state, sample, cfg):
         dt = min(cfg.dt_max, remaining)
         if math.sqrt(delta @ delta) > 0.0:
             dt = min(dt, cfg.delta_step_cap / math.sqrt(delta @ delta))
-        Delta = (delta @ gens.reshape(3, -1)).reshape(4, 4)
+        Delta = (delta @ flat).reshape(X.shape)
         C_pulled = sample.C @ X_inv
         H_dot = -H @ Delta - Delta.T @ H - H @ N @ H + C_pulled.T @ (sample.R @ C_pulled)
-        Delta = (delta @ gens.reshape(3, -1)).reshape(4, 4)
+        Delta = (delta @ flat).reshape(X.shape)
         pull = X_inv.T @ (sample.C.T @ (sample.R @ (sample.C @ (X_inv @ origin) - sample.y)))
         eta_dot = -H @ (Delta @ origin) - Delta.T @ eta - H @ (N @ eta) + pull
         records.append((delta, dt, X, H, eta))
-        X = (exp_group(BASIS, dt * delta).matrix @ X) @ exp_group(BASIS, dt * sample.U_coords).matrix
+        X = (exp_group(basis, dt * delta).matrix @ X) @ exp_group(basis, dt * sample.U_coords).matrix
         H_new = H + dt * H_dot
         H = 0.5 * (H_new + H_new.T)
         eta = eta + dt * eta_dot
@@ -107,7 +110,7 @@ def assert_step_matches_transcription(state, sample, cfg, trace, end):
     assert len(records) == len(trace) >= 5
     for (delta, dt, X_k, H_k, eta_k), record in zip(records, trace):
         assert dt == record.dt
-        for ours, theirs in ((delta, record.delta), (X_k, record.X_hat.matrix),
+        for ours, theirs in ((delta, record.delta), (X_k, record.X_hat),
                              (H_k, record.H), (eta_k, record.eta)):
             assert np.array_equal(ours, theirs)
     assert t == end.t
@@ -136,6 +139,34 @@ class TestTranscription:
         # transcription forms it on every substep.
         cfg, epoch, end = check_interval
         assert_step_matches_transcription(epoch.state, epoch.sample, cfg, epoch.trace, end)
+
+    @pytest.mark.parametrize("group", ["scaling", "sheared"])
+    def test_a_non_orthogonal_interval_is_bit_identical(self, group):
+        # Groups with no closed-form exponential and no orthogonal elements:
+        # step inverts each X_hat with inv and exponentiates by the series.
+        # The scaling group's elements are diagonal; the sheared copy of the
+        # quaternion group, T E_i T^-1, has dense ones.
+        rng = make_rng(613)
+        A, C, K, S = (rng.standard_normal((4, 4)) for _ in range(4))
+        if group == "scaling":
+            basis = GeneratorBasis(np.stack([np.diag([1.0, 0.0, 0.0, 0.0]),
+                                             np.diag([0.0, 1.0, -1.0, 0.0])]))
+        else:
+            T = np.eye(4) + 0.2 * S
+            basis = GeneratorBasis(T @ quaternion_basis().generators @ np.linalg.inv(T))
+        assert not basis.orthogonal and basis.closed_form_exp is None
+        d = basis.dim_algebra
+        state = ObserverState(X_hat=exp_group(basis, np.linspace(0.3, -0.2, d)), H=A.T @ A,
+                              eta=0.3 * rng.standard_normal(4), t=0.0, basis=basis)
+        sample = SignalSample(U_coords=np.linspace(0.5, -0.4, d), C=C,
+                              y=0.3 * rng.standard_normal(4), B=rng.standard_normal((4, d)),
+                              Q=np.eye(d) + 0.3 * np.eye(d, k=1) + 0.3 * np.eye(d, k=-1),
+                              R=0.5 * (K @ K.T), valid_until=0.05)
+        cfg = FilterConfig(origin_xi=[0.6, 0.8, 0.5, 0.1], dt_max=0.01)
+        trace: list = []
+        end, _, _ = step(state, sample, cfg, trace=trace)
+        assert not end.X_hat.orthogonal
+        assert_step_matches_transcription(state, sample, cfg, trace, end)
 
 
 class TestVelocityExponential:

@@ -1,5 +1,7 @@
 """Generator basis, wedge/vee, exponential, adjoint, action matrices."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -156,16 +158,18 @@ class TestWedgeVee:
         with pytest.raises(ValueError):
             vee(BASIS, np.zeros((2, 2, 4, 4)))
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_vee_rejects_non_finite_entries(self, bad):
-        # An infinite entry makes the projection warn on its way to NaN.
+        # The rejection is silent: an infinite entry must not warn on its
+        # way to NaN (inf * 0) inside the projection.
         A = wedge(BASIS, [1.0, 2.0, 3.0])
         A[0, 1] = A[1, 0] = bad
-        with pytest.raises(NotInAlgebraError):
-            vee(BASIS, A)
-        with pytest.raises(NotInAlgebraError):
-            vee(BASIS, np.stack([np.zeros((4, 4)), A]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotInAlgebraError):
+                vee(BASIS, A)
+            with pytest.raises(NotInAlgebraError):
+                vee(BASIS, np.stack([np.zeros((4, 4)), A]))
 
     def test_vee_of_a_stack_is_the_stack_of_vees(self):
         rng = make_rng(119)
@@ -218,12 +222,14 @@ class TestActionMatrices:
                 upsilon_bar(BASIS, xi), -upsilon(BASIS, xi), atol=1e-14
             )
 
-    def test_upsilon_columns_orthonormal_at_unit_points(self):
+    @pytest.mark.parametrize("action", [upsilon, upsilon_bar], ids=lambda f: f.__name__)
+    def test_columns_orthonormal_at_unit_points(self, action):
+        # For upsilon_bar this is the attitude output's noise Jacobian.
         rng = make_rng(107)
         for _ in range(50):
             q = random_unit_vector(rng, 4)
-            Ups = upsilon(BASIS, q)
-            np.testing.assert_allclose(Ups.T @ Ups, np.eye(3), atol=1e-12)
+            J = action(BASIS, q)
+            np.testing.assert_allclose(J.T @ J, np.eye(3), atol=1e-12)
 
 
 class TestExponential:
@@ -424,3 +430,24 @@ class TestProperties:
                                    Ad_X @ adjoint_coords(basis, Y), rtol=0, atol=1e-10)
         np.testing.assert_allclose(wedge(basis, Ad_X @ u),
                                    X.matrix @ wedge(basis, u) @ X.inverse, rtol=0, atol=1e-10)
+
+
+class TestRegroupedTransposedAction:
+    """upsilon_bar is one product against the generators regrouped as an
+    (m, m*d) matrix; it must give what the stacked product (xi @ E).T gave."""
+
+    @given(arrays(float, 4, elements=st.floats(-1e8, 1e8)))
+    def test_gives_the_bits_of_the_stacked_product_on_the_quaternion_basis(self, xi):
+        # Each entry has one nonzero term, so no summation order can move it.
+        stacked = (xi @ BASIS.generators).T
+        assert upsilon_bar(BASIS, xi).shape == stacked.shape
+        assert upsilon_bar(BASIS, xi).tobytes() == stacked.tobytes()
+
+    @given(bases(), arrays(float, 4, elements=st.floats(-1e3, 1e3)))
+    def test_agrees_with_the_stacked_product_on_any_basis(self, basis, x):
+        # To 1e-15 relative to the sum of the absolute terms of each entry:
+        # the two products may only add the same terms in another order.
+        x = x[:basis.dim_embedding]
+        stacked = (x @ basis.generators).T
+        scale = (np.abs(x) @ np.abs(basis.generators)).T
+        assert (np.abs(upsilon_bar(basis, x) - stacked) <= 1e-15 * scale).all()

@@ -222,12 +222,6 @@ class TestOutputJacobian:
         J = upsilon_bar(BASIS, XI_ORIGIN)
         np.testing.assert_array_equal(J, np.vstack([np.zeros(3), np.eye(3)]))
 
-    def test_columns_orthonormal(self):
-        rng = make_rng(211)
-        for _ in range(30):
-            J = upsilon_bar(BASIS, random_unit_quaternion(rng).as_vector())
-            np.testing.assert_allclose(J.T @ J, np.eye(3), atol=1e-12)
-
 
 class TestBuildSample:
     def test_velocity_gain_inverse_quarters_covariance(self):
