@@ -14,7 +14,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Union
 
 import numpy as np
@@ -139,6 +138,15 @@ def _sweep_worker(payload: tuple[dict[str, str], str]) -> Union[dict, Exception]
         return exc
     write_csv(records, out_path)
     return {"csv": out_path, **summary}
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """concurrent.futures.ProcessPoolExecutor, imported only when a sweep
+    forks: it loads multiprocessing, socket, subprocess and logging, which
+    simulate, check and a serial sweep never use."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
 
 
 def cmd_sweep(args) -> int:

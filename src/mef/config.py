@@ -246,6 +246,14 @@ def _vector_signal(key: str, value: str) -> Callable[[float], np.ndarray]:
     raise ConfigError(f"{key}: unknown signal {value!r}")
 
 
+def _squared(cfg: dict[str, str], key: str) -> float:
+    # A noise covariance is sigma^2 I, with sigma the number at key.
+    try:
+        return get_float(cfg, key) ** 2
+    except OverflowError:
+        raise ConfigError(f"{key}: {cfg[key]} squared overflows") from None
+
+
 def _initial_estimate(cfg: dict[str, str], q0: Quaternion) -> Quaternion:
     angle = get_float(cfg, "observer.initial_error_rad")
     if angle == 0.0:
@@ -277,16 +285,24 @@ def build_run_config(cfg: dict[str, str]) -> RunConfig:
             sensor_dt=get_float(cfg, "scenario.sensor_dt"),
         )
         scenario.epochs()
-        gyro_sigma = get_float(cfg, "noise.gyro_sigma")
-        if not gyro_sigma > 0.0:
+        if not get_float(cfg, "noise.gyro_sigma") > 0.0:
             # The velocity gain is the inverse of the gyro covariance.
             raise ConfigError("noise.gyro_sigma must be positive")
-        vector_sigma = get_float(cfg, "noise.vector_sigma")
         gains = NoiseModel(
-            gyro_cov=gyro_sigma ** 2 * np.eye(3),
-            vector_cov=vector_sigma ** 2 * np.eye(3),
+            gyro_cov=_squared(cfg, "noise.gyro_sigma") * np.eye(3),
+            vector_cov=_squared(cfg, "noise.vector_sigma") * np.eye(3),
             seed=seed,
         )
+        # Each gain inverts a covariance: a square that underflows has none.
+        for key, gain in (("noise.gyro_sigma", "velocity_gain"),
+                          ("noise.vector_sigma", "vector_cov_pinv")):
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    finite = bool(np.isfinite(getattr(gains, gain)).all())
+            except np.linalg.LinAlgError:
+                finite = False
+            if not finite:
+                raise ConfigError(f"{key}: {cfg[key]} gives no finite {gain}")
         filter_cfg = FilterConfig(
             origin_xi=XI_ORIGIN,
             delta_step_cap=get_float(cfg, "filter.delta_step_cap"),
@@ -344,8 +360,8 @@ def build_check_config(raw: dict[str, str], dt: Optional[float] = None) -> RunCo
         config,
         filter=replace(config.filter, delta_step_cap=1e18, dt_max=dt),
         noise=NoiseModel(
-            gyro_cov=get_float(cfg, "check.gyro_sigma_true") ** 2 * np.eye(3),
-            vector_cov=get_float(cfg, "check.vector_sigma_true") ** 2 * np.eye(3),
+            gyro_cov=_squared(cfg, "check.gyro_sigma_true") * np.eye(3),
+            vector_cov=_squared(cfg, "check.vector_sigma_true") * np.eye(3),
             seed=config.gains.seed,
         ),
     )

@@ -15,14 +15,15 @@ arrays: forcing_terms(X_inv, H, eta, sample, origin),
 correction_delta(basis, H, eta, Ups, forcing),
 hessian_rate(X_inv, H, sample, Delta) and
 gradient_rate(H, eta, Delta, pull, damping, origin). step computes each
-term they share once and passes it on: Upsilon at the origin once per
-interval; per substep, the forcing terms (output pull and noise damping),
-wedge(delta), and one product of the raw group matrices, checked once for
-finiteness. The correction solve keeps its residual guard every substep.
+term they share once and passes it on: Upsilon at the origin, memoized
+on the basis and the origin's value, so once per run; per substep, the
+forcing terms (output pull and noise damping), wedge(delta), and one
+product of the raw group matrices, checked once for finiteness. The correction solve keeps its residual guard every substep.
 Every SignalSample checks all of its inputs; the check and inverse of its
 velocity gain Q are memoized on Q's value, so the samples of a run, which
-share one Q, check and invert it once. check_invariants guards the state
-once per epoch.
+share one Q, check and invert it once; one |R| serves both of R's checks.
+check_invariants guards the state once per epoch, counting finite entries
+as liegroup._finite does.
 
 On the attitude instance every product is of 4 x 4, 4 x 3 or 4-vector
 operands, and costs its numpy call, not its flops. 1-D and 2-D products
@@ -164,7 +165,7 @@ def _velocity_gain_inverse(shape: tuple, data: bytes) -> np.ndarray:
     value, not its identity: a Q edited in place is a new key, and a Q that
     fails is checked again on every use."""
     Q = np.frombuffer(data).reshape(shape)
-    if not _symmetric(Q, 1e-12):
+    if _symmetric_scale(Q, 1e-12) is None:
         raise ValueError("Q must be symmetric")
     try:
         np.linalg.cholesky(Q)
@@ -179,19 +180,22 @@ def _check_psd(A: np.ndarray, name: str) -> None:
     """Raise ValueError unless A is symmetric to 1e-10 relative and its
     smallest eigenvalue is at least -1e-10 max(1, max|A|): the output gain
     R and the prior H_0 pass or fail by the same rule at any scale."""
-    if not _symmetric(A, 1e-10):
+    scale = _symmetric_scale(A, 1e-10)
+    if scale is None:
         raise ValueError(f"{name} must be symmetric")
-    if A.shape[0] > 0 and float(np.linalg.eigvalsh(A)[0]) < -1e-10 * max(1.0, float(np.abs(A).max())):
+    if A.shape[0] > 0 and float(np.linalg.eigvalsh(A)[0]) < -1e-10 * scale:
         raise ValueError(f"{name} must be positive semidefinite")
 
 
-def _symmetric(A: np.ndarray, tol: float) -> bool:
-    # np.allclose(A, A.T, atol=tol * max(1, max|A|)) with its default
-    # rtol of 1e-5, without its generic broadcasting and infinity handling
-    # (an infinite or NaN entry fails).
+def _symmetric_scale(A: np.ndarray, tol: float) -> Optional[float]:
+    """The scale max(1, max|A|) if A is symmetric to tol relative to it,
+    else None. The test is np.allclose(A, A.T, atol=tol * scale) with its
+    default rtol of 1e-5, without its generic broadcasting and infinity
+    handling (an infinite or NaN entry fails); the one |A| serves both."""
     magnitude = np.abs(A)
-    atol = tol * max(1.0, float(magnitude.max(initial=0.0)))
-    return bool((np.abs(A - A.T) <= atol + 1e-5 * magnitude.T).all())
+    scale = max(1.0, float(magnitude.max(initial=0.0)))
+    held = np.abs(A - A.T) <= tol * scale + 1e-5 * magnitude.T
+    return scale if np.count_nonzero(held) == held.size else None
 
 
 class SubstepRecord(NamedTuple):
@@ -267,16 +271,36 @@ def check_invariants(state: ObserverState) -> None:
     Cheap enough to run once per sensor epoch.
     """
     X = state.X_hat.matrix
-    if not (np.isfinite(X).all() and np.isfinite(state.H).all()
-            and np.isfinite(state.eta).all()):
+    if not (_all_finite(X) and _all_finite(state.H) and _all_finite(state.eta)):
         raise SingularPError("observer state is not finite")
     if state.X_hat.orthogonal:
-        drift = float(np.linalg.norm(X.T.dot(X) - np.eye(X.shape[0])))
+        # The Frobenius norm as np.linalg.norm forms it, bit for bit.
+        drift = (X.T.dot(X) - np.eye(X.shape[0])).ravel()
+        drift = math.sqrt(drift.dot(drift))
         if not drift <= ORTHOGONALITY_TOLERANCE:
             raise SingularPError(
                 f"X_hat orthogonality drift {drift:.3e} exceeds "
                 f"{ORTHOGONALITY_TOLERANCE:.0e}"
             )
+
+
+def _all_finite(A: np.ndarray) -> bool:
+    # Counted, as liegroup._finite counts: a third of isfinite(A).all().
+    return np.count_nonzero(np.isfinite(A)) == A.size
+
+
+def _origin_action(basis: GeneratorBasis, origin) -> np.ndarray:
+    # upsilon(basis, origin), read-only and memoized on the origin's value,
+    # so that step and optimality_residual form it once per run, not once
+    # per interval.
+    return _upsilon_memo(basis, np.asarray(origin, dtype=float).tobytes())
+
+
+@functools.lru_cache(maxsize=16)
+def _upsilon_memo(basis: GeneratorBasis, origin: bytes) -> np.ndarray:
+    Ups = upsilon(basis, np.frombuffer(origin))
+    Ups.flags.writeable = False
+    return Ups
 
 
 def forcing_terms(X_inv: np.ndarray, H: np.ndarray, eta: np.ndarray,
@@ -376,7 +400,7 @@ def step(
         raise ValueError("sample is not valid past the current state time")
     basis = state.basis
     origin, dt_max, cap, U = cfg.origin_xi, cfg.dt_max, cfg.delta_step_cap, sample.U_coords
-    Ups = upsilon(basis, origin)
+    Ups = _origin_action(basis, origin)
     # The substeps carry raw arrays; X_hat is wrapped once, at the end.
     orthogonal = basis.orthogonal and state.X_hat.orthogonal
     X, X_inv = state.X_hat.matrix, state.X_hat.inverse
@@ -429,7 +453,7 @@ def optimality_residual(state: ObserverState, cfg: FilterConfig) -> np.ndarray:
     Zero in exact arithmetic along closed-loop trajectories; its size is
     the observer's built-in integration diagnostic.
     """
-    return upsilon(state.basis, cfg.origin_xi).T.dot(state.eta)
+    return _origin_action(state.basis, cfg.origin_xi).T.dot(state.eta)
 
 
 def value_rate(

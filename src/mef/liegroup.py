@@ -107,6 +107,13 @@ def _project(basis: GeneratorBasis, stack: np.ndarray, tol: float):
     (index, residual) of its first matrix A whose residual ||A - wedge(coords)||
     exceeds tol * max(1, ||A||) (a NaN or inf entry does), or None."""
     flat = stack.reshape(len(stack), basis.dim_embedding ** 2)
+    if np.count_nonzero(np.isfinite(flat)) == flat.size:
+        coords = basis._flat_pinv @ flat.T
+        residual = (flat - (basis._flat @ coords).T).ravel()
+        # Every bound is at least tol^2: a stack whose summed squared residual
+        # stays below half of it passes, and any other takes the test below.
+        if residual.dot(residual) <= 0.5 * tol * tol:
+            return coords, None
     # An infinite entry turns into NaNs here (inf * 0, inf - inf), which the
     # residual test rejects without a warning.
     with np.errstate(invalid="ignore"):

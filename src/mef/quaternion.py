@@ -5,6 +5,11 @@ from a known time-varying reference vector, and the gain construction that
 feeds the filter. Conventions: scalar-first quaternions; q maps body to
 inertial, so body-frame observations of an inertial vector use the inverse
 rotation; the embedding origin is (1, 0, 0, 0).
+
+The measurement-side maps (velocity_coords, measurement_matrix) take one
+measurement or an (N, 3) stack of them, so that a run forms them for all
+its epochs at once; build_sample adds the part of a sample that depends on
+the observer state.
 """
 
 from __future__ import annotations
@@ -58,16 +63,6 @@ _UPSILON_ORIGIN = upsilon(BASIS, XI_ORIGIN)
 _UPSILON_ORIGIN.flags.writeable = False
 
 
-def _skew(v: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
-
-
 class Quaternion:
     """Unit quaternion with scalar part ``q_r`` and vector part ``q_v``."""
 
@@ -86,24 +81,26 @@ class Quaternion:
         return cls(v[0], v[1:])
 
     def as_vector(self) -> np.ndarray:
-        return np.concatenate(([self.q_r], self.q_v))
+        return np.array((self.q_r, *self.q_v.tolist()))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Quaternion({self.q_r}, {self.q_v})"
 
 
-def _mul(a_r: float, a_v: np.ndarray, b_r: float, b_v: np.ndarray):
+def _hamilton(a_r, a1, a2, a3, b_r, b1, b2, b3):
     # Raw Hamilton product, no unit assumption: r = a_r b_r - a_v . b_v,
-    # v = a_r b_v + b_r a_v + a_v x b_v, written out on scalars.
-    a1, a2, a3 = a_v.tolist()
-    b1, b2, b3 = b_v.tolist()
-    r = a_r * b_r - (a1 * b1 + a2 * b2 + a3 * b3)
-    v = np.array([
-        a_r * b1 + b_r * a1 + (a2 * b3 - a3 * b2),
-        a_r * b2 + b_r * a2 + (a3 * b1 - a1 * b3),
-        a_r * b3 + b_r * a3 + (a1 * b2 - a2 * b1),
-    ])
-    return r, v
+    # v = a_r b_v + b_r a_v + a_v x b_v, written out on scalars. Given
+    # arrays, it forms every product elementwise by the same operations in
+    # the same order, so each one has the bits of the scalar product.
+    return (a_r * b_r - (a1 * b1 + a2 * b2 + a3 * b3),
+            a_r * b1 + b_r * a1 + (a2 * b3 - a3 * b2),
+            a_r * b2 + b_r * a2 + (a3 * b1 - a1 * b3),
+            a_r * b3 + b_r * a3 + (a1 * b2 - a2 * b1))
+
+
+def _mul(a_r: float, a_v: np.ndarray, b_r: float, b_v: np.ndarray):
+    r, v1, v2, v3 = _hamilton(a_r, *a_v.tolist(), b_r, *b_v.tolist())
+    return r, np.array([v1, v2, v3])
 
 
 def quat_product(q: Quaternion, h: Quaternion) -> Quaternion:
@@ -117,17 +114,25 @@ def quat_product(q: Quaternion, h: Quaternion) -> Quaternion:
 
 
 def velocity_coords(omega) -> np.ndarray:
-    """Algebra coordinates of the velocity input: omega/2."""
-    return np.asarray(omega, dtype=float).reshape(3) / 2.0
+    """Algebra coordinates of the velocity input: omega/2, of one rate or
+    of each row of an (N, 3) stack of rates."""
+    omega = np.asarray(omega, dtype=float)
+    return (omega.reshape(-1, 3) if omega.ndim == 2 else omega.reshape(3)) / 2.0
 
 
 def rotate_to_body(q: Quaternion, z_ref) -> np.ndarray:
     """Body-frame components z of an inertial vector z_ref, from
     (0, z) = q^-1 (0, z_ref) q."""
-    z_ref = np.asarray(z_ref, dtype=float).reshape(3)
-    r1, v1 = _mul(q.q_r, -q.q_v, 0.0, z_ref)
-    _, z = _mul(r1, v1, q.q_r, q.q_v)
-    return z
+    return _to_body(q.as_vector(), np.asarray(z_ref, dtype=float).reshape(3))
+
+
+def _to_body(q: np.ndarray, z_ref: np.ndarray) -> np.ndarray:
+    # rotate_to_body of a quaternion 4-vector, or row by row of (N, 4)
+    # quaternion and (N, 3) vector stacks, with the same bits either way.
+    q_r, q1, q2, q3 = q.T
+    r, v1, v2, v3 = _hamilton(q_r, -q1, -q2, -q3, 0.0, *z_ref.T)
+    _, z1, z2, z3 = _hamilton(r, v1, v2, v3, q_r, q1, q2, q3)
+    return np.stack((z1, z2, z3), axis=-1)
 
 
 def propagate_quaternion(q: Quaternion, omega, dt: float) -> Quaternion:
@@ -142,18 +147,26 @@ def propagate_quaternion(q: Quaternion, omega, dt: float) -> Quaternion:
 
 def measurement_matrix(z, z_ref) -> np.ndarray:
     """4x4 implicit-output matrix C with C q = 0 whenever z is the exact
-    body-frame image of z_ref under q.
+    body-frame image of z_ref under q; for (N, 3) stacks of z and z_ref,
+    the (N, 4, 4) stack of their matrices.
 
-    C is affine in z, which makes the output exactly linear in the
-    measurement noise.
+    C = [[0, (z_ref - z)^T], [z - z_ref, -skew(z + z_ref)]], with -0.0 on
+    the diagonal of -skew. C is affine in z, which makes the output
+    exactly linear in the measurement noise.
     """
-    z = np.asarray(z, dtype=float).reshape(3)
-    z_ref = np.asarray(z_ref, dtype=float).reshape(3)
-    C = np.zeros((4, 4))
-    C[0, 1:] = z_ref - z
-    C[1:, 0] = z - z_ref
-    C[1:, 1:] = -_skew(z + z_ref)
-    return C
+    z = np.asarray(z, dtype=float)
+    z_ref = np.asarray(z_ref, dtype=float)
+    single = z.ndim < 2
+    z, z_ref = z.reshape(-1, 3), z_ref.reshape(-1, 3)
+    s1, s2, s3 = (z + z_ref).T
+    C = np.zeros((len(z), 4, 4))
+    C[:, 0, 1:] = z_ref - z
+    C[:, 1:, 0] = z - z_ref
+    C[:, (1, 2, 3), (1, 2, 3)] = -0.0
+    C[:, 1, 2], C[:, 1, 3] = s3, -s2
+    C[:, 2, 1], C[:, 2, 3] = -s3, s1
+    C[:, 3, 1], C[:, 3, 2] = s2, -s1
+    return C[0] if single else C
 
 
 @dataclass
@@ -238,15 +251,20 @@ class NoiseModel:
 
 
 def build_sample(
-    t: float,
-    q_hat: Quaternion,
+    q_hat: np.ndarray,
     X_hat: GroupElement,
-    omega_meas,
-    z_meas,
-    scenario: AttitudeScenario,
+    U_coords: np.ndarray,
+    C: np.ndarray,
+    valid_until: float,
     noise_model: NoiseModel,
 ) -> SignalSample:
     """Assemble one sensor epoch into the filter's input structure.
+
+    q_hat is the estimate as a 4-vector and X_hat the observer's group
+    element. U_coords = velocity_coords(omega_meas) and
+    C = measurement_matrix(z_meas, z_ref) depend on no observer state, so a
+    run forms them for all its epochs at once (see simulation.observe).
+    The sample holds until valid_until.
 
     The velocity gain Q is noise_model.velocity_gain, the inverse of
     0.25 * gyro_cov (halving the rate halves the noise, quartering its
@@ -263,16 +281,13 @@ def build_sample(
     the same relative cutoff R_PINV_CUTOFF, which the uniform scaling by
     |q_hat|^2 leaves unchanged, and pinv(V) is computed once per model.
     """
-    z_ref = np.asarray(scenario.ref_fn(t), dtype=float).reshape(3)
-    U_coords = velocity_coords(omega_meas)
-    C = measurement_matrix(z_meas, z_ref)
-    y = np.zeros(4)
     B = _UPSILON_ORIGIN.dot(adjoint_coords(BASIS, X_hat))
-    J = upsilon_bar(BASIS, q_hat.as_vector())
-    norm2 = q_hat.q_r ** 2 + float(q_hat.q_v.dot(q_hat.q_v))
+    J = upsilon_bar(BASIS, q_hat)
+    q_v = q_hat[1:]
+    norm2 = float(q_hat[0]) ** 2 + float(q_v.dot(q_v))
     R = J.dot(noise_model.vector_cov_pinv).dot(J.T) / (norm2 * norm2)
-    return SignalSample(U_coords=U_coords, C=C, y=y, B=B, Q=noise_model.velocity_gain, R=R,
-                        valid_until=t + scenario.sensor_dt)
+    return SignalSample(U_coords=U_coords, C=C, y=np.zeros(4), B=B, Q=noise_model.velocity_gain,
+                        R=R, valid_until=valid_until)
 
 
 def group_from_quaternion(q: Quaternion) -> GroupElement:
@@ -298,4 +313,5 @@ def attitude_error_angle(q: Quaternion, q_hat: Quaternion) -> float:
     arccos form cannot resolve angles below about 1e-8.
     """
     r, v = _mul(q.q_r, -q.q_v, q_hat.q_r, q_hat.q_v)
-    return float(2.0 * np.arctan2(float(np.linalg.norm(v)), abs(r)))
+    # sqrt(v . v) is how np.linalg.norm forms |v|, bit for bit.
+    return float(2.0 * np.arctan2(math.sqrt(v.dot(v)), abs(r)))

@@ -1,17 +1,25 @@
 """Deterministic attitude-estimation experiment runner.
 
-Propagates the true attitude on a fixed sensor grid, optionally corrupts
-the measurements with seeded Gaussian noise, drives the observer through
-the epochs (observe), and logs one record per epoch (run). Identical
-configurations produce bitwise-identical logs and CSV files.
+Propagates the true attitude on a fixed sensor grid (simulate_truth),
+optionally corrupts the measurements with seeded Gaussian noise (corrupt),
+drives the observer through the epochs (observe), and logs one record per
+epoch (run). Identical configurations produce bitwise-identical logs and
+CSV files.
+
+Everything that does not depend on the observer state is formed once per
+run on (N, 3) or (N, 4, 4) arrays: the measured rates and vectors, the
+velocity coordinates U = omega/2 and the implicit-output matrices C. Per
+epoch, observe checks the state, forms the estimate and the sample's
+state-dependent part (build_sample) and steps; run logs the epoch.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -34,11 +42,13 @@ from .quaternion import (
     AttitudeScenario,
     NoiseModel,
     Quaternion,
+    _to_body,
     attitude_error_angle,
     build_sample,
     group_from_quaternion,
+    measurement_matrix,
     propagate_quaternion,
-    rotate_to_body,
+    velocity_coords,
 )
 
 __all__ = [
@@ -62,8 +72,7 @@ CSV_HEADER = (
 )
 
 
-@dataclass(frozen=True)
-class TruthEpoch:
+class TruthEpoch(NamedTuple):
     """True state at one sensor epoch.
 
     omega is the exact body rate at the epoch, kept alongside the
@@ -95,8 +104,7 @@ class RunConfig:
     noise: Optional[NoiseModel] = None
 
 
-@dataclass
-class LogRecord:
+class LogRecord(NamedTuple):
     t: float
     q_true: np.ndarray
     q_est: np.ndarray
@@ -114,19 +122,27 @@ def simulate_truth(scenario: AttitudeScenario) -> list[TruthEpoch]:
     Raises ValueError if the reference vector leaves the unit sphere.
     """
     epochs = scenario.epochs()
-    out = []
-    q = scenario.q0
-    for k in range(epochs):
-        t = k * scenario.sensor_dt
-        omega = np.asarray(scenario.omega_fn(t), dtype=float).reshape(3)
-        z_ref = np.asarray(scenario.ref_fn(t), dtype=float).reshape(3)
-        if abs(float(np.linalg.norm(z_ref)) - 1.0) > 1e-12:
-            raise ValueError(f"reference vector at t={t} is not unit length")
-        z = rotate_to_body(q, z_ref)
-        out.append(TruthEpoch(t=t, q=q, z_ref=z_ref, z=z, omega=omega))
-        if k + 1 < epochs:
-            q = propagate_quaternion(q, omega, scenario.sensor_dt)
-    return out
+    times = [k * scenario.sensor_dt for k in range(epochs)]
+    omega = _sampled(scenario.omega_fn, times)
+    z_ref = _sampled(scenario.ref_fn, times)
+    # Written as "not (|norm - 1| <= tol)" so that NaN fails too.
+    unit = np.abs(np.linalg.norm(z_ref, axis=1) - 1.0) <= 1e-12
+    if not unit.all():
+        raise ValueError(f"reference vector at t={times[int(unit.argmin())]} is not unit length")
+    quaternions = [scenario.q0] if epochs else []
+    for k in range(epochs - 1):
+        quaternions.append(propagate_quaternion(quaternions[k], omega[k], scenario.sensor_dt))
+    z = _to_body(np.array([q.as_vector() for q in quaternions]).reshape(epochs, 4), z_ref)
+    return list(map(TruthEpoch, times, quaternions, z_ref, z, omega))
+
+
+def _sampled(signal, times: list) -> np.ndarray:
+    # (N, 3) rows signal(t), each read as a 3-vector.
+    return np.array([np.asarray(signal(t), dtype=float).reshape(3) for t in times]).reshape(-1, 3)
+
+
+def _rows(truth: list[TruthEpoch], field: str) -> np.ndarray:
+    return np.array([getattr(epoch, field) for epoch in truth]).reshape(-1, 3)
 
 
 def _psd_sqrt(cov: np.ndarray) -> np.ndarray:
@@ -144,19 +160,23 @@ def _stream(seed: int, stream_id: int) -> np.random.Generator:
 
 def corrupt(
     truth: list[TruthEpoch], noise: NoiseModel
-) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """Measured (t, omega, z) per epoch with additive zero-mean Gaussian
-    noise, one draw per epoch per sensor, reproducible per seed."""
-    gyro_gen = _stream(noise.seed, 0)
-    vector_gen = _stream(noise.seed, 1)
-    gyro_sqrt = _psd_sqrt(noise.gyro_cov)
-    vector_sqrt = _psd_sqrt(noise.vector_cov)
-    out = []
-    for epoch in truth:
-        omega_meas = epoch.omega + gyro_sqrt.dot(gyro_gen.standard_normal(3))
-        z_meas = epoch.z + vector_sqrt.dot(vector_gen.standard_normal(3))
-        out.append((epoch.t, omega_meas, z_meas))
-    return out
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Measured (t, omega, z) of every epoch, as the epoch times (N,) and
+    the measured rates and vectors (N, 3), with additive zero-mean Gaussian
+    noise, one draw per epoch per sensor, reproducible per seed.
+
+    Each sensor's draws come as one (N, 3) block, which holds the same
+    numbers as N draws of 3; each row is scaled by its own product with
+    the covariance's square root.
+    """
+    count = len(truth)
+    draws = []
+    for stream_id, cov in enumerate((noise.gyro_cov, noise.vector_cov)):
+        sqrt = _psd_sqrt(cov)
+        block = _stream(noise.seed, stream_id).standard_normal((count, 3))
+        draws.append(np.array([sqrt.dot(row) for row in block]).reshape(count, 3))
+    times = np.array([epoch.t for epoch in truth])
+    return times, _rows(truth, "omega") + draws[0], _rows(truth, "z") + draws[1]
 
 
 def initial_observer_hessian(q_hat_0: Quaternion, scale: float) -> np.ndarray:
@@ -180,8 +200,7 @@ def initial_state(q_hat_0: Quaternion, scale: float) -> ObserverState:
     return init(BASIS, group_from_quaternion(q_hat_0), initial_observer_hessian(q_hat_0, scale))
 
 
-@dataclass(frozen=True)
-class ObservedEpoch:
+class ObservedEpoch(NamedTuple):
     """One sensor epoch as observe yields it: the observer state at the
     epoch, its estimate q_hat, the sample held over the next interval, the
     number of substeps spent on that interval, delta, the correction applied
@@ -209,32 +228,34 @@ def observe(config: RunConfig, trace: bool = False):
     """
     truth = simulate_truth(config.scenario)
     if config.noise is not None:
-        measured = corrupt(truth, config.noise)
+        _, omega_meas, z_meas = corrupt(truth, config.noise)
     else:
-        measured = [(e.t, e.omega, e.z) for e in truth]
+        omega_meas, z_meas = _rows(truth, "omega"), _rows(truth, "z")
+    # The state-free part of every sample, formed once per run.
+    U = velocity_coords(omega_meas)
+    C = measurement_matrix(z_meas, _rows(truth, "z_ref"))
+    U.flags.writeable = C.flags.writeable = False
+    cfg, gains, hold = config.filter, config.gains, config.scenario.sensor_dt
+    Ups = upsilon(BASIS, cfg.origin_xi)
+    last = len(truth) - 1
 
     state = initial_state(config.initial_estimate, config.initial_hessian_scale)
-    for k, (epoch, (_, omega_meas, z_meas)) in enumerate(zip(truth, measured)):
+    for k, epoch in enumerate(truth):
         records: list = []
         try:
             check_invariants(state)
-            q_hat = Quaternion.from_vector(state_estimate(state, config.filter))
-            sample = build_sample(
-                epoch.t, q_hat, state.X_hat, omega_meas, z_meas,
-                config.scenario, config.gains,
-            )
-            if k + 1 < len(truth):
-                end, substeps, delta = step(
-                    state, sample, config.filter, trace=records if trace else None,
-                )
+            estimate = state_estimate(state, cfg)
+            q_hat = Quaternion.from_vector(estimate)
+            sample = build_sample(estimate, state.X_hat, U[k], C[k], epoch.t + hold, gains)
+            if k < last:
+                end, substeps, delta = step(state, sample, cfg, trace=records if trace else None)
             else:
                 # Looked up through mef.filter, as step does, so that a
                 # patched correction_delta reaches this solve too.
                 end, substeps = state, 0
-                X_inv, origin = state.X_hat.inverse, config.filter.origin_xi
-                pull, damping = _filter.forcing_terms(X_inv, state.H, state.eta, sample, origin)
-                delta = _filter.correction_delta(BASIS, state.H, state.eta, upsilon(BASIS, origin),
-                                                 pull - damping)
+                pull, damping = _filter.forcing_terms(state.X_hat.inverse, state.H, state.eta,
+                                                      sample, cfg.origin_xi)
+                delta = _filter.correction_delta(BASIS, state.H, state.eta, Ups, pull - damping)
         except SingularPError as exc:
             raise SingularPError(f"epoch {k} (t={epoch.t:g} s): {exc}") from exc
         yield ObservedEpoch(epoch, state, q_hat, sample, delta, substeps, records)
@@ -251,26 +272,21 @@ def run(config: RunConfig) -> tuple[list[LogRecord], dict]:
     """
     records: list[LogRecord] = []
     substeps_prev = 0
-    for epoch in observe(config):
-        records.append(
-            LogRecord(
-                t=epoch.truth.t,
-                q_true=epoch.truth.q.as_vector(),
-                q_est=epoch.q_hat.as_vector(),
-                error_angle=attitude_error_angle(epoch.truth.q, epoch.q_hat),
-                delta_norm=float(np.linalg.norm(epoch.delta)),
-                opt_residual=optimality_residual(epoch.state, config.filter),
-                value_rate=value_rate(epoch.state, epoch.sample, epoch.delta, config.filter),
-                substeps=substeps_prev,
-            )
-        )
-        substeps_prev = epoch.substeps
+    cfg = config.filter
+    for truth, state, q_hat, sample, delta, substeps, _ in observe(config):
+        records.append(LogRecord(
+            truth.t, truth.q.as_vector(), q_hat.as_vector(), attitude_error_angle(truth.q, q_hat),
+            # sqrt(delta . delta) is how np.linalg.norm forms |delta|, bit for bit.
+            math.sqrt(delta.dot(delta)), optimality_residual(state, cfg),
+            value_rate(state, sample, delta, cfg), substeps_prev,
+        ))
+        substeps_prev = substeps
 
+    residuals = np.abs(np.array([r.opt_residual for r in records]).reshape(len(records),
+                                                                          BASIS.dim_algebra))
     summary = {
         "final_error_rad": records[-1].error_angle if records else float("nan"),
-        "max_opt_residual": max(
-            (float(np.abs(r.opt_residual).max()) for r in records), default=0.0
-        ),
+        "max_opt_residual": max(residuals.max(axis=1).tolist(), default=0.0),
         "total_substeps": sum(r.substeps for r in records),
     }
     return records, summary

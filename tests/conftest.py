@@ -11,11 +11,14 @@ from mef import (
     Quaternion,
     SignalSample,
     adjoint_coords,
+    build_sample,
     correction_delta,
     exp_group,
     forcing_terms,
     gradient_rate,
+    measurement_matrix,
     upsilon,
+    velocity_coords,
     wedge,
 )
 
@@ -69,6 +72,13 @@ def random_filter_instance(rng: np.random.Generator):
         U_coords=rng.standard_normal(3), C=C, y=y, B=B, Q=Q, R=R, valid_until=1.0
     )
     return state, sample
+
+
+def sample_from_measurements(t, q_hat, X_hat, omega, z, scenario, noise) -> SignalSample:
+    """build_sample at time t for the estimate q_hat and the measured rate
+    omega and vector z, with U_coords and C formed as observe forms them."""
+    return build_sample(q_hat.as_vector(), X_hat, velocity_coords(omega),
+                        measurement_matrix(z, scenario.ref_fn(t)), t + scenario.sensor_dt, noise)
 
 
 def correction_at(state, sample, cfg):

@@ -38,12 +38,19 @@ def row_statuses(captured: str) -> dict[str, str]:
             if line.endswith(("PASS", "FAIL"))}
 
 
+def fresh_process(code: str, cwd=None) -> subprocess.CompletedProcess:
+    """Run the Python source code in a new interpreter that imports mef
+    from this checkout's src."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                          capture_output=True, timeout=60)
+
+
 def test_importing_the_cli_leaves_scipy_unloaded():
     # simulate and sweep never need scipy; only check's KKT solve loads it.
     code = "import sys, mef.cli; sys.exit('scipy' in sys.modules)"
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    assert fresh_process(code).returncode == 0
 
 
 def test_check_leaves_scipy_sparse_unloaded(tmp_path):
@@ -52,12 +59,26 @@ def test_check_leaves_scipy_sparse_unloaded(tmp_path):
     # not the point here.
     code = ("import sys; from mef.cli import main; main(['check', '--dt', '5e-3']); "
             "sys.exit(('scipy.linalg' not in sys.modules) + 2 * ('scipy.sparse' in sys.modules))")
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
-                          capture_output=True, timeout=60)
+    proc = fresh_process(code, tmp_path)
     assert proc.returncode == 0
     assert b"gradient_agreement_rel" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate"],
+    ["sweep", "--param", "seed", "--values", "1,2", "--jobs", "1"],
+], ids=["simulate", "serial_sweep"])
+def test_no_pool_leaves_multiprocessing_unloaded(argv, tmp_path):
+    # Only a sweep with --jobs > 1 forks, and only it imports the pool. The
+    # script's exit code reports the command's own and the two modules.
+    argv = argv + ["--set", "scenario.duration=1"]
+    code = ("import sys; from mef.cli import main; "
+            f"rc = main({argv!r}); "
+            "sys.exit(rc + 2 * ('concurrent.futures' in sys.modules) "
+            "+ 4 * ('multiprocessing' in sys.modules))")
+    proc = fresh_process(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert list(tmp_path.glob("*.csv"))
 
 
 class TestSimulate:
@@ -441,6 +462,24 @@ class TestConfigBoundary:
         code = main(argv + ["--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.csv")) == []
+
+    @pytest.mark.parametrize("argv, key", [
+        *[pytest.param(["simulate", "--config", "noisy", "--set", f"{key}={value}"], key,
+                       id=f"{key}={value}")
+          for key, value in (("noise.gyro_sigma", "1e200"), ("noise.vector_sigma", "1e200"),
+                             ("noise.gyro_sigma", "1e-200"), ("noise.gyro_sigma", "1e-160"),
+                             ("noise.vector_sigma", "1e-160"))],
+        *[pytest.param(["check", "--set", f"{key}=1e200"], key, id=f"{key}=1e200")
+          for key in ("check.gyro_sigma_true", "check.vector_sigma_true")],
+    ])
+    def test_noise_sigma_without_finite_gains_names_its_key(self, argv, key, tmp_path, capsys):
+        # Squares that overflow, a gyro square with no finite inverse, and a
+        # vector square with no finite pseudo-inverse.
+        code = main(argv + ["--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: ")
         assert list(tmp_path.rglob("*.csv")) == []
 
     # init accepts rounding-level asymmetry at any scale (4e-10 at

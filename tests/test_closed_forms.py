@@ -24,7 +24,6 @@ from mef import (
     SignalSample,
     SingularPError,
     adjoint_coords,
-    build_sample,
     exp_group,
     group_from_quaternion,
     quaternion_wedge,
@@ -33,11 +32,11 @@ from mef import (
     vee,
 )
 from mef.cli import EXIT_SINGULAR, main
-from mef.filter import _symmetric
+from mef.filter import _symmetric_scale
 from mef.liegroup import _exp_series, _quaternion_exp
 from mef.quaternion import R_PINV_CUTOFF, AttitudeScenario, _mul
 
-from conftest import correction_at
+from conftest import correction_at, sample_from_measurements
 
 coord = st.floats(-6.0, 6.0, allow_nan=False)
 vec3 = arrays(float, 3, elements=coord)
@@ -123,8 +122,8 @@ class TestOutputGain:
         noise = NoiseModel(gyro_cov=np.eye(3), vector_cov=V)
         scenario = AttitudeScenario(omega_fn=None, ref_fn=lambda t: np.array([0.0, 0.0, 1.0]),
                                     q0=Quaternion(1.0, np.zeros(3)), duration=1.0, sensor_dt=0.1)
-        sample = build_sample(0.0, q_hat, group_from_quaternion(q_hat), np.zeros(3),
-                              [0.0, 0.0, 1.0], scenario, noise)
+        sample = sample_from_measurements(0.0, q_hat, group_from_quaternion(q_hat), np.zeros(3),
+                                          [0.0, 0.0, 1.0], scenario, noise)
         J = upsilon_bar(BASIS, q_hat.as_vector())
         expected = np.linalg.pinv(J @ V @ J.T, rcond=R_PINV_CUTOFF)
         scale = max(1.0, float(np.abs(expected).max()))
@@ -220,11 +219,11 @@ class TestSymmetryCheck:
         S = A + A.T
         S[0, 1] += skew_scale * S[0, 1] + skew_scale * 1e-6
         atol = tol * max(1.0, float(np.abs(S).max()))
-        assert _symmetric(S, tol) == np.allclose(S, S.T, atol=atol)
+        assert (_symmetric_scale(S, tol) is not None) == np.allclose(S, S.T, atol=atol)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_entries_fail(self):
         for bad in (np.nan, np.inf):
             S = np.eye(3)
             S[1, 1] = bad
-            assert not _symmetric(S, 1e-12)
+            assert _symmetric_scale(S, 1e-12) is None

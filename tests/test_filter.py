@@ -27,7 +27,6 @@ from mef import (
     SignalSample,
     SingularPError,
     attitude_error_angle,
-    build_sample,
     exp_group,
     group_from_quaternion,
     hessian_rate,
@@ -55,6 +54,7 @@ from conftest import (
     random_group_element,
     random_unit_quaternion,
     random_unit_vector,
+    sample_from_measurements,
 )
 
 CFG = FilterConfig(origin_xi=XI_ORIGIN)
@@ -114,7 +114,7 @@ def consistent_sample(q: Quaternion, omega, t: float = 0.0) -> SignalSample:
             1 - 2 * (q.q_v[0] ** 2 + q.q_v[1] ** 2),
         ]
     )
-    return build_sample(
+    return sample_from_measurements(
         t, q, group_from_quaternion(q), np.asarray(omega, dtype=float), z,
         scenario, gains,
     )
@@ -513,7 +513,8 @@ class TestLongHorizon:
         for k in range(2000):
             check_invariants(state)
             estimate = Quaternion.from_vector(state_estimate(state, cfg))
-            sample = build_sample(state.t, estimate, state.X_hat, omega, z, scenario, gains)
+            sample = sample_from_measurements(state.t, estimate, state.X_hat, omega, z, scenario,
+                                              gains)
             state, substeps, _ = step(state, sample, cfg)
             total += substeps
         assert total >= 100_000

@@ -28,7 +28,6 @@ from mef import (
     ObserverState,
     Quaternion,
     SignalSample,
-    build_sample,
     exp_group,
     group_from_quaternion,
     observe,
@@ -40,7 +39,7 @@ import mef.filter
 from mef.config import build_check_config, build_run_config, read_config_source
 from mef.filter import TIME_SNAP
 
-from conftest import make_rng, random_filter_instance
+from conftest import make_rng, random_filter_instance, sample_from_measurements
 
 
 def transcribed_step(state, sample, cfg):
@@ -253,8 +252,9 @@ SCENARIO = AttitudeScenario(omega_fn=lambda t: np.zeros(3), ref_fn=lambda t: np.
 
 
 def sample_for(noise: NoiseModel, q_hat: Quaternion = SCENARIO.q0) -> SignalSample:
-    return build_sample(0.0, q_hat, group_from_quaternion(q_hat), np.array([0.1, -0.2, 0.3]),
-                        np.array([0.0, 0.1, 0.99]), SCENARIO, noise)
+    return sample_from_measurements(0.0, q_hat, group_from_quaternion(q_hat),
+                                    np.array([0.1, -0.2, 0.3]), np.array([0.0, 0.1, 0.99]),
+                                    SCENARIO, noise)
 
 
 class TestVelocityGainChecks:

@@ -23,7 +23,7 @@ from mef import (
     vee,
     wedge,
 )
-from mef.liegroup import _exp_series
+from mef.liegroup import VEE_TOLERANCE, _exp_series
 
 
 def skew(v):
@@ -170,6 +170,23 @@ class TestWedgeVee:
                 vee(BASIS, A)
             with pytest.raises(NotInAlgebraError):
                 vee(BASIS, np.stack([np.zeros((4, 4)), A]))
+
+    def test_vee_tolerance_is_per_matrix_and_relative_to_its_norm(self):
+        """Each matrix passes when its residual is within VEE_TOLERANCE of
+        max(1, ||A||): the projection's quick pass on the summed residual
+        of a stack must neither refuse a stack whose matrices each pass
+        nor accept one whose matrix does not."""
+        # I / 2 has unit norm and is orthogonal to the skew generators.
+        off = 0.5 * np.eye(4)
+        W = wedge(BASIS, [0.3, -0.2, 0.6])
+        near = np.stack([W + 0.8 * VEE_TOLERANCE * off] * 2)
+        np.testing.assert_array_equal(vee(BASIS, near), np.stack([vee(BASIS, A) for A in near]))
+        large = 1e6 * W / np.linalg.norm(W)
+        vee(BASIS, large + 0.5e6 * VEE_TOLERANCE * off)
+        with pytest.raises(NotInAlgebraError, match=r"residual 2\.000e-02"):
+            vee(BASIS, np.stack([large, large + 2e6 * VEE_TOLERANCE * off]))
+        with pytest.raises(NotInAlgebraError):
+            vee(BASIS, W + 1.5 * VEE_TOLERANCE * off)
 
     def test_vee_of_a_stack_is_the_stack_of_vees(self):
         rng = make_rng(119)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import make_rng, random_unit_quaternion, random_unit_vector
+from conftest import (make_rng, random_unit_quaternion, random_unit_vector,
+                      sample_from_measurements)
 from mef import (
     BASIS,
     XI_ORIGIN,
@@ -13,7 +14,6 @@ from mef import (
     Quaternion,
     adjoint_coords,
     attitude_error_angle,
-    build_sample,
     group_from_quaternion,
     measurement_matrix,
     propagate_quaternion,
@@ -226,7 +226,7 @@ class TestOutputJacobian:
 class TestBuildSample:
     def test_velocity_gain_inverse_quarters_covariance(self):
         noise = NoiseModel(gyro_cov=0.01 ** 2 * np.eye(3), vector_cov=np.eye(3))
-        sample = build_sample(
+        sample = sample_from_measurements(
             0.0, Quaternion(1.0, np.zeros(3)), GroupElement.identity(4),
             np.zeros(3), [0.0, 0.0, 1.0], scenario_stub(), noise,
         )
@@ -237,7 +237,7 @@ class TestBuildSample:
     def test_output_gain_at_identity_estimate(self):
         sigma = 0.7
         noise = NoiseModel(gyro_cov=np.eye(3), vector_cov=sigma ** 2 * np.eye(3))
-        sample = build_sample(
+        sample = sample_from_measurements(
             0.0, Quaternion(1.0, np.zeros(3)), GroupElement.identity(4),
             np.zeros(3), [0.0, 0.0, 1.0], scenario_stub(), noise,
         )
@@ -246,7 +246,7 @@ class TestBuildSample:
 
     def test_identity_observer_input_map(self):
         noise = NoiseModel(gyro_cov=np.eye(3), vector_cov=np.eye(3))
-        sample = build_sample(
+        sample = sample_from_measurements(
             0.0, Quaternion(1.0, np.zeros(3)), GroupElement.identity(4),
             np.zeros(3), [0.0, 0.0, 1.0], scenario_stub(), noise,
         )
@@ -258,7 +258,7 @@ class TestBuildSample:
         for _ in range(20):
             X = group_from_quaternion(random_unit_quaternion(rng))
             q_hat = Quaternion.from_vector(X.apply_inverse(XI_ORIGIN))
-            sample = build_sample(
+            sample = sample_from_measurements(
                 0.0, q_hat, X, np.zeros(3), [0.0, 0.0, 1.0], scenario_stub(), noise,
             )
             assert np.linalg.matrix_rank(sample.B, tol=1e-10) == 3
@@ -272,7 +272,7 @@ class TestBuildSample:
         A = rng.standard_normal((3, 3))
         noise = NoiseModel(gyro_cov=np.eye(3), vector_cov=A @ A.T + 0.1 * np.eye(3))
         q_hat = random_unit_quaternion(rng)
-        sample = build_sample(
+        sample = sample_from_measurements(
             0.0, q_hat, group_from_quaternion(q_hat),
             np.zeros(3), [0.0, 0.0, 1.0], scenario_stub(), noise,
         )
@@ -283,7 +283,7 @@ class TestBuildSample:
 
     def test_measurement_target_is_zero(self):
         noise = NoiseModel(gyro_cov=np.eye(3), vector_cov=np.eye(3))
-        sample = build_sample(
+        sample = sample_from_measurements(
             0.0, Quaternion(1.0, np.zeros(3)), GroupElement.identity(4),
             np.zeros(3), [0.0, 0.0, 1.0], scenario_stub(), noise,
         )

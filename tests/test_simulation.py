@@ -1,10 +1,15 @@
 """Experiment runner: truth propagation, seeded corruption, end-to-end
-runs, and the CSV log format."""
+runs, and the CSV log format; and the run-wide arrays of the epoch
+pipeline against a transcription of the per-epoch construction they
+replace."""
 
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mef import (
     BASIS,
@@ -20,16 +25,20 @@ from mef import (
     attitude_error_angle,
     corrupt,
     initial_observer_hessian,
+    measurement_matrix,
     observe,
     quat_product,
     rotate_to_body,
     run,
     simulate_truth,
     upsilon,
+    upsilon_bar,
+    value_rate,
     write_csv,
 )
 import mef.filter
-from mef.simulation import TruthEpoch, _fmt
+from mef.config import build_run_config, read_config_source
+from mef.simulation import TruthEpoch, _fmt, _psd_sqrt, _stream
 
 from conftest import correction_at, make_rng, random_unit_quaternion
 
@@ -116,6 +125,16 @@ class TestSimulateTruth:
             simulate_truth(scenario)
 
 
+    def test_rejects_nan_reference_at_its_epoch(self):
+        scenario = AttitudeScenario(
+            omega_fn=lambda t: np.zeros(3),
+            ref_fn=lambda t: np.array([np.nan if t >= 0.5 else 0.0, 0.0, 1.0]),
+            q0=Quaternion(1.0, np.zeros(3)), duration=1.0, sensor_dt=0.1,
+        )
+        with pytest.raises(ValueError, match=r"reference vector at t=0\.5 is not unit length"):
+            simulate_truth(scenario)
+
+
 class TestCorrupt:
     def fabricated_truth(self, count: int) -> list:
         epoch = TruthEpoch(
@@ -129,7 +148,7 @@ class TestCorrupt:
         truth = simulate_truth(canonical_scenario(duration=1.0))
         noise = NoiseModel(gyro_cov=np.zeros((3, 3)),
                            vector_cov=np.zeros((3, 3)), seed=5)
-        for (t, omega, z), epoch in zip(corrupt(truth, noise), truth):
+        for t, omega, z, epoch in zip(*corrupt(truth, noise), truth):
             assert t == epoch.t
             np.testing.assert_array_equal(omega, epoch.omega)
             np.testing.assert_array_equal(z, epoch.z)
@@ -139,7 +158,7 @@ class TestCorrupt:
         noise = canonical_gains(seed=9)
         first = corrupt(truth, noise)
         second = corrupt(truth, noise)
-        for (_, om_a, z_a), (_, om_b, z_b) in zip(first, second):
+        for om_a, z_a, om_b, z_b in zip(*first[1:], *second[1:]):
             np.testing.assert_array_equal(om_a, om_b)
             np.testing.assert_array_equal(z_a, z_b)
 
@@ -148,7 +167,7 @@ class TestCorrupt:
         first = corrupt(truth, canonical_gains(seed=1))
         second = corrupt(truth, canonical_gains(seed=2))
         assert any(
-            not np.array_equal(a[1], b[1]) for a, b in zip(first, second)
+            not np.array_equal(a, b) for a, b in zip(first[1], second[1])
         )
 
     def test_vector_noise_does_not_shift_gyro_stream(self):
@@ -159,8 +178,7 @@ class TestCorrupt:
                            vector_cov=np.zeros((3, 3)), seed=4)
         loud = NoiseModel(gyro_cov=0.01 ** 2 * np.eye(3),
                           vector_cov=np.eye(3), seed=4)
-        for (_, om_a, _), (_, om_b, _) in zip(corrupt(truth, quiet),
-                                              corrupt(truth, loud)):
+        for om_a, om_b in zip(corrupt(truth, quiet)[1], corrupt(truth, loud)[1]):
             np.testing.assert_array_equal(om_a, om_b)
 
     def test_gyro_noise_variance_matches_covariance(self):
@@ -168,7 +186,7 @@ class TestCorrupt:
         sigma2 = 0.01 ** 2
         noise = NoiseModel(gyro_cov=sigma2 * np.eye(3),
                            vector_cov=np.zeros((3, 3)), seed=12)
-        draws = np.array([om for _, om, _ in corrupt(truth, noise)])
+        draws = corrupt(truth, noise)[1]
         for axis in range(3):
             var = float(np.var(draws[:, axis]))
             assert abs(var - sigma2) <= 0.05 * sigma2
@@ -323,3 +341,114 @@ class TestWriteCsv:
         path = str(tmp_path / "out.csv")
         write_csv(self.sample_records(), path)
         assert sorted(os.listdir(tmp_path)) == ["out.csv"]
+
+
+def per_epoch_product(a_r, a_v, b_r, b_v):
+    # The scalar Hamilton product the per-epoch pipeline used.
+    a1, a2, a3 = a_v.tolist()
+    b1, b2, b3 = b_v.tolist()
+    r = a_r * b_r - (a1 * b1 + a2 * b2 + a3 * b3)
+    return r, np.array([a_r * b1 + b_r * a1 + (a2 * b3 - a3 * b2),
+                        a_r * b2 + b_r * a2 + (a3 * b1 - a1 * b3),
+                        a_r * b3 + b_r * a3 + (a1 * b2 - a2 * b1)])
+
+
+def per_epoch_measurement_matrix(z, z_ref):
+    C = np.zeros((4, 4))
+    C[0, 1:] = z_ref - z
+    C[1:, 0] = z - z_ref
+    v = z + z_ref
+    C[1:, 1:] = -np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+    return C
+
+
+def per_epoch_measurements(scenario, noise):
+    """(t, q, omega_meas, z_meas, z_ref) of every epoch, formed epoch by
+    epoch with one draw of 3 per sensor, as corrupt and simulate_truth
+    formed them before they worked on whole runs."""
+    gyro_gen, vector_gen = _stream(noise.seed, 0), _stream(noise.seed, 1)
+    gyro_sqrt, vector_sqrt = _psd_sqrt(noise.gyro_cov), _psd_sqrt(noise.vector_cov)
+    q, out = scenario.q0, []
+    for k in range(scenario.epochs()):
+        t = k * scenario.sensor_dt
+        omega = np.asarray(scenario.omega_fn(t), dtype=float).reshape(3)
+        z_ref = np.asarray(scenario.ref_fn(t), dtype=float).reshape(3)
+        r1, v1 = per_epoch_product(q.q_r, -q.q_v, 0.0, z_ref)
+        z = per_epoch_product(r1, v1, q.q_r, q.q_v)[1]
+        out.append((t, q, omega + gyro_sqrt.dot(gyro_gen.standard_normal(3)),
+                    z + vector_sqrt.dot(vector_gen.standard_normal(3)), z_ref))
+        mat = BASIS.closed_form_exp(-scenario.sensor_dt * (omega / 2.0))
+        q = Quaternion.from_vector(mat.dot(q.as_vector()))
+    return out
+
+
+def per_epoch_log_row(t, q, epoch, substeps, cfg) -> np.ndarray:
+    r, v = per_epoch_product(q.q_r, -q.q_v, epoch.q_hat.q_r, epoch.q_hat.q_v)
+    error = float(2.0 * np.arctan2(float(np.linalg.norm(v)), abs(r)))
+    opt = upsilon(BASIS, cfg.origin_xi).T.dot(epoch.state.eta)
+    rate = value_rate(epoch.state, epoch.sample, epoch.delta, cfg)
+    return np.array([t, *q.as_vector(), *epoch.q_hat.as_vector(), error,
+                     float(np.linalg.norm(epoch.delta)), *opt, rate, substeps])
+
+
+class TestEpochTranscription:
+    """The pipeline forms the measurements, U and C once per run on (N, .)
+    arrays, draws each sensor's noise as one block, and builds each log row
+    from shared terms. Every sample and log row must keep the bits of the
+    per-epoch construction it replaced, transcribed above."""
+
+    @pytest.fixture(scope="class")
+    def noisy_run(self):
+        raw, _ = read_config_source("noisy")
+        config = build_run_config(raw | {"seed": "3", "scenario.duration": "6.0"})
+        return config, list(observe(config)), run(config)[0]
+
+    def test_samples_are_bit_identical(self, noisy_run):
+        config, epochs, _ = noisy_run
+        expected = per_epoch_measurements(config.scenario, config.noise)
+        assert len(epochs) == len(expected) == 61
+        Ups_origin = upsilon(BASIS, XI_ORIGIN)
+        pinv = config.gains.vector_cov_pinv
+        for epoch, (t, q, omega, z, z_ref) in zip(epochs, expected):
+            X = epoch.state.X_hat
+            coords = BASIS._flat_pinv @ (X.matrix @ BASIS.generators @ X.inverse).reshape(3, 16).T
+            q_hat = epoch.q_hat
+            J = upsilon_bar(BASIS, q_hat.as_vector())
+            norm2 = q_hat.q_r ** 2 + float(q_hat.q_v.dot(q_hat.q_v))
+            sample = epoch.sample
+            assert epoch.truth.t == t and sample.valid_until == t + config.scenario.sensor_dt
+            assert epoch.truth.q.as_vector().tobytes() == q.as_vector().tobytes()
+            assert sample.U_coords.tobytes() == (omega / 2.0).tobytes()
+            assert sample.C.tobytes() == per_epoch_measurement_matrix(z, z_ref).tobytes()
+            assert sample.B.tobytes() == Ups_origin.dot(coords).tobytes()
+            assert sample.R.tobytes() == (J.dot(pinv).dot(J.T) / (norm2 * norm2)).tobytes()
+
+    def test_log_rows_are_bit_identical(self, noisy_run):
+        config, epochs, records = noisy_run
+        substeps = [0] + [epoch.substeps for epoch in epochs[:-1]]
+        for record, epoch, (t, q, *_), n in zip(
+                records, epochs, per_epoch_measurements(config.scenario, config.noise), substeps):
+            row = np.array([record.t, *record.q_true, *record.q_est, record.error_angle,
+                            record.delta_norm, *record.opt_residual, record.value_rate,
+                            record.substeps])
+            assert row.tobytes() == per_epoch_log_row(t, q, epoch, n, config.filter).tobytes()
+
+    @given(arrays(float, (5, 2, 3),
+                  elements=st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-2.0, 2.0)))
+    def test_stacked_output_matrices_are_the_single_ones(self, pairs):
+        """measurement_matrix of (N, 3) stacks is, row by row, the matrix of
+        each pair, and both have the bits of the per-epoch construction
+        (the -0.0 diagonal of -skew included)."""
+        z, z_ref = pairs[:, 0], pairs[:, 1]
+        stacked = measurement_matrix(z, z_ref)
+        assert stacked.shape == (5, 4, 4)
+        for C, z_k, z_ref_k in zip(stacked, z, z_ref):
+            assert C.tobytes() == measurement_matrix(z_k, z_ref_k).tobytes()
+            assert C.tobytes() == per_epoch_measurement_matrix(z_k, z_ref_k).tobytes()
+
+    @pytest.mark.parametrize("stream_id", [0, 1])
+    def test_a_block_draw_is_the_per_epoch_draws(self, stream_id):
+        block = _stream(11, stream_id).standard_normal((1001, 3))
+        generator = _stream(11, stream_id)
+        rows = np.array([generator.standard_normal(3) for _ in range(1001)])
+        assert block.tobytes() == rows.tobytes()

@@ -17,7 +17,9 @@ from their own ``src``:
   ``--set observer.hessian_scale=1e3``, whose state overflows at epoch 10,
   and ``check --set check.hessian_scale=0``, whose P is zero at epoch 0;
 - ``mef sweep`` over the ``noisy`` preset's seeds 3 and 0 with
-  ``--jobs 2``, so that both runs are made in forked pool workers.
+  ``--jobs 2``, so that both runs are made in forked pool workers, and
+  with ``--jobs 1``, so that both are made in the sweep's own process,
+  which never imports the pool.
 
 For each command the exit code, stdout, stderr and the CSV bytes are
 compared, with the command's output directory written as ``OUT`` in
@@ -55,7 +57,8 @@ COMMANDS = (
        ["simulate", "--config", "noisy", "--seed", "43"],
        ["simulate", "--set", "observer.hessian_scale=1e3"],
        ["check", "--set", "check.hessian_scale=0"],
-       ["sweep", "--config", "noisy", "--param", "seed", "--values", "3,0", "--jobs", "2"]]
+       ["sweep", "--config", "noisy", "--param", "seed", "--values", "3,0", "--jobs", "2"],
+       ["sweep", "--config", "noisy", "--param", "seed", "--values", "3,0", "--jobs", "1"]]
 )
 IGNORED_PREFIXES = ("wall_time_s:",)
 NUMBER_LINE = re.compile(r"^([\w.]+): ([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)(?:\s|$)")
