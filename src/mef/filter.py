@@ -6,7 +6,11 @@ Hessian H of the induced value function at the origin, and its gradient
 eta. The correction direction is obtained at every substep by solving a
 small d x d linear system by LU; with that choice the tangential part of
 eta is invariant under the exact flow, so its drift is a direct measure of
-integration error.
+integration error. The solve, and the eigenvalue test of R and H_0, call
+the LAPACK gufunc behind np.linalg.solve and np.linalg.eigvalsh directly,
+under the error state those wrappers set: the same bits and errors,
+without the wrappers' checks and conversions, which take nearly half of
+np.linalg.solve's time on a 3 x 3.
 
 step walks an interval on plain arrays: X_hat's matrix X, its inverse
 X_inv, H and eta. It builds one ObserverState per interval, at the end,
@@ -18,7 +22,9 @@ gradient_rate(H, eta, Delta, pull, damping, origin). step computes each
 term they share once and passes it on: Upsilon at the origin, memoized
 on the basis and the origin's value, so once per run; per substep, the
 forcing terms (output pull and noise damping), wedge(delta), and one
-product of the raw group matrices, checked once for finiteness. The correction solve keeps its residual guard every substep.
+product of the raw group matrices, checked once for finiteness. The
+correction solve keeps its residual guard every substep, and a step cap
+that leaves no step (|delta|^2 overflows) raises.
 Every SignalSample checks all of its inputs; the check and inverse of its
 velocity gain Q are memoized on Q's value, so the samples of a run, which
 share one Q, check and invert it once; one |R| serves both of R's checks.
@@ -44,9 +50,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
-from .liegroup import (GeneratorBasis, GroupElement, _element, _finite, exp_group, upsilon,
-                       upsilon_bar, wedge)
+from .liegroup import GeneratorBasis, GroupElement, _element, _finite, exp_group, upsilon, wedge
 
 __all__ = [
     "ObserverState",
@@ -183,8 +189,32 @@ def _check_psd(A: np.ndarray, name: str) -> None:
     scale = _symmetric_scale(A, 1e-10)
     if scale is None:
         raise ValueError(f"{name} must be symmetric")
-    if A.shape[0] > 0 and float(np.linalg.eigvalsh(A)[0]) < -1e-10 * scale:
+    if A.shape[0] > 0 and float(_eigvalsh(A)[0]) < -1e-10 * scale:
         raise ValueError(f"{name} must be positive semidefinite")
+
+
+# The LAPACK gufuncs behind np.linalg.solve(P, rhs), rhs a vector, and
+# np.linalg.eigvalsh(A), called under the error state those wrappers set, so
+# the bits and the LinAlgErrors are the same; the wrappers' checks and
+# conversions, which square float64 operands do not need, are left out.
+def _solve(P: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    with np.errstate(call=_singular_matrix, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        return _umath_linalg.solve1(P, rhs, signature="dd->d")
+
+
+def _eigvalsh(A: np.ndarray) -> np.ndarray:
+    with np.errstate(call=_eigenvalues_did_not_converge, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        return _umath_linalg.eigvalsh_lo(A, signature="d->d")
+
+
+def _singular_matrix(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
+def _eigenvalues_did_not_converge(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
 
 
 def _symmetric_scale(A: np.ndarray, tol: float) -> Optional[float]:
@@ -321,19 +351,22 @@ def correction_delta(basis: GeneratorBasis, H: np.ndarray, eta: np.ndarray,
 
     Ups = upsilon(basis, origin_xi) and forcing = pull - damping from
     forcing_terms. P = Ups^T H Ups + Ups^T UpsilonBar(eta). The solve is an
-    LU factorization (np.linalg.solve). An exactly singular P, or a
-    relative residual |P delta - rhs| / |rhs| above P_SOLVE_TOLERANCE,
-    raises SingularPError. A zero right-hand side gives delta = 0 for any P.
+    LU factorization, np.linalg.solve's LAPACK call without its wrapper
+    (_solve). An exactly singular P, or a relative residual
+    |P delta - rhs| / |rhs| above P_SOLVE_TOLERANCE, raises SingularPError.
+    A zero right-hand side gives delta = 0 for any P.
     """
     Ups_T = Ups.T
-    P = Ups_T.dot(H).dot(Ups) + Ups_T.dot(upsilon_bar(basis, eta))
+    # upsilon_bar(basis, eta)'s product, without its check of the point.
+    Ups_bar = eta.dot(basis._bar).reshape(basis.dim_embedding, basis.dim_algebra)
+    P = Ups_T.dot(H).dot(Ups) + Ups_T.dot(Ups_bar)
     rhs = Ups_T.dot(forcing)
     rhs_norm = math.sqrt(rhs.dot(rhs))
     if rhs_norm == 0.0:
         return np.zeros(basis.dim_algebra)
     try:
-        delta = np.linalg.solve(P, rhs)
-    except np.linalg.LinAlgError:
+        delta = _solve(P, rhs)
+    except LinAlgError:
         raise SingularPError(
             f"correction solve residual inf exceeds {P_SOLVE_TOLERANCE:.3e} "
             "(P is singular)"
@@ -401,6 +434,8 @@ def step(
     basis = state.basis
     origin, dt_max, cap, U = cfg.origin_xi, cfg.dt_max, cfg.delta_step_cap, sample.U_coords
     Ups = _origin_action(basis, origin)
+    # wedge(basis, delta) is delta.dot(flat_T) reshaped, as wedge forms it.
+    flat_T, m = basis._flat.T, basis.dim_embedding
     # The substeps carry raw arrays; X_hat is wrapped once, at the end.
     orthogonal = basis.orthogonal and state.X_hat.orthogonal
     X, X_inv = state.X_hat.matrix, state.X_hat.inverse
@@ -421,7 +456,14 @@ def step(
         dt = remaining if remaining < dt_max else dt_max
         if delta_norm > 0.0 and cap / delta_norm < dt:
             dt = cap / delta_norm
-        Delta = wedge(basis, delta)
+            # A finite delta whose squared norm overflows gives dt = 0, and t
+            # would never advance; a non-finite one fails exp_group below.
+            if not dt > 0.0 and _all_finite(delta):
+                raise SingularPError(
+                    "correction norm overflows (|delta|^2 = inf), so the substep "
+                    "would not advance"
+                )
+        Delta = delta.dot(flat_T).reshape(m, m)
         H_dot = hessian_rate(X_inv, H, sample, Delta)
         eta_dot = gradient_rate(H, eta, Delta, pull, damping, origin)
         if dt != exp_dt:
@@ -435,7 +477,8 @@ def step(
         X = X_next
         X_inv = X.T if orthogonal else np.linalg.inv(X)
         H_new = H + dt * H_dot
-        H = 0.5 * (H_new + H_new.T)
+        H = H_new + H_new.T
+        H *= 0.5
         eta = eta + dt * eta_dot
         t = t_stop if dt >= remaining else t + dt
     end = ObserverState(X_hat=_element(X, orthogonal), H=H, eta=eta, t=t, basis=basis)

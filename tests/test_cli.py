@@ -184,6 +184,17 @@ class TestCheck:
         assert "singular correction solve: epoch 0 (t=0 s)" in err
         assert "(P is singular)" in err
 
+    def test_overflowing_correction_norm_exits_3(self, tmp_path):
+        # |delta|^2 overflows at the first substep, and the step cap
+        # delta_step_cap / |delta| is then 0. Run in a fresh process, whose
+        # timeout fails the test if the substep loop does not end.
+        code = ("import sys; from mef.cli import main; "
+                "sys.exit(main(['check', '--set', 'check.vector_sigma_true=1e150']))")
+        proc = fresh_process(code, tmp_path)
+        assert proc.returncode == EXIT_SINGULAR
+        assert (b"singular correction solve: epoch 0 (t=0 s): correction norm overflows"
+                in proc.stderr)
+
     def test_sabotaged_correction_fails_critical_point(self, monkeypatch, capsys):
         real = mef.filter.correction_delta
         monkeypatch.setattr(mef.filter, "correction_delta", lambda *args: -real(*args))

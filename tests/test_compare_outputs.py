@@ -1,4 +1,5 @@
-"""tools/compare_outputs.py prints what differs between two stdouts."""
+"""tools/compare_outputs.py prints what differs between two stdouts, and
+reports a command that runs past its timeout as a timeout."""
 
 import importlib.util
 import os
@@ -23,3 +24,12 @@ def test_prints_each_differing_line_pair_with_the_relative_difference(capsys):
         "    here:  ",
         "    there: x",
     ]
+
+
+def test_a_command_past_its_timeout_is_reported_as_a_timeout(tmp_path, monkeypatch):
+    # A tree whose mef.cli never returns.
+    (tmp_path / "src" / "mef").mkdir(parents=True)
+    (tmp_path / "src" / "mef" / "__init__.py").write_text("")
+    (tmp_path / "src" / "mef" / "cli.py").write_text("import time\ntime.sleep(60)\n")
+    monkeypatch.setattr(compare_outputs, "TIMEOUT_S", 0.5)
+    assert compare_outputs.run(tmp_path, ["check"], tmp_path / "out") == ("timeout", "", "", {})

@@ -5,13 +5,15 @@ exponential of the velocity that step forms once per step size, and the
 checks of the one sample constructor, which every sample build_sample
 assembles passes through: the velocity-gain checks, memoized on the gain's
 value so that a run makes them once, and the output-gain checks. Last, the
-one assumption
-that lets the kernel write its products with ndarray.dot: it gives the bits
-of @ on every operand form the kernel uses."""
+two assumptions that let the kernel skip numpy's wrappers: ndarray.dot gives
+the bits of @ on every operand form the kernel uses, and the LAPACK calls
+behind np.linalg.solve and np.linalg.eigvalsh, made directly, give their
+bits and their errors."""
 
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,10 +36,11 @@ from mef import (
     quaternion_basis,
     run,
     step,
+    upsilon,
 )
 import mef.filter
 from mef.config import build_check_config, build_run_config, read_config_source
-from mef.filter import TIME_SNAP
+from mef.filter import TIME_SNAP, SingularPError, _eigvalsh, _solve, correction_delta
 
 from conftest import make_rng, random_filter_instance, sample_from_measurements
 
@@ -353,3 +356,58 @@ class TestDotIsMatmul:
             by_dot = by_dot.dot(operand)
         assert np.shape(by_dot) == np.shape(by_matmul)
         assert np.asarray(by_dot).tobytes() == np.asarray(by_matmul).tobytes()
+
+
+well_conditioned = arrays(float, (3, 3), elements=st.floats(-1.0, 1.0)).map(
+    lambda A: A + 4.0 * np.eye(3))
+symmetric = arrays(float, (4, 4), elements=st.floats(-1e3, 1e3)).map(lambda A: A + A.T)
+
+
+def outcome(func, *args):
+    """The result's bytes, or the type and message of what func raised;
+    a warning raises too."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return func(*args).tobytes()
+        except Exception as exc:
+            return type(exc), str(exc)
+
+
+class TestDirectLapack:
+    @given(well_conditioned, arrays(float, 3, elements=st.floats(-1e3, 1e3)))
+    def test_solve_gives_the_bits_of_np_linalg_solve(self, P, rhs):
+        assert _solve(P, rhs).tobytes() == np.linalg.solve(P, rhs).tobytes()
+
+    @given(symmetric, arrays(float, (4, 4), elements=st.floats(-1e-9, 1e-9)))
+    def test_eigvalsh_gives_the_bits_of_np_linalg_eigvalsh(self, A, skew):
+        # An upper triangle off by less than R's symmetry tolerance: only the
+        # lower one is read, as np.linalg.eigvalsh reads it.
+        A = A + np.triu(skew, 1)
+        assert _eigvalsh(A).tobytes() == np.linalg.eigvalsh(A).tobytes()
+
+    @pytest.mark.parametrize("P", [np.zeros((3, 3)), np.diag([np.inf, 1.0, 1.0]),
+                                   np.full((3, 3), np.inf), np.diag([np.nan, 1.0, 1.0])],
+                             ids=["zero", "inf_entry", "all_inf", "nan_entry"])
+    def test_solve_fails_as_np_linalg_solve_fails(self, P):
+        rhs = np.array([1.0, -2.0, 0.5])
+        assert outcome(_solve, P, rhs) == outcome(np.linalg.solve, P, rhs)
+
+    @pytest.mark.parametrize("A", [np.zeros((4, 4)), np.diag([np.inf, 1.0, 1.0, 1.0]),
+                                   np.diag([np.nan, 1.0, 1.0, 1.0]), np.full((4, 4), np.nan)],
+                             ids=["zero", "inf_entry", "nan_entry", "all_nan"])
+    def test_eigvalsh_fails_as_np_linalg_eigvalsh_fails(self, A):
+        assert outcome(_eigvalsh, A) == outcome(np.linalg.eigvalsh, A)
+
+    @pytest.mark.parametrize("H, message", [
+        (np.zeros((4, 4)), "correction solve residual inf exceeds 1.000e-08 (P is singular)"),
+        (np.full((4, 4), np.nan), "correction solve residual nan exceeds 1.000e-08"),
+    ], ids=["zero_P", "nan_P"])
+    def test_a_failed_correction_solve_keeps_its_message(self, H, message):
+        """correction_delta with eta = 0, so P = Ups^T H Ups: a zero P is
+        singular, a NaN P leaves a NaN residual, and neither warns. An
+        infinite P is covered at the solve only: the products that form P
+        warn on an infinite operand first."""
+        forcing = np.array([0.0, 1.0, -2.0, 0.5])
+        assert outcome(correction_delta, quaternion_basis(), H, np.zeros(4),
+                       upsilon(quaternion_basis(), XI_ORIGIN), forcing) == (SingularPError, message)

@@ -12,17 +12,21 @@ from their own ``src``:
   12 and 7, and on the ``noiseless`` preset;
 - ``mef check`` at ``--dt 1e-3`` and ``--dt 2.5e-4``, and at ``--dt 5e-3``,
   whose gradient agreement row fails (exit 1);
-- three runs that exit 3: the ``noisy`` preset with seed 43, whose
+- four runs that exit 3: the ``noisy`` preset with seed 43, whose
   correction solve fails late (t = 96.4 s), the default preset with
   ``--set observer.hessian_scale=1e3``, whose state overflows at epoch 10,
-  and ``check --set check.hessian_scale=0``, whose P is zero at epoch 0;
+  ``check --set check.hessian_scale=0``, whose P is zero at epoch 0, and
+  ``check --set check.vector_sigma_true=1e150``, whose correction's
+  squared norm overflows at epoch 0;
 - ``mef sweep`` over the ``noisy`` preset's seeds 3 and 0 with
   ``--jobs 2``, so that both runs are made in forked pool workers, and
   with ``--jobs 1``, so that both are made in the sweep's own process,
   which never imports the pool.
 
-For each command the exit code, stdout, stderr and the CSV bytes are
-compared, with the command's output directory written as ``OUT`` in
+Each command is given TIMEOUT_S seconds; one that runs longer is stopped,
+and "timeout" is its outcome in place of an exit code, with empty stdout
+and stderr. For each command the exit code, stdout, stderr and the CSV
+bytes are compared, with the command's output directory written as ``OUT`` in
 stdout and in the CSVs (the sweep summary names each run's CSV path).
 The ``wall_time_s:`` line of stdout is ignored, since it names the
 machine's speed. A Python warning in stderr is compared by its category
@@ -57,9 +61,11 @@ COMMANDS = (
        ["simulate", "--config", "noisy", "--seed", "43"],
        ["simulate", "--set", "observer.hessian_scale=1e3"],
        ["check", "--set", "check.hessian_scale=0"],
+       ["check", "--set", "check.vector_sigma_true=1e150"],
        ["sweep", "--config", "noisy", "--param", "seed", "--values", "3,0", "--jobs", "2"],
        ["sweep", "--config", "noisy", "--param", "seed", "--values", "3,0", "--jobs", "1"]]
 )
+TIMEOUT_S = 300
 IGNORED_PREFIXES = ("wall_time_s:",)
 NUMBER_LINE = re.compile(r"^([\w.]+): ([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)(?:\s|$)")
 # "path:line: Category: message in op" and the indented source line after it.
@@ -76,13 +82,18 @@ def export(rev: str, dest: Path) -> None:
     archive.unlink()
 
 
-def run(tree: Path, argv: list[str], out: Path) -> tuple[int, str, str, dict[str, bytes]]:
-    """Exit code, stdout without the ignored lines, stderr, and the CSVs
-    written, with ``out`` written as OUT in stdout and the CSVs."""
+def run(tree: Path, argv: list[str], out: Path) -> tuple[int | str, str, str, dict[str, bytes]]:
+    """Exit code, or "timeout" past TIMEOUT_S seconds, stdout without the
+    ignored lines, stderr, and the CSVs written, with ``out`` written as OUT
+    in stdout and the CSVs."""
     out.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-m", "mef.cli", *argv, "--out", str(out)],
-                          cwd=out, env=env, capture_output=True, text=True)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "mef.cli", *argv, "--out", str(out)],
+                              cwd=out, env=env, capture_output=True, text=True,
+                              timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        proc = subprocess.CompletedProcess(argv, "timeout", "", "")
     stdout = "\n".join(line for line in proc.stdout.splitlines()
                        if not line.startswith(IGNORED_PREFIXES)).replace(str(out), "OUT")
     csvs = {p.name: p.read_bytes().replace(bytes(out), b"OUT")
@@ -123,7 +134,8 @@ def main(argv: list[str]) -> int:
             print(f"{'identical' if same else 'DIFFERENT'}: {label}")
             for name, a, b in zip(("exit code", "stdout", "stderr", "CSV"), here, there):
                 if a != b:
-                    print(f"  {name} differs")
+                    print(f"  {name} differs" + (f": {a} here, {b} there"
+                                                 if name == "exit code" else ""))
                     if name == "stdout":
                         print_stdout_differences(a, b)
     print(f"{differences} of {len(COMMANDS)} commands differ from {rev}")
