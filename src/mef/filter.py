@@ -23,13 +23,22 @@ term they share once and passes it on: Upsilon at the origin, memoized
 on the basis and the origin's value, so once per run; per substep, the
 forcing terms (output pull and noise damping), wedge(delta), and one
 product of the raw group matrices, checked once for finiteness. The
-correction solve keeps its residual guard every substep, and a step cap
-that leaves no step (|delta|^2 overflows) raises.
+correction solve keeps its residual guard every substep, measured in units
+of max|rhs| when |rhs|^2 overflows, and a step cap that leaves no step
+(|delta|^2 overflows) raises.
 Every SignalSample checks all of its inputs; the check and inverse of its
 velocity gain Q are memoized on Q's value, so the samples of a run, which
-share one Q, check and invert it once; one |R| serves both of R's checks.
+share one Q, check and invert it once; one |R| serves both of R's checks,
+and an R whose mirror entries have equal bits skips forming R - R^T.
 check_invariants guards the state once per epoch, counting finite entries
-as liegroup._finite does.
+as liegroup._finite does, against the basis's read-only identity.
+
+The diagnostics optimality_residual and value_rate take one epoch or an
+(N, .) stack of epochs, so that a run logs all of its epochs at once. A
+stack is formed with stacked products, (N, a, b) @ (N, b, 1) and
+(N, 1, b) @ (N, b, 1), which call per epoch the BLAS routine that
+ndarray.dot calls on one epoch's operands: each row has the single
+epoch's bits. A 2-D (N, b) @ (b, c) product, or einsum, need not.
 
 On the attitude instance every product is of 4 x 4, 4 x 3 or 4-vector
 operands, and costs its numpy call, not its flops. 1-D and 2-D products
@@ -52,7 +61,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .liegroup import GeneratorBasis, GroupElement, _element, _finite, exp_group, upsilon, wedge
+from .liegroup import GeneratorBasis, GroupElement, _element, _finite, exp_group, upsilon
 
 __all__ = [
     "ObserverState",
@@ -221,9 +230,15 @@ def _symmetric_scale(A: np.ndarray, tol: float) -> Optional[float]:
     """The scale max(1, max|A|) if A is symmetric to tol relative to it,
     else None. The test is np.allclose(A, A.T, atol=tol * scale) with its
     default rtol of 1e-5, without its generic broadcasting and infinity
-    handling (an infinite or NaN entry fails); the one |A| serves both."""
+    handling (an infinite or NaN entry fails); the one |A| serves both.
+    A finite A whose mirror entries have equal bits passes that test, so
+    it returns before forming A - A^T."""
     magnitude = np.abs(A)
-    scale = max(1.0, float(magnitude.max(initial=0.0)))
+    top = float(magnitude.max(initial=0.0))
+    scale = max(1.0, top)
+    # "top < inf" is false for an infinite or NaN entry.
+    if top < math.inf and A.tobytes() == A.T.tobytes():
+        return scale
     held = np.abs(A - A.T) <= tol * scale + 1e-5 * magnitude.T
     return scale if np.count_nonzero(held) == held.size else None
 
@@ -305,7 +320,7 @@ def check_invariants(state: ObserverState) -> None:
         raise SingularPError("observer state is not finite")
     if state.X_hat.orthogonal:
         # The Frobenius norm as np.linalg.norm forms it, bit for bit.
-        drift = (X.T.dot(X) - np.eye(X.shape[0])).ravel()
+        drift = (X.T.dot(X) - state.basis._identity).ravel()
         drift = math.sqrt(drift.dot(drift))
         if not drift <= ORTHOGONALITY_TOLERANCE:
             raise SingularPError(
@@ -372,6 +387,12 @@ def correction_delta(basis: GeneratorBasis, H: np.ndarray, eta: np.ndarray,
             "(P is singular)"
         ) from None
     residual = P.dot(delta) - rhs
+    if rhs_norm == math.inf:
+        # rhs . rhs overflowed, and |residual| / inf would pass any solve:
+        # measure both in units of max|rhs| instead.
+        scale = float(np.abs(rhs).max())
+        residual, rhs = residual / scale, rhs / scale
+        rhs_norm = math.sqrt(rhs.dot(rhs))
     rel = math.sqrt(residual.dot(residual)) / rhs_norm
     if not rel <= P_SOLVE_TOLERANCE:
         raise SingularPError(
@@ -490,29 +511,50 @@ def state_estimate(state: ObserverState, cfg: FilterConfig) -> np.ndarray:
     return state.X_hat.apply_inverse(cfg.origin_xi)
 
 
-def optimality_residual(state: ObserverState, cfg: FilterConfig) -> np.ndarray:
-    """Tangential gradient Upsilon^T eta at the origin point.
+def optimality_residual(basis: GeneratorBasis, eta, origin) -> np.ndarray:
+    """Tangential gradient Upsilon^T eta at the origin point, of one
+    gradient eta (m,) or of each row of an (N, m) stack.
 
     Zero in exact arithmetic along closed-loop trajectories; its size is
     the observer's built-in integration diagnostic.
     """
-    return _origin_action(state.basis, cfg.origin_xi).T.dot(state.eta)
+    return _matvec(_origin_action(basis, origin).T, np.asarray(eta, dtype=float))
 
 
-def value_rate(
-    state: ObserverState, sample: SignalSample, delta, cfg: FilterConfig
-) -> float:
+def value_rate(basis: GeneratorBasis, eta, delta, estimate, C, y, B, Q_inv, R, origin):
     """Time rate of the value function at the origin point (diagnostic).
 
     Equals -<eta, Delta origin> - 0.5 |B^T eta|^2_{Q^-1}
-    + 0.5 |y - C X_hat^-1 origin|^2_R.
+    + 0.5 |y - C X_hat^-1 origin|^2_R, with Delta = wedge(delta) and
+    estimate = X_hat^-1 origin, of one epoch's gradient, correction and
+    estimate and its sample's C, y, B, Q^-1 and R; a float. Given a leading
+    axis of N epochs on every argument, the (N,) array of their rates.
     """
-    Delta = wedge(state.basis, delta)
-    X_inv = state.X_hat.inverse
-    residual = sample.y - sample.C.dot(X_inv.dot(cfg.origin_xi))
-    b_eta = sample.B.T.dot(state.eta)
-    return float(
-        (-state.eta).dot(Delta.dot(cfg.origin_xi))
-        - (0.5 * b_eta).dot(sample.Q_inv).dot(b_eta)
-        + (0.5 * residual).dot(sample.R).dot(residual)
+    eta, delta, estimate, C, y, B, Q_inv, R, origin = (
+        np.asarray(a, dtype=float) for a in (eta, delta, estimate, C, y, B, Q_inv, R, origin))
+    m = basis.dim_embedding
+    # wedge(basis, delta) row by row, as wedge forms one.
+    Delta = _vecmat(delta, basis._flat.T).reshape(delta.shape[:-1] + (m, m))
+    residual = y - _matvec(C, estimate)
+    b_eta = _matvec(np.swapaxes(B, -1, -2), eta)
+    rate = (
+        _dot(-eta, _matvec(Delta, origin))
+        - _dot(_vecmat(0.5 * b_eta, Q_inv), b_eta)
+        + _dot(_vecmat(0.5 * residual, R), residual)
     )
+    return float(rate) if rate.ndim == 0 else rate
+
+
+# Matrix-vector, vector-matrix and vector-vector products of one epoch's
+# operands or of each epoch of a stack, with the bits of ndarray.dot (see
+# the module docstring).
+def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return (A @ x[..., None])[..., 0]
+
+
+def _vecmat(x: np.ndarray, A: np.ndarray) -> np.ndarray:
+    return (x[..., None, :] @ A)[..., 0, :]
+
+
+def _dot(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    return (x[..., None, :] @ z[..., None])[..., 0, 0]

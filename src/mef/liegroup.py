@@ -93,6 +93,9 @@ class GeneratorBasis:
         # row k of E_i^T: upsilon_bar is one product against it.
         self._bar = np.ascontiguousarray(gens.transpose(1, 2, 0)).reshape(
             self.dim_embedding, self.dim_embedding * self.dim_algebra)
+        # The m x m identity, read-only, for the state check of every epoch.
+        self._identity = np.eye(self.dim_embedding)
+        self._identity.flags.writeable = False
         # Every commutator [E_i, E_j], i < j, must lie in the span.
         i, j = np.triu_indices(self.dim_algebra, 1)
         outside = _project(self, gens[i] @ gens[j] - gens[j] @ gens[i], CLOSURE_TOLERANCE)[1]
@@ -229,10 +232,16 @@ def vee(basis: GeneratorBasis, A) -> np.ndarray:
     m = basis.dim_embedding
     if A.ndim not in (2, 3) or A.shape[-2:] != (m, m):
         raise ValueError("matrix dimension does not match the basis")
-    coords, outside = _project(basis, A.reshape(-1, m, m), VEE_TOLERANCE)
+    coords = _span_coords(basis, A.reshape(-1, m, m))
+    return coords.T if A.ndim == 3 else coords[:, 0]
+
+
+def _span_coords(basis: GeneratorBasis, stack: np.ndarray) -> np.ndarray:
+    # _project's coordinates (d, N) of an (N, m, m) stack, under vee's tolerance.
+    coords, outside = _project(basis, stack, VEE_TOLERANCE)
     if outside is not None:
         raise NotInAlgebraError(f"matrix is not in the algebra span (residual {outside[1]:.3e})")
-    return coords.T if A.ndim == 3 else coords[:, 0]
+    return coords
 
 
 def upsilon(basis: GeneratorBasis, xi) -> np.ndarray:
@@ -291,11 +300,11 @@ def adjoint_coords(basis: GeneratorBasis, X: GroupElement) -> np.ndarray:
     """d x d matrix of the conjugation map u -> vee(X wedge(u) X^-1).
 
     Column i is vee(X E_i X^-1): the stack of conjugated generators goes
-    through one vee. Raises :class:`NotInAlgebraError` when a conjugated
-    generator leaves the algebra span, which signals a basis/group
-    inconsistency.
+    through one projection, without vee's checks of its argument. Raises
+    :class:`NotInAlgebraError` when a conjugated generator leaves the
+    algebra span, which signals a basis/group inconsistency.
     """
-    return vee(basis, X.matrix @ basis.generators @ X.inverse).T
+    return _span_coords(basis, X.matrix @ basis.generators @ X.inverse)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .filter import SignalSample
+from .filter import SignalSample, _dot
 from .liegroup import (
     GroupElement,
     _element,
@@ -141,8 +141,14 @@ def propagate_quaternion(q: Quaternion, omega, dt: float) -> Quaternion:
     The state satisfies qdot = -wedge(omega/2) q, so one step is the group
     exponential exp(-dt wedge(omega/2)) applied to q.
     """
-    mat = BASIS.closed_form_exp(-dt * velocity_coords(omega))
-    return Quaternion.from_vector(mat.dot(q.as_vector()))
+    return Quaternion.from_vector(_flow(q.as_vector(), -dt * velocity_coords(omega)))
+
+
+def _flow(q: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    # One exact step exp(wedge(coords)) q of a quaternion 4-vector, with
+    # coords = -dt omega/2: propagate_quaternion, and simulate_truth epoch
+    # by epoch.
+    return BASIS.closed_form_exp(coords).dot(q)
 
 
 def measurement_matrix(z, z_ref) -> np.ndarray:
@@ -304,14 +310,23 @@ def group_from_quaternion(q: Quaternion) -> GroupElement:
     return _element(mat, BASIS.orthogonal)
 
 
-def attitude_error_angle(q: Quaternion, q_hat: Quaternion) -> float:
+def attitude_error_angle(q, q_hat):
     """Rotation angle between two attitudes in [0, pi], identical for q
-    and -q (double cover).
+    and -q (double cover): a float for two Quaternions or 4-vectors, and
+    for (N, 4) stacks of them the (N,) angles of their rows.
 
     Computed as 2 atan2(|vec|, |scalar|) of the relative quaternion rather
     than through arccos of the dot product; the two agree exactly but the
     arccos form cannot resolve angles below about 1e-8.
     """
-    r, v = _mul(q.q_r, -q.q_v, q_hat.q_r, q_hat.q_v)
+    q_r, q1, q2, q3 = _components(q)
+    r, *v = _hamilton(q_r, -q1, -q2, -q3, *_components(q_hat))
+    v = np.stack(v, axis=-1)
     # sqrt(v . v) is how np.linalg.norm forms |v|, bit for bit.
-    return float(2.0 * np.arctan2(math.sqrt(v.dot(v)), abs(r)))
+    angle = 2.0 * np.arctan2(np.sqrt(_dot(v, v)), np.abs(r))
+    return float(angle) if angle.ndim == 0 else angle
+
+
+def _components(q) -> np.ndarray:
+    # The four components of a Quaternion, a 4-vector or an (N, 4) stack.
+    return (q.as_vector() if isinstance(q, Quaternion) else np.asarray(q, dtype=float)).T

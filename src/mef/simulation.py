@@ -7,15 +7,19 @@ epoch (run). Identical configurations produce bitwise-identical logs and
 CSV files.
 
 Everything that does not depend on the observer state is formed once per
-run on (N, 3) or (N, 4, 4) arrays: the measured rates and vectors, the
-velocity coordinates U = omega/2 and the implicit-output matrices C. Per
-epoch, observe checks the state, forms the estimate and the sample's
-state-dependent part (build_sample) and steps; run logs the epoch.
+run on (N, 3) or (N, 4, 4) arrays: the true attitudes, the measured rates
+and vectors, the velocity coordinates U = omega/2 and the implicit-output
+matrices C. Per epoch, observe checks the state, forms the estimate and
+the sample's state-dependent part (build_sample) and steps; run copies the
+epoch's raw arrays into buffers preallocated for the run. Logging happens
+once per run: after the last epoch, run forms every column of the log on
+those (N, .) buffers, through attitude_error_angle, optimality_residual and
+value_rate, which take one epoch or a stack and give a stack's rows the
+bits of the single-epoch calls.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -29,6 +33,8 @@ from .filter import (
     ObserverState,
     SignalSample,
     SingularPError,
+    _dot,
+    _matvec,
     check_invariants,
     init,
     optimality_residual,
@@ -42,12 +48,12 @@ from .quaternion import (
     AttitudeScenario,
     NoiseModel,
     Quaternion,
+    _flow,
     _to_body,
     attitude_error_angle,
     build_sample,
     group_from_quaternion,
     measurement_matrix,
-    propagate_quaternion,
     velocity_coords,
 )
 
@@ -129,11 +135,22 @@ def simulate_truth(scenario: AttitudeScenario) -> list[TruthEpoch]:
     unit = np.abs(np.linalg.norm(z_ref, axis=1) - 1.0) <= 1e-12
     if not unit.all():
         raise ValueError(f"reference vector at t={times[int(unit.argmin())]} is not unit length")
-    quaternions = [scenario.q0] if epochs else []
-    for k in range(epochs - 1):
-        quaternions.append(propagate_quaternion(quaternions[k], omega[k], scenario.sensor_dt))
-    z = _to_body(np.array([q.as_vector() for q in quaternions]).reshape(epochs, 4), z_ref)
-    return list(map(TruthEpoch, times, quaternions, z_ref, z, omega))
+    # propagate_quaternion's step on raw 4-vectors, and each quaternion
+    # checked once they are all formed.
+    q = np.empty((epochs, 4))
+    q[:1] = scenario.q0.as_vector()
+    coords, formed, error = -scenario.sensor_dt * velocity_coords(omega), epochs, None
+    try:
+        for k in range(epochs - 1):
+            q[k + 1] = _flow(q[k], coords[k])
+    except ValueError as exc:
+        formed, error = k + 1, exc
+    # A quaternion that is not unit fails before a later rate the
+    # exponential rejects, as when each was checked as it came.
+    quaternions = list(map(Quaternion.from_vector, q[:formed]))
+    if error is not None:
+        raise error
+    return list(map(TruthEpoch, times, quaternions, z_ref, _to_body(q, z_ref), omega))
 
 
 def _sampled(signal, times: list) -> np.ndarray:
@@ -166,15 +183,14 @@ def corrupt(
     noise, one draw per epoch per sensor, reproducible per seed.
 
     Each sensor's draws come as one (N, 3) block, which holds the same
-    numbers as N draws of 3; each row is scaled by its own product with
-    the covariance's square root.
+    numbers as N draws of 3, and are scaled by the covariance's square
+    root in one stacked product, with each row's bits of its own product.
     """
     count = len(truth)
     draws = []
     for stream_id, cov in enumerate((noise.gyro_cov, noise.vector_cov)):
-        sqrt = _psd_sqrt(cov)
         block = _stream(noise.seed, stream_id).standard_normal((count, 3))
-        draws.append(np.array([sqrt.dot(row) for row in block]).reshape(count, 3))
+        draws.append(_matvec(_psd_sqrt(cov), block))
     times = np.array([epoch.t for epoch in truth])
     return times, _rows(truth, "omega") + draws[0], _rows(truth, "z") + draws[1]
 
@@ -202,15 +218,16 @@ def initial_state(q_hat_0: Quaternion, scale: float) -> ObserverState:
 
 class ObservedEpoch(NamedTuple):
     """One sensor epoch as observe yields it: the observer state at the
-    epoch, its estimate q_hat, the sample held over the next interval, the
-    number of substeps spent on that interval, delta, the correction applied
-    by the first of them (solved directly at the last epoch, which is not
-    stepped and has no substeps), and the interval's SubstepRecords when
-    observe was asked for them (empty otherwise)."""
+    epoch, its estimate X_hat^-1 origin_xi as a 4-vector, the sample held
+    over the next interval, the number of substeps spent on that interval,
+    delta, the correction applied by the first of them (solved directly at
+    the last epoch, which is not stepped and has no substeps), and the
+    interval's SubstepRecords when observe was asked for them (empty
+    otherwise)."""
 
     truth: TruthEpoch
     state: ObserverState
-    q_hat: Quaternion
+    estimate: np.ndarray
     sample: SignalSample
     delta: np.ndarray
     substeps: int
@@ -226,15 +243,27 @@ def observe(config: RunConfig, trace: bool = False):
     from that check or from a correction solve, is re-raised with the epoch
     index and time attached.
     """
+    yield from _observe(config, *_epoch_inputs(config), trace)
+
+
+def _epoch_inputs(config: RunConfig) -> tuple[list[TruthEpoch], np.ndarray, np.ndarray]:
+    # The truth, and the state-free part of every sample, formed once per
+    # run: the velocity coordinates U (N, 3) and the matrices C (N, 4, 4),
+    # both read-only.
     truth = simulate_truth(config.scenario)
     if config.noise is not None:
         _, omega_meas, z_meas = corrupt(truth, config.noise)
     else:
         omega_meas, z_meas = _rows(truth, "omega"), _rows(truth, "z")
-    # The state-free part of every sample, formed once per run.
     U = velocity_coords(omega_meas)
     C = measurement_matrix(z_meas, _rows(truth, "z_ref"))
     U.flags.writeable = C.flags.writeable = False
+    return truth, U, C
+
+
+def _observe(config: RunConfig, truth: list[TruthEpoch], U: np.ndarray, C: np.ndarray,
+             trace: bool):
+    # observe, on the inputs _epoch_inputs formed.
     cfg, gains, hold = config.filter, config.gains, config.scenario.sensor_dt
     Ups = upsilon(BASIS, cfg.origin_xi)
     last = len(truth) - 1
@@ -245,7 +274,6 @@ def observe(config: RunConfig, trace: bool = False):
         try:
             check_invariants(state)
             estimate = state_estimate(state, cfg)
-            q_hat = Quaternion.from_vector(estimate)
             sample = build_sample(estimate, state.X_hat, U[k], C[k], epoch.t + hold, gains)
             if k < last:
                 end, substeps, delta = step(state, sample, cfg, trace=records if trace else None)
@@ -258,7 +286,7 @@ def observe(config: RunConfig, trace: bool = False):
                 delta = _filter.correction_delta(BASIS, state.H, state.eta, Ups, pull - damping)
         except SingularPError as exc:
             raise SingularPError(f"epoch {k} (t={epoch.t:g} s): {exc}") from exc
-        yield ObservedEpoch(epoch, state, q_hat, sample, delta, substeps, records)
+        yield ObservedEpoch(epoch, state, estimate, sample, delta, substeps, records)
         state = end
 
 
@@ -269,25 +297,44 @@ def run(config: RunConfig) -> tuple[list[LogRecord], dict]:
     substeps spent on the interval ending at t_k (zero for k = 0). The
     summary holds the final error angle, the largest optimality-residual
     component over the run, and the total substep count.
-    """
-    records: list[LogRecord] = []
-    substeps_prev = 0
-    cfg = config.filter
-    for truth, state, q_hat, sample, delta, substeps, _ in observe(config):
-        records.append(LogRecord(
-            truth.t, truth.q.as_vector(), q_hat.as_vector(), attitude_error_angle(truth.q, q_hat),
-            # sqrt(delta . delta) is how np.linalg.norm forms |delta|, bit for bit.
-            math.sqrt(delta.dot(delta)), optimality_residual(state, cfg),
-            value_rate(state, sample, delta, cfg), substeps_prev,
-        ))
-        substeps_prev = substeps
 
-    residuals = np.abs(np.array([r.opt_residual for r in records]).reshape(len(records),
-                                                                          BASIS.dim_algebra))
+    Per epoch, only the raw arrays the log is formed from are copied into
+    buffers preallocated for the run; the error angles, |delta|, the
+    optimality residuals and the value rates are then formed once, on the
+    (N, .) buffers, with the bits of the single-epoch calls.
+    """
+    truth, U, C = _epoch_inputs(config)
+    count, epochs, cfg = len(truth), _observe(config, truth, U, C, False), config.filter
+    # Only the generator holds the truth, so it is freed before the log is formed.
+    del truth, U
+    m, d = BASIS.dim_embedding, BASIS.dim_algebra
+    t, substeps = np.empty(count), np.zeros(count + 1, dtype=int)
+    q_true, q_est, eta, R, B = (np.empty((count,) + shape) for shape in ((m,), (m,), (m,), (m, m),
+                                                                         (m, d)))
+    delta = np.empty((count, d))
+    # y (zero, from build_sample) and Q_inv (the gain's memoized inverse)
+    # are the same at every epoch of a run, so one of each serves the whole
+    # stack; these stand in for a run of no epochs.
+    y, Q_inv = np.zeros(m), np.zeros((d, d))
+    for k, (epoch, state, estimate, sample, step_delta, steps, _) in enumerate(epochs):
+        t[k], q_true[k], q_est[k], eta[k], delta[k] = (epoch.t, epoch.q.as_vector(), estimate,
+                                                       state.eta, step_delta)
+        B[k], R[k], y, Q_inv = sample.B, sample.R, sample.y, sample.Q_inv
+        substeps[k + 1] = steps
+
+    opt_residual = optimality_residual(BASIS, eta, cfg.origin_xi)
+    logged_substeps = substeps[:count].tolist()
+    records = list(map(
+        LogRecord, t.tolist(), q_true, q_est, attitude_error_angle(q_true, q_est).tolist(),
+        # sqrt(delta . delta) is how np.linalg.norm forms |delta|, bit for bit.
+        np.sqrt(_dot(delta, delta)).tolist(), opt_residual,
+        value_rate(BASIS, eta, delta, q_est, C, y, B, Q_inv, R, cfg.origin_xi).tolist(),
+        logged_substeps,
+    ))
     summary = {
         "final_error_rad": records[-1].error_angle if records else float("nan"),
-        "max_opt_residual": max(residuals.max(axis=1).tolist(), default=0.0),
-        "total_substeps": sum(r.substeps for r in records),
+        "max_opt_residual": max(np.abs(opt_residual).max(axis=1).tolist(), default=0.0),
+        "total_substeps": sum(logged_substeps),
     }
     return records, summary
 

@@ -567,7 +567,7 @@ class TestCanonicalTrajectory:
     def test_tangential_gradient_stays_pinned(self, trajectory):
         _, states, _ = trajectory
         for state in states:
-            res = optimality_residual(state, CFG)
+            res = optimality_residual(BASIS, state.eta, CFG.origin_xi)
             assert float(np.linalg.norm(res)) <= 1e-12
 
     def test_substeps_respect_size_contract(self, trajectory):
@@ -615,17 +615,23 @@ class TestStateEstimate:
         )
 
 
+def epoch_value_rate(state, sample, delta) -> float:
+    return value_rate(BASIS, state.eta, delta, state_estimate(state, CFG), sample.C, sample.y,
+                      sample.B, sample.Q_inv, sample.R, CFG.origin_xi)
+
+
 class TestDiagnostics:
     def test_fresh_state_has_zero_residual(self):
         state = init(BASIS, GroupElement.identity(4), np.eye(4))
-        np.testing.assert_array_equal(optimality_residual(state, CFG), np.zeros(3))
+        np.testing.assert_array_equal(optimality_residual(BASIS, state.eta, CFG.origin_xi),
+                                      np.zeros(3))
 
     def test_value_rate_zero_at_rest(self):
         rng = make_rng(319)
         q = random_unit_quaternion(rng)
         sample = consistent_sample(q, [0.0, 0.0, 0.0])
         state = init(BASIS, group_from_quaternion(q), initial_observer_hessian(q, 1.0))
-        assert abs(value_rate(state, sample, np.zeros(3), CFG)) < 1e-16
+        assert abs(epoch_value_rate(state, sample, np.zeros(3))) < 1e-16
 
     def test_value_rate_is_weighted_residual_energy(self):
         v = np.array([0.2, -0.1, 0.4, 0.05])
@@ -638,7 +644,7 @@ class TestDiagnostics:
             U_coords=np.zeros(3), C=np.eye(4), y=XI_ORIGIN + v,
             B=np.zeros((4, 3)), Q=np.eye(3), R=R, valid_until=1.0,
         )
-        got = value_rate(state, sample, np.zeros(3), CFG)
+        got = epoch_value_rate(state, sample, np.zeros(3))
         assert got == pytest.approx(0.5 * v @ R @ v, rel=1e-12)
         assert got >= 0.0
 
@@ -655,7 +661,7 @@ class TestDiagnostics:
             B=np.zeros((4, 3)), Q=np.eye(3), R=np.eye(4), valid_until=1.0,
         )
         expected = -eta @ (wedge(BASIS, delta) @ XI_ORIGIN)
-        assert value_rate(state, sample, delta, CFG) == pytest.approx(
+        assert epoch_value_rate(state, sample, delta) == pytest.approx(
             expected, rel=1e-12
         )
 

@@ -1,10 +1,12 @@
 """The substep kernel against a plain transcription of its arithmetic, and
 fault injection for each guard whose place in the pipeline is not obvious:
 the one finiteness check on a substep's product of group matrices, the
-exponential of the velocity that step forms once per step size, and the
+exponential of the velocity that step forms once per step size, the
 checks of the one sample constructor, which every sample build_sample
 assembles passes through: the velocity-gain checks, memoized on the gain's
-value so that a run makes them once, and the output-gain checks. Last, the
+value so that a run makes them once, and the output-gain checks, whose
+symmetry test returns early on exact symmetry; and the correction solve's
+residual guard when |rhs|^2 overflows. Last, the
 two assumptions that let the kernel skip numpy's wrappers: ndarray.dot gives
 the bits of @ on every operand form the kernel uses, and the LAPACK calls
 behind np.linalg.solve and np.linalg.eigvalsh, made directly, give their
@@ -40,7 +42,15 @@ from mef import (
 )
 import mef.filter
 from mef.config import build_check_config, build_run_config, read_config_source
-from mef.filter import TIME_SNAP, SingularPError, _eigvalsh, _solve, correction_delta
+from mef.filter import (
+    TIME_SNAP,
+    SingularPError,
+    _check_psd,
+    _eigvalsh,
+    _solve,
+    _symmetric_scale,
+    correction_delta,
+)
 
 from conftest import make_rng, random_filter_instance, sample_from_measurements
 
@@ -275,6 +285,88 @@ class TestVelocityGainChecks:
         noise = NoiseModel(gyro_cov=gyro, vector_cov=np.eye(3))
         with pytest.raises(ValueError, match="Q must be symmetric"):
             sample_for(noise)
+
+
+def symmetric_scale_by_the_full_rule(A, tol):
+    """_symmetric_scale without its early return for exact symmetry."""
+    magnitude = np.abs(A)
+    scale = max(1.0, float(magnitude.max(initial=0.0)))
+    with np.errstate(invalid="ignore"):
+        held = np.abs(A - A.T) <= tol * scale + 1e-5 * magnitude.T
+    return scale if held.all() else None
+
+
+SPECIAL = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf])
+
+
+@st.composite
+def near_symmetric(draw):
+    """A symmetric matrix, then one change: none, an asymmetry inside or
+    outside the tolerance, mirror entries 0.0 and -0.0, or a special value
+    on or off the diagonal, mirrored or not."""
+    n = draw(st.sampled_from([3, 4]))
+    A = draw(arrays(float, (n, n), elements=st.floats(-1e3, 1e3)))
+    A = np.triu(A) + np.triu(A, 1).T
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    tol = draw(st.sampled_from([1e-10, 1e-12]))
+    bound = tol * max(1.0, float(np.abs(A).max())) + 1e-5 * abs(A[j, i])
+    change = draw(st.sampled_from(["none", "inside", "outside", "zeros", "special"]))
+    if change == "inside":
+        A[i, j] += 0.5 * bound
+    elif change == "outside":
+        A[i, j] += 4.0 * bound
+    elif change == "zeros":
+        A[i, j], A[j, i] = 0.0, -0.0
+    elif change == "special":
+        A[i, j] = draw(SPECIAL)
+        if draw(st.booleans()):
+            A[j, i] = A[i, j]
+    return A, tol
+
+
+class TestSymmetricScale:
+    @given(near_symmetric())
+    def test_the_early_return_keeps_the_full_rules_verdict(self, case):
+        """The early return for a finite A whose mirror entries have equal
+        bits gives the verdict and scale of the full rule, which it skips."""
+        A, tol = case
+        with np.errstate(invalid="ignore"):
+            assert _symmetric_scale(A, tol) == symmetric_scale_by_the_full_rule(A, tol)
+
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf])
+    def test_an_infinite_diagonal_is_not_symmetric(self, entry):
+        R = np.diag([entry, 1.0, 1.0, 1.0])
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="R must be symmetric"):
+            _check_psd(R, "R")
+
+
+NEAR_SINGULAR = [[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-12, 0.0], [0.0, 0.0, 1.0]]
+
+
+class TestResidualGuardOnOverflow:
+    """correction_delta with eta = 0, so that P = Ups^T H Ups = H[1:, 1:],
+    and forcing s (0, g). Past s = 1e154, rhs . rhs overflows, and the
+    relative residual |P delta - rhs| / |rhs| would read 0 for any solve."""
+
+    @staticmethod
+    def solve(block, s):
+        H = np.zeros((4, 4))
+        H[1:, 1:] = block
+        g = np.random.default_rng(1).standard_normal(3)
+        basis = quaternion_basis()
+        with np.errstate(over="ignore"):
+            assert math.isinf((s * g).dot(s * g)) == (s > 1e154)
+            return correction_delta(basis, H, np.zeros(4), upsilon(basis, XI_ORIGIN),
+                                    s * np.concatenate(([0.0], g)))
+
+    @pytest.mark.parametrize("s", [1.0, 1e155])
+    def test_a_near_singular_solve_fails_at_any_scale(self, s):
+        with pytest.raises(SingularPError, match=r"correction solve residual 2\.\d+e-05 exceeds"):
+            self.solve(NEAR_SINGULAR, s)
+
+    def test_a_well_conditioned_solve_passes_at_any_scale(self):
+        np.testing.assert_allclose(self.solve(np.eye(3), 1e155),
+                                   1e155 * self.solve(np.eye(3), 1.0), rtol=1e-15)
 
 
 def psd(eigenvalues, A):

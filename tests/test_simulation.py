@@ -1,8 +1,9 @@
 """Experiment runner: truth propagation, seeded corruption, end-to-end
-runs, and the CSV log format; and the run-wide arrays of the epoch
-pipeline against a transcription of the per-epoch construction they
-replace."""
+runs, and the CSV log format; the run-wide arrays of the epoch pipeline
+against a transcription of the per-epoch construction they replace; and
+the log run forms once per run against the single-epoch calls."""
 
+import math
 import os
 
 import numpy as np
@@ -27,6 +28,7 @@ from mef import (
     initial_observer_hessian,
     measurement_matrix,
     observe,
+    optimality_residual,
     quat_product,
     rotate_to_body,
     run,
@@ -34,6 +36,7 @@ from mef import (
     upsilon,
     upsilon_bar,
     value_rate,
+    wedge,
     write_csv,
 )
 import mef.filter
@@ -133,6 +136,24 @@ class TestSimulateTruth:
         )
         with pytest.raises(ValueError, match=r"reference vector at t=0\.5 is not unit length"):
             simulate_truth(scenario)
+
+    @pytest.mark.parametrize("rates, message", [
+        ({0.2: np.nan, 0.4: np.inf}, "quaternion norm nan is not 1"),
+        ({0.4: np.inf}, "math domain error"),
+    ], ids=["nan_then_inf", "inf"])
+    def test_fails_at_the_first_bad_rate(self, rates, message):
+        """A NaN rate makes the next quaternion NaN; an infinite one fails
+        in the exponential. Whichever comes first is reported, as when each
+        quaternion was checked as it was propagated: one error, chained to
+        no other."""
+        scenario = AttitudeScenario(
+            omega_fn=lambda t: np.full(3, rates.get(round(t, 9), 0.1)),
+            ref_fn=lambda t: np.array([0.0, 0.0, 1.0]),
+            q0=Quaternion(1.0, np.zeros(3)), duration=1.0, sensor_dt=0.1,
+        )
+        with pytest.raises(ValueError, match=message) as raised:
+            simulate_truth(scenario)
+        assert raised.value.__context__ is None
 
 
 class TestCorrupt:
@@ -382,12 +403,25 @@ def per_epoch_measurements(scenario, noise):
     return out
 
 
+def per_epoch_value_rate(state, sample, delta, cfg) -> float:
+    # The value rate as the per-epoch pipeline formed it.
+    Delta = wedge(state.basis, delta)
+    residual = sample.y - sample.C.dot(state.X_hat.inverse.dot(cfg.origin_xi))
+    b_eta = sample.B.T.dot(state.eta)
+    return float(
+        (-state.eta).dot(Delta.dot(cfg.origin_xi))
+        - (0.5 * b_eta).dot(sample.Q_inv).dot(b_eta)
+        + (0.5 * residual).dot(sample.R).dot(residual)
+    )
+
+
 def per_epoch_log_row(t, q, epoch, substeps, cfg) -> np.ndarray:
-    r, v = per_epoch_product(q.q_r, -q.q_v, epoch.q_hat.q_r, epoch.q_hat.q_v)
+    q_hat = Quaternion.from_vector(epoch.estimate)
+    r, v = per_epoch_product(q.q_r, -q.q_v, q_hat.q_r, q_hat.q_v)
     error = float(2.0 * np.arctan2(float(np.linalg.norm(v)), abs(r)))
     opt = upsilon(BASIS, cfg.origin_xi).T.dot(epoch.state.eta)
-    rate = value_rate(epoch.state, epoch.sample, epoch.delta, cfg)
-    return np.array([t, *q.as_vector(), *epoch.q_hat.as_vector(), error,
+    rate = per_epoch_value_rate(epoch.state, epoch.sample, epoch.delta, cfg)
+    return np.array([t, *q.as_vector(), *q_hat.as_vector(), error,
                      float(np.linalg.norm(epoch.delta)), *opt, rate, substeps])
 
 
@@ -412,7 +446,7 @@ class TestEpochTranscription:
         for epoch, (t, q, omega, z, z_ref) in zip(epochs, expected):
             X = epoch.state.X_hat
             coords = BASIS._flat_pinv @ (X.matrix @ BASIS.generators @ X.inverse).reshape(3, 16).T
-            q_hat = epoch.q_hat
+            q_hat = Quaternion.from_vector(epoch.estimate)
             J = upsilon_bar(BASIS, q_hat.as_vector())
             norm2 = q_hat.q_r ** 2 + float(q_hat.q_v.dot(q_hat.q_v))
             sample = epoch.sample
@@ -452,3 +486,61 @@ class TestEpochTranscription:
         generator = _stream(11, stream_id)
         rows = np.array([generator.standard_normal(3) for _ in range(1001)])
         assert block.tobytes() == rows.tobytes()
+
+
+def int_bits(value) -> np.ndarray:
+    return np.atleast_1d(np.asarray(value, dtype=float)).view(np.int64)
+
+
+class TestWholeRunLog:
+    """run forms the columns of its log once, on (N, .) buffers of every
+    epoch's raw arrays. Each field of every record must have the bits of
+    the single-epoch call on what observe yields for that epoch, and a
+    one-element stack the bits of the single call."""
+
+    @pytest.fixture(scope="class", params=[3, 7], ids=["seed3", "seed7"])
+    def noisy_run(self, request):
+        raw, _ = read_config_source("noisy")
+        config = build_run_config(raw | {"seed": str(request.param)})
+        return config, list(observe(config)), run(config)[0]
+
+    @staticmethod
+    def single_epoch_calls(epoch, cfg):
+        state, sample, delta = epoch.state, epoch.sample, epoch.delta
+        return {
+            "q_est": epoch.estimate,
+            "error_angle": attitude_error_angle(epoch.truth.q,
+                                                Quaternion.from_vector(epoch.estimate)),
+            "delta_norm": math.sqrt(delta.dot(delta)),
+            "opt_residual": optimality_residual(BASIS, state.eta, cfg.origin_xi),
+            "value_rate": value_rate(BASIS, state.eta, delta, epoch.estimate, sample.C, sample.y,
+                                     sample.B, sample.Q_inv, sample.R, cfg.origin_xi),
+        }
+
+    def test_every_field_is_the_single_epoch_call(self, noisy_run):
+        config, epochs, records = noisy_run
+        assert len(records) == len(epochs) == 1001
+        substeps = [0] + [epoch.substeps for epoch in epochs[:-1]]
+        for record, epoch, n in zip(records, epochs, substeps):
+            expected = self.single_epoch_calls(epoch, config.filter)
+            expected.update(t=epoch.truth.t, q_true=epoch.truth.q.as_vector(), substeps=n)
+            for name in LogRecord._fields:
+                assert np.array_equal(int_bits(getattr(record, name)), int_bits(expected[name]))
+            assert type(record.error_angle) is type(record.value_rate) is float
+
+    def test_a_one_element_stack_is_the_single_call(self, noisy_run):
+        config, epochs, _ = noisy_run
+        origin = config.filter.origin_xi
+        for epoch in epochs[::100]:
+            state, sample, q_hat = epoch.state, epoch.sample, epoch.estimate
+            single = self.single_epoch_calls(epoch, config.filter)
+            stacked = {
+                "error_angle": attitude_error_angle(epoch.truth.q.as_vector()[None], q_hat[None]),
+                "opt_residual": optimality_residual(BASIS, state.eta[None], origin),
+                "value_rate": value_rate(BASIS, *(a[None] for a in (
+                    state.eta, epoch.delta, q_hat, sample.C, sample.y, sample.B, sample.Q_inv,
+                    sample.R)), origin),
+            }
+            for name, value in stacked.items():
+                assert value.shape[0] == 1
+                assert np.array_equal(int_bits(value[0]), int_bits(single[name]))

@@ -10,6 +10,9 @@ from their own ``src``:
 
 - ``mef simulate`` on the ``noisy`` preset with seeds 3, 0, 8, 15, 6, 4,
   12 and 7, and on the ``noiseless`` preset;
+- ``mef simulate`` on the ``noiseless`` preset with
+  ``--set scenario.duration=0`` (no epochs) and ``0.1`` (two epochs), which
+  pin the empty log and the shortest stacked log;
 - ``mef check`` at ``--dt 1e-3`` and ``--dt 2.5e-4``, and at ``--dt 5e-3``,
   whose gradient agreement row fails (exit 1);
 - four runs that exit 3: the ``noisy`` preset with seed 43, whose
@@ -55,6 +58,8 @@ NOISY_SEEDS = (3, 0, 8, 15, 6, 4, 12, 7)
 COMMANDS = (
     [["simulate", "--config", "noisy", "--seed", str(s)] for s in NOISY_SEEDS]
     + [["simulate", "--config", "noiseless"],
+       ["simulate", "--config", "noiseless", "--set", "scenario.duration=0"],
+       ["simulate", "--config", "noiseless", "--set", "scenario.duration=0.1"],
        ["check", "--dt", "1e-3"],
        ["check", "--dt", "2.5e-4"],
        ["check", "--dt", "5e-3"],
