@@ -246,10 +246,13 @@ def _vector_signal(key: str, value: str) -> Callable[[float], np.ndarray]:
     raise ConfigError(f"{key}: unknown signal {value!r}")
 
 
-def _squared(cfg: dict[str, str], key: str) -> float:
-    # A noise covariance is sigma^2 I, with sigma the number at key.
+def _variance(cfg: dict[str, str], key: str) -> float:
+    # A noise covariance is sigma^2 I, with sigma >= 0 the number at key.
+    sigma = get_float(cfg, key)
+    if sigma < 0.0:
+        raise ConfigError(f"{key}: {cfg[key]} is negative; a sigma must be nonnegative")
     try:
-        return get_float(cfg, key) ** 2
+        return sigma ** 2
     except OverflowError:
         raise ConfigError(f"{key}: {cfg[key]} squared overflows") from None
 
@@ -285,24 +288,22 @@ def build_run_config(cfg: dict[str, str]) -> RunConfig:
             sensor_dt=get_float(cfg, "scenario.sensor_dt"),
         )
         scenario.epochs()
-        if not get_float(cfg, "noise.gyro_sigma") > 0.0:
-            # The velocity gain is the inverse of the gyro covariance.
-            raise ConfigError("noise.gyro_sigma must be positive")
         gains = NoiseModel(
-            gyro_cov=_squared(cfg, "noise.gyro_sigma") * np.eye(3),
-            vector_cov=_squared(cfg, "noise.vector_sigma") * np.eye(3),
+            gyro_var=_variance(cfg, "noise.gyro_sigma"),
+            vector_var=_variance(cfg, "noise.vector_sigma"),
             seed=seed,
         )
-        # Each gain inverts a covariance: a square that underflows has none.
-        for key, gain in (("noise.gyro_sigma", "velocity_gain"),
-                          ("noise.vector_sigma", "vector_cov_pinv")):
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    finite = bool(np.isfinite(getattr(gains, gain)).all())
-            except np.linalg.LinAlgError:
-                finite = False
-            if not finite:
-                raise ConfigError(f"{key}: {cfg[key]} gives no finite {gain}")
+        if not get_float(cfg, "noise.gyro_sigma") > 0.0:
+            # The velocity gain is the inverse of the gyro variance.
+            raise ConfigError("noise.gyro_sigma must be positive")
+        # Each gain inverts a variance: a square that underflows has none.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            if not np.isfinite(gains.velocity_gain).all():
+                raise ConfigError(f"noise.gyro_sigma: {cfg['noise.gyro_sigma']} gives no finite "
+                                  "velocity_gain")
+        if not math.isfinite(gains.output_weight):
+            raise ConfigError(f"noise.vector_sigma: {cfg['noise.vector_sigma']} gives no finite "
+                              "output_weight")
         filter_cfg = FilterConfig(
             origin_xi=XI_ORIGIN,
             delta_step_cap=get_float(cfg, "filter.delta_step_cap"),
@@ -360,8 +361,8 @@ def build_check_config(raw: dict[str, str], dt: Optional[float] = None) -> RunCo
         config,
         filter=replace(config.filter, delta_step_cap=1e18, dt_max=dt),
         noise=NoiseModel(
-            gyro_cov=_squared(cfg, "check.gyro_sigma_true") * np.eye(3),
-            vector_cov=_squared(cfg, "check.vector_sigma_true") * np.eye(3),
+            gyro_var=_variance(cfg, "check.gyro_sigma_true"),
+            vector_var=_variance(cfg, "check.vector_sigma_true"),
             seed=config.gains.seed,
         ),
     )

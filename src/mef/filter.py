@@ -24,8 +24,8 @@ on the basis and the origin's value, so once per run; per substep, the
 forcing terms (output pull and noise damping), wedge(delta), and one
 product of the raw group matrices, checked once for finiteness. The
 correction solve keeps its residual guard every substep, measured in units
-of max|rhs| when |rhs|^2 overflows, and a step cap that leaves no step
-(|delta|^2 overflows) raises.
+of max|rhs| when |rhs|^2 overflows or underflows, and a step cap that
+leaves no step (|delta|^2 overflows) raises.
 Every SignalSample checks all of its inputs; the check and inverse of its
 velocity gain Q are memoized on Q's value, so the samples of a run, which
 share one Q, check and invert it once; one |R| serves both of R's checks,
@@ -377,7 +377,7 @@ def correction_delta(basis: GeneratorBasis, H: np.ndarray, eta: np.ndarray,
     P = Ups_T.dot(H).dot(Ups) + Ups_T.dot(Ups_bar)
     rhs = Ups_T.dot(forcing)
     rhs_norm = math.sqrt(rhs.dot(rhs))
-    if rhs_norm == 0.0:
+    if rhs_norm == 0.0 and not rhs.any():
         return np.zeros(basis.dim_algebra)
     try:
         delta = _solve(P, rhs)
@@ -387,9 +387,10 @@ def correction_delta(basis: GeneratorBasis, H: np.ndarray, eta: np.ndarray,
             "(P is singular)"
         ) from None
     residual = P.dot(delta) - rhs
-    if rhs_norm == math.inf:
-        # rhs . rhs overflowed, and |residual| / inf would pass any solve:
-        # measure both in units of max|rhs| instead.
+    if rhs_norm == math.inf or rhs_norm == 0.0:
+        # rhs . rhs overflowed or underflowed, and |residual| / inf would
+        # pass any solve, |residual| / 0 none: measure both in units of
+        # max|rhs| instead.
         scale = float(np.abs(rhs).max())
         residual, rhs = residual / scale, rhs / scale
         rhs_norm = math.sqrt(rhs.dot(rhs))

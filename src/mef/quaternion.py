@@ -49,8 +49,6 @@ __all__ = [
 ]
 
 UNIT_TOLERANCE = 1e-9
-# Relative singular-value cutoff for the pseudo-inverse defining R.
-R_PINV_CUTOFF = 1e-12
 
 # Embedding origin: the identity quaternion as a 4-vector.
 XI_ORIGIN = np.array([1.0, 0.0, 0.0, 0.0])
@@ -207,53 +205,40 @@ class AttitudeScenario:
         return int(rounded) + 1
 
 
-def _check_covariance(mat, name: str) -> np.ndarray:
-    mat = np.asarray(mat, dtype=float)
-    if mat.shape != (3, 3):
-        raise ValueError(f"{name} must be 3x3")
-    if not np.allclose(mat, mat.T, atol=1e-12):
-        raise ValueError(f"{name} must be symmetric")
-    if float(np.linalg.eigvalsh(mat)[0]) < -1e-12:
-        raise ValueError(f"{name} must be positive semidefinite")
-    return mat
-
-
-def _read_only(mat: np.ndarray) -> np.ndarray:
-    mat = np.array(mat, dtype=float)
-    mat.flags.writeable = False
-    return mat
-
-
 @dataclass(frozen=True)
 class NoiseModel:
-    """Measurement-noise covariances and the seed they are drawn with.
+    """Isotropic measurement noise, sigma^2 I per sensor, as its two
+    variances, and the seed it is drawn with.
 
-    The same covariances double as the gain parameters of the filter: the
-    velocity gain is the inverse of the propagated gyro covariance and the
-    output gain comes from the vector covariance through the output
-    Jacobian. The model is frozen and its arrays read-only, so the gain
-    matrices derived from them are computed once, on first use.
+    The same variances double as the gain parameters of the filter: the
+    velocity gain inverts the propagated gyro covariance, and the output
+    weight inverts the vector variance (see build_sample). The model is
+    frozen, so its gains are computed once, on first use.
     """
 
-    gyro_cov: np.ndarray
-    vector_cov: np.ndarray
+    gyro_var: float
+    vector_var: float
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("gyro_cov", "vector_cov"):
-            object.__setattr__(self, name, _read_only(_check_covariance(getattr(self, name), name)))
+        for name in ("gyro_var", "vector_var"):
+            if not 0.0 <= getattr(self, name) < math.inf:  # written so that NaN fails too
+                raise ValueError(f"{name} must be nonnegative and finite")
         object.__setattr__(self, "seed", int(self.seed))
 
     @cached_property
     def velocity_gain(self) -> np.ndarray:
-        """The velocity gain Q = (0.25 gyro_cov)^-1 (see build_sample),
+        """The velocity gain Q = (0.25 gyro_var I)^-1 (see build_sample),
         shared read-only by every sample; SignalSample checks it."""
-        return _read_only(np.linalg.inv(0.25 * self.gyro_cov))
+        gain = np.eye(3) / (0.25 * self.gyro_var)
+        gain.flags.writeable = False
+        return gain
 
     @cached_property
-    def vector_cov_pinv(self) -> np.ndarray:
-        """pinv(vector_cov) with the relative cutoff R_PINV_CUTOFF."""
-        return _read_only(np.linalg.pinv(self.vector_cov, rcond=R_PINV_CUTOFF, hermitian=True))
+    def output_weight(self) -> float:
+        """The output weight 1 / vector_var; 0 for a zero variance, as the
+        pseudo-inverse of a zero covariance is 0."""
+        return 1.0 / self.vector_var if self.vector_var else 0.0
 
 
 def build_sample(
@@ -273,25 +258,18 @@ def build_sample(
     The sample holds until valid_until.
 
     The velocity gain Q is noise_model.velocity_gain, the inverse of
-    0.25 * gyro_cov (halving the rate halves the noise, quartering its
-    covariance). The output gain R is the pseudo-inverse of J V J^T, with
-    V = vector_cov and J = upsilon_bar(q_hat) the output Jacobian: C is
-    affine in z, and the noise nu moves C q_hat by exactly J nu. R has rank
-    3; its null direction lies along the estimate and carries no information.
-
-    R is built in closed form. The columns of J are orthogonal with norm
-    |q_hat|, so J^T J = |q_hat|^2 I and J = |q_hat| W with W^T W = I.
-    Then J V J^T = |q_hat|^2 W V W^T, and because W has orthonormal
-    columns, pinv(W V W^T) = W pinv(V) W^T. Hence
-    pinv(J V J^T) = J pinv(V) J^T / |q_hat|^4. Both pseudo-inverses use
-    the same relative cutoff R_PINV_CUTOFF, which the uniform scaling by
-    |q_hat|^2 leaves unchanged, and pinv(V) is computed once per model.
+    0.25 gyro_var I (halving the rate halves the noise, quartering its
+    variance). C is affine in z, and the noise nu moves C q_hat by exactly
+    J nu, with J = upsilon_bar(q_hat) the output Jacobian. J's columns are
+    orthogonal with norm |q_hat|, so the output gain pinv(J sigma^2 I J^T)
+    is R = J J^T / (sigma^2 |q_hat|^4), sigma^2 = vector_var: rank 3, and
+    null along the estimate, which carries no information.
     """
     B = _UPSILON_ORIGIN.dot(adjoint_coords(BASIS, X_hat))
     J = upsilon_bar(BASIS, q_hat)
     q_v = q_hat[1:]
     norm2 = float(q_hat[0]) ** 2 + float(q_v.dot(q_v))
-    R = J.dot(noise_model.vector_cov_pinv).dot(J.T) / (norm2 * norm2)
+    R = (J * noise_model.output_weight).dot(J.T) / (norm2 * norm2)
     return SignalSample(U_coords=U_coords, C=C, y=np.zeros(4), B=B, Q=noise_model.velocity_gain,
                         R=R, valid_until=valid_until)
 

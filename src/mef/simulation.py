@@ -20,6 +20,7 @@ bits of the single-epoch calls.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -34,7 +35,6 @@ from .filter import (
     SignalSample,
     SingularPError,
     _dot,
-    _matvec,
     check_invariants,
     init,
     optimality_residual,
@@ -97,7 +97,7 @@ class TruthEpoch(NamedTuple):
 class RunConfig:
     """Everything needed for one reproducible run.
 
-    gains supplies the covariances the filter gains are built from; noise,
+    gains supplies the variances the filter gains are built from; noise,
     when present, is the model actually injected into the measurements.
     The two usually coincide, but noiseless runs still need gains.
     """
@@ -162,11 +162,6 @@ def _rows(truth: list[TruthEpoch], field: str) -> np.ndarray:
     return np.array([getattr(epoch, field) for epoch in truth]).reshape(-1, 3)
 
 
-def _psd_sqrt(cov: np.ndarray) -> np.ndarray:
-    w, V = np.linalg.eigh(cov)
-    return V @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ V.T
-
-
 def _stream(seed: int, stream_id: int) -> np.random.Generator:
     # Counter-based generator; separate substreams per sensor so enabling
     # one noise source does not shift the other's draws.
@@ -183,16 +178,13 @@ def corrupt(
     noise, one draw per epoch per sensor, reproducible per seed.
 
     Each sensor's draws come as one (N, 3) block, which holds the same
-    numbers as N draws of 3, and are scaled by the covariance's square
-    root in one stacked product, with each row's bits of its own product.
+    numbers as N draws of 3, scaled by the sensor's sigma, the square root
+    of its variance.
     """
-    count = len(truth)
-    draws = []
-    for stream_id, cov in enumerate((noise.gyro_cov, noise.vector_cov)):
-        block = _stream(noise.seed, stream_id).standard_normal((count, 3))
-        draws.append(_matvec(_psd_sqrt(cov), block))
+    gyro, vector = (math.sqrt(var) * _stream(noise.seed, stream_id).standard_normal((len(truth), 3))
+                    for stream_id, var in enumerate((noise.gyro_var, noise.vector_var)))
     times = np.array([epoch.t for epoch in truth])
-    return times, _rows(truth, "omega") + draws[0], _rows(truth, "z") + draws[1]
+    return times, _rows(truth, "omega") + gyro, _rows(truth, "z") + vector
 
 
 def initial_observer_hessian(q_hat_0: Quaternion, scale: float) -> np.ndarray:

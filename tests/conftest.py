@@ -81,6 +81,14 @@ def sample_from_measurements(t, q_hat, X_hat, omega, z, scenario, noise) -> Sign
                         measurement_matrix(z, scenario.ref_fn(t)), t + scenario.sensor_dt, noise)
 
 
+def psd_sqrt(cov: np.ndarray) -> np.ndarray:
+    """Symmetric square root of a PSD covariance through its
+    eigendecomposition: the general form of the noise scale sqrt(var) that
+    corrupt applies to isotropic noise."""
+    w, V = np.linalg.eigh(cov)
+    return V @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ V.T
+
+
 def correction_at(state, sample, cfg):
     """correction_delta at ``state``, with its arguments formed as step
     forms them."""

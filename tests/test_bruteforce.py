@@ -184,8 +184,7 @@ def fixed_step_trace(dt: float, duration: float = 0.1,
         ref_fn=lambda t: np.array([np.sin(t), 0.0, np.cos(t)]),
         q0=Quaternion(1.0, np.zeros(3)), duration=duration, sensor_dt=0.1,
     )
-    gains = NoiseModel(gyro_cov=0.01 ** 2 * np.eye(3),
-                       vector_cov=1.0 * np.eye(3))
+    gains = NoiseModel(gyro_var=0.01 ** 2, vector_var=1.0)
     q_hat = Quaternion(np.cos(initial_error / 2.0),
                        np.array([np.sin(initial_error / 2.0), 0.0, 0.0]))
     cfg = FilterConfig(origin_xi=XI_ORIGIN, dt_max=dt, delta_step_cap=1e18)

@@ -485,12 +485,21 @@ class TestConfigBoundary:
           for key in ("check.gyro_sigma_true", "check.vector_sigma_true")],
     ])
     def test_noise_sigma_without_finite_gains_names_its_key(self, argv, key, tmp_path, capsys):
-        # Squares that overflow, a gyro square with no finite inverse, and a
-        # vector square with no finite pseudo-inverse.
+        # Squares that overflow, and nonzero squares with no finite inverse.
         code = main(argv + ["--out", str(tmp_path)])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key}: ")
+        assert list(tmp_path.rglob("*.csv")) == []
+
+    @pytest.mark.parametrize("command, key", [
+        ("simulate", "noise.gyro_sigma"), ("simulate", "noise.vector_sigma"),
+        ("check", "check.gyro_sigma_true"), ("check", "check.vector_sigma_true"),
+    ])
+    def test_a_negative_sigma_names_its_key(self, command, key, tmp_path, capsys):
+        code = main([command, "--set", f"{key}=-0.5", "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {key}: -0.5 is negative")
         assert list(tmp_path.rglob("*.csv")) == []
 
     # init accepts rounding-level asymmetry at any scale (4e-10 at

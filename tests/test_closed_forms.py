@@ -1,6 +1,7 @@
 """Each closed form on the observer's hot path against the generic code it
 replaces: the transpose against np.linalg.inv, the one-matmul adjoint
-against per-column vee, the closed-form output gain against a pseudo-inverse,
+against per-column vee, the isotropic gains and noise scale against
+pseudo-inverses, inverses and square roots of general covariances,
 the scalar Hamilton product against the np.cross form, the cosine/sine
 exponential against the scaled series, the LU correction solve against
 least squares, and the symmetry test against np.allclose."""
@@ -23,20 +24,23 @@ from mef import (
     Quaternion,
     SignalSample,
     SingularPError,
+    TruthEpoch,
     adjoint_coords,
+    build_sample,
+    corrupt,
     exp_group,
-    group_from_quaternion,
     quaternion_wedge,
     upsilon,
     upsilon_bar,
     vee,
 )
 from mef.cli import EXIT_SINGULAR, main
-from mef.filter import _symmetric_scale
+from mef.filter import _matvec, _symmetric_scale
 from mef.liegroup import _exp_series, _quaternion_exp
-from mef.quaternion import R_PINV_CUTOFF, AttitudeScenario, _mul
+from mef.quaternion import _mul
+from mef.simulation import _stream
 
-from conftest import correction_at, sample_from_measurements
+from conftest import correction_at, psd_sqrt
 
 coord = st.floats(-6.0, 6.0, allow_nan=False)
 vec3 = arrays(float, 3, elements=coord)
@@ -109,34 +113,56 @@ class TestAdjointCoords:
             adjoint_coords(BASIS, GroupElement(np.diag([1.0, 2.0, 1.0, 1.0])))
 
 
+sigma = st.floats(1e-3, 1e3)
+
+
 class TestOutputGain:
-    @given(vec4, arrays(float, (3, 3), elements=coord),
-           st.lists(st.sampled_from([0.0, 1e-3, 0.1, 1.0, 10.0]), min_size=3, max_size=3))
-    def test_closed_form_matches_pinv(self, q_vec, A, eigenvalues):
-        """R = J pinv(V) J^T / |q|^4 against pinv(J V J^T), singular V included."""
-        q_hat = unit_quaternion(q_vec)
-        assume(np.linalg.svd(A, compute_uv=False)[-1] > 1e-2)
-        basis_vectors, _ = np.linalg.qr(A)
-        V = basis_vectors @ np.diag(eigenvalues) @ basis_vectors.T
-        V = 0.5 * (V + V.T)
-        noise = NoiseModel(gyro_cov=np.eye(3), vector_cov=V)
-        scenario = AttitudeScenario(omega_fn=None, ref_fn=lambda t: np.array([0.0, 0.0, 1.0]),
-                                    q0=Quaternion(1.0, np.zeros(3)), duration=1.0, sensor_dt=0.1)
-        sample = sample_from_measurements(0.0, q_hat, group_from_quaternion(q_hat), np.zeros(3),
-                                          [0.0, 0.0, 1.0], scenario, noise)
-        J = upsilon_bar(BASIS, q_hat.as_vector())
-        expected = np.linalg.pinv(J @ V @ J.T, rcond=R_PINV_CUTOFF)
-        scale = max(1.0, float(np.abs(expected).max()))
-        np.testing.assert_allclose(sample.R, expected, rtol=0, atol=1e-10 * scale)
+    """The isotropic gains and noise scale against the general-covariance
+    constructions they stand for, with V = sigma^2 I: inv(0.25 V) for the
+    velocity gain, pinv(V) with relative cutoff 1e-12 for the output
+    weight and in R = J pinv(V) J^T / |q|^4, and V's square root through
+    its eigendecomposition for the injected noise."""
+
+    @given(vec4, st.floats(0.5, 2.0), sigma)
+    def test_closed_form_matches_pinv(self, q_vec, stretch, s):
+        """R = J J^T / (sigma^2 |q|^4) holds the values of J pinv(V) J^T /
+        |q|^4, is null along q, and is pinv(J V J^T) to round-off, at a
+        non-unit |q| too."""
+        q_hat = stretch * unit_quaternion(q_vec).as_vector()
+        V = s ** 2 * np.eye(3)
+        noise = NoiseModel(gyro_var=1.0, vector_var=s ** 2)
+        R = build_sample(q_hat, GroupElement.identity(4), np.zeros(3), np.zeros((4, 4)), 1.0,
+                         noise).R
+        J = upsilon_bar(BASIS, q_hat)
+        norm2 = float(q_hat[0]) ** 2 + float(q_hat[1:].dot(q_hat[1:]))
+        pinv_V = np.linalg.pinv(V, rcond=1e-12, hermitian=True)
+        assert np.array_equal(R, J.dot(pinv_V).dot(J.T) / (norm2 * norm2))
+        scale = float(np.abs(R).max())
+        np.testing.assert_allclose(R @ q_hat, np.zeros(4), rtol=0, atol=1e-14 * scale)
+        np.testing.assert_allclose(R, np.linalg.pinv(J @ V @ J.T, rcond=1e-12), rtol=0,
+                                   atol=1e-12 * scale)
+
+    @given(sigma, st.integers(0, 2 ** 32 - 1))
+    def test_gains_and_noise_hold_the_values_of_the_matrix_forms(self, s, seed):
+        V = s ** 2 * np.eye(3)
+        noise = NoiseModel(gyro_var=s ** 2, vector_var=s ** 2, seed=seed)
+        assert np.array_equal(noise.velocity_gain, np.linalg.inv(0.25 * V))
+        assert np.array_equal(noise.output_weight * np.eye(3),
+                              np.linalg.pinv(V, rcond=1e-12, hermitian=True))
+        still = TruthEpoch(0.0, Quaternion(1.0, np.zeros(3)), np.zeros(3), np.zeros(3),
+                           np.zeros(3))
+        _, omega, z = corrupt([still] * 4, noise)
+        for stream_id, measured in enumerate((omega, z)):
+            block = _stream(seed, stream_id).standard_normal((4, 3))
+            assert np.array_equal(measured, _matvec(psd_sqrt(V), block))
 
     def test_gains_are_computed_once_and_read_only(self):
-        noise = NoiseModel(gyro_cov=0.01 ** 2 * np.eye(3), vector_cov=np.eye(3))
+        noise = NoiseModel(gyro_var=0.01 ** 2, vector_var=1.0)
         assert noise.velocity_gain is noise.velocity_gain
-        for mat in (noise.gyro_cov, noise.velocity_gain, noise.vector_cov_pinv):
-            with pytest.raises(ValueError, match="read-only"):
-                mat[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            noise.velocity_gain[0, 0] = 1.0
         with pytest.raises(AttributeError):
-            noise.gyro_cov = np.eye(3)
+            noise.gyro_var = 1.0
 
 
 class TestHamiltonProduct:

@@ -106,7 +106,7 @@ def consistent_sample(q: Quaternion, omega, t: float = 0.0) -> SignalSample:
         duration=1.0,
         sensor_dt=0.1,
     )
-    gains = NoiseModel(gyro_cov=0.01 ** 2 * np.eye(3), vector_cov=np.eye(3))
+    gains = NoiseModel(gyro_var=0.01 ** 2, vector_var=1.0)
     z = np.array(
         [
             2 * (q.q_v[0] * q.q_v[2] - q.q_r * q.q_v[1]),
@@ -505,7 +505,7 @@ class TestLongHorizon:
         omega = np.array([0.3, -0.2, 0.5])
         scenario = AttitudeScenario(omega_fn=lambda t: omega, ref_fn=lambda t: z_ref,
                                     q0=q, duration=20.0, sensor_dt=0.01)
-        gains = NoiseModel(gyro_cov=0.01 ** 2 * np.eye(3), vector_cov=np.eye(3))
+        gains = NoiseModel(gyro_var=0.01 ** 2, vector_var=1.0)
         cfg = FilterConfig(origin_xi=XI_ORIGIN, dt_max=0.01 / 50, delta_step_cap=1e18)
         state = init(BASIS, group_from_quaternion(q_hat), initial_observer_hessian(q_hat, 1.0))
         z = rotate_to_body(q, z_ref)
@@ -539,8 +539,7 @@ def trajectory():
         duration=2.0,
         sensor_dt=0.1,
     )
-    gains = NoiseModel(gyro_cov=0.01 ** 2 * np.eye(3),
-                       vector_cov=1.0 * np.eye(3))
+    gains = NoiseModel(gyro_var=0.01 ** 2, vector_var=1.0)
     q_hat = offset_quaternion(0.99 * np.pi, [1.0, 0.0, 0.0])
     config = RunConfig(scenario=scenario, gains=gains, filter=CFG,
                        initial_estimate=q_hat, initial_hessian_scale=1.0)

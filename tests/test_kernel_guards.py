@@ -6,7 +6,7 @@ checks of the one sample constructor, which every sample build_sample
 assembles passes through: the velocity-gain checks, memoized on the gain's
 value so that a run makes them once, and the output-gain checks, whose
 symmetry test returns early on exact symmetry; and the correction solve's
-residual guard when |rhs|^2 overflows. Last, the
+residual guard when |rhs|^2 overflows or underflows. Last, the
 two assumptions that let the kernel skip numpy's wrappers: ndarray.dot gives
 the bits of @ on every operand form the kernel uses, and the LAPACK calls
 behind np.linalg.solve and np.linalg.eigvalsh, made directly, give their
@@ -271,20 +271,23 @@ def sample_for(noise: NoiseModel, q_hat: Quaternion = SCENARIO.q0) -> SignalSamp
 
 
 class TestVelocityGainChecks:
+    """A NoiseModel's velocity gain is always symmetric positive definite;
+    these gains, inverses of covariances that are not, reach the sample's
+    checks in its place."""
+
     def test_a_gain_that_is_not_positive_definite_raises(self):
-        # gyro_cov passes its own PSD check (eigenvalues >= -1e-12), but its
-        # inverse has an eigenvalue of -4e13.
-        noise = NoiseModel(gyro_cov=np.diag([1.0, 1.0, -1e-13]), vector_cov=np.eye(3))
+        # The covariance's eigenvalues are >= -1e-12, but its inverse has an
+        # eigenvalue of -4e13.
+        Q = np.linalg.inv(0.25 * np.diag([1.0, 1.0, -1e-13]))
         with pytest.raises(ValueError, match="Q must be positive definite"):
-            sample_for(noise)
+            dataclasses.replace(sample_for(NoiseModel(gyro_var=1.0, vector_var=1.0)), Q=Q)
 
     def test_an_asymmetric_gain_raises(self):
         # The covariance is symmetric to 1e-12 absolute; its inverse, of
         # order 4e6, is not symmetric to 1e-12 relative.
-        gyro = 1e-6 * (np.eye(3) + 5e-7 * np.eye(3, k=1))
-        noise = NoiseModel(gyro_cov=gyro, vector_cov=np.eye(3))
+        Q = np.linalg.inv(0.25 * (1e-6 * (np.eye(3) + 5e-7 * np.eye(3, k=1))))
         with pytest.raises(ValueError, match="Q must be symmetric"):
-            sample_for(noise)
+            dataclasses.replace(sample_for(NoiseModel(gyro_var=1.0, vector_var=1.0)), Q=Q)
 
 
 def symmetric_scale_by_the_full_rule(A, tol):
@@ -346,7 +349,9 @@ NEAR_SINGULAR = [[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-12, 0.0], [0.0, 0.0, 1.0]]
 class TestResidualGuardOnOverflow:
     """correction_delta with eta = 0, so that P = Ups^T H Ups = H[1:, 1:],
     and forcing s (0, g). Past s = 1e154, rhs . rhs overflows, and the
-    relative residual |P delta - rhs| / |rhs| would read 0 for any solve."""
+    relative residual |P delta - rhs| / |rhs| would read 0 for any solve.
+    Below s = 1e-162 it underflows to 0, and a nonzero rhs must not be
+    taken for a zero one, whose correction is 0."""
 
     @staticmethod
     def solve(block, s):
@@ -356,6 +361,7 @@ class TestResidualGuardOnOverflow:
         basis = quaternion_basis()
         with np.errstate(over="ignore"):
             assert math.isinf((s * g).dot(s * g)) == (s > 1e154)
+            assert ((s * g).dot(s * g) == 0.0) == (s < 1e-162)
             return correction_delta(basis, H, np.zeros(4), upsilon(basis, XI_ORIGIN),
                                     s * np.concatenate(([0.0], g)))
 
@@ -364,33 +370,38 @@ class TestResidualGuardOnOverflow:
         with pytest.raises(SingularPError, match=r"correction solve residual 2\.\d+e-05 exceeds"):
             self.solve(NEAR_SINGULAR, s)
 
+    def test_a_near_singular_solve_fails_when_the_square_underflows(self):
+        # s (0, g) rounds unlike (0, g), and P's condition number of about
+        # 4e12 amplifies that: the residual is not the one at s = 1.
+        with pytest.raises(SingularPError, match=r"correction solve residual \d\.\d+e-05 exceeds"):
+            self.solve(NEAR_SINGULAR, 1e-170)
+
     def test_a_well_conditioned_solve_passes_at_any_scale(self):
         np.testing.assert_allclose(self.solve(np.eye(3), 1e155),
                                    1e155 * self.solve(np.eye(3), 1.0), rtol=1e-15)
 
+    @pytest.mark.parametrize("s", [1e-150, 1e-170])
+    def test_a_tiny_rhs_is_solved_whether_or_not_its_square_underflows(self, s):
+        H, basis = np.zeros((4, 4)), quaternion_basis()
+        H[1:, 1:] = np.eye(3)
+        delta = correction_delta(basis, H, np.zeros(4), upsilon(basis, XI_ORIGIN),
+                                 s * np.array([0.0, 1.0, -2.0, 0.5]))
+        np.testing.assert_allclose(delta, -s * np.array([1.0, -2.0, 0.5]), rtol=1e-15, atol=0)
 
-def psd(eigenvalues, A):
-    basis_vectors, _ = np.linalg.qr(A + 4.0 * np.eye(3))
-    V = basis_vectors @ np.diag(eigenvalues) @ basis_vectors.T
-    return 0.5 * (V + V.T)
 
-
-eigenvalue = st.sampled_from([0.0, 1e-8, 1e-3, 0.1, 1.0, 30.0])
-eigenvalues = st.lists(eigenvalue, min_size=3, max_size=3)
-entries = arrays(float, (3, 3), elements=st.floats(-1.0, 1.0))
+variance = st.sampled_from([0.0, 1e-8, 1e-3, 0.1, 1.0, 30.0])
 
 
 class TestOneSampleConstructor:
     @given(arrays(float, 4, elements=st.floats(-1.0, 1.0)), st.floats(-5e-10, 5e-10),
-           eigenvalues, entries, st.lists(st.floats(0.01, 10.0), min_size=3, max_size=3), entries)
-    def test_every_built_sample_holds_the_inverse_of_its_gain(self, q, stretch, v_eigs, A,
-                                                               g_eigs, G):
+           variance, st.floats(0.01, 10.0))
+    def test_every_built_sample_holds_the_inverse_of_its_gain(self, q, stretch, v_var, g_var):
         """Every check passes on the samples build_sample makes from valid
-        covariances, and the memoized Q_inv is np.linalg.inv(Q) bit for bit."""
+        variances, and the memoized Q_inv is np.linalg.inv(Q) bit for bit."""
         norm = float(np.linalg.norm(q))
         q = q / norm if norm > 1e-3 else np.array([1.0, 0.0, 0.0, 0.0])
         q_hat = Quaternion.from_vector(q * (1.0 + stretch))
-        noise = NoiseModel(gyro_cov=psd(g_eigs, G), vector_cov=psd(v_eigs, A))
+        noise = NoiseModel(gyro_var=g_var, vector_var=v_var)
         sample = sample_for(noise, q_hat)
         Q_inv = np.linalg.inv(sample.Q)
         assert sample.Q_inv.tobytes() == Q_inv.tobytes()

@@ -41,9 +41,9 @@ from mef import (
 )
 import mef.filter
 from mef.config import build_run_config, read_config_source
-from mef.simulation import TruthEpoch, _fmt, _psd_sqrt, _stream
+from mef.simulation import TruthEpoch, _fmt, _stream
 
-from conftest import correction_at, make_rng, random_unit_quaternion
+from conftest import correction_at, make_rng, psd_sqrt, random_unit_quaternion
 
 
 def canonical_scenario(duration: float = 100.0) -> AttitudeScenario:
@@ -57,9 +57,7 @@ def canonical_scenario(duration: float = 100.0) -> AttitudeScenario:
 
 
 def canonical_gains(seed: int = 0) -> NoiseModel:
-    return NoiseModel(
-        gyro_cov=0.01 ** 2 * np.eye(3), vector_cov=1.0 * np.eye(3), seed=seed
-    )
+    return NoiseModel(gyro_var=0.01 ** 2, vector_var=1.0, seed=seed)
 
 
 def misaligned_estimate(angle: float = 0.99 * np.pi) -> Quaternion:
@@ -167,8 +165,7 @@ class TestCorrupt:
 
     def test_zero_covariance_passes_truth_through(self):
         truth = simulate_truth(canonical_scenario(duration=1.0))
-        noise = NoiseModel(gyro_cov=np.zeros((3, 3)),
-                           vector_cov=np.zeros((3, 3)), seed=5)
+        noise = NoiseModel(gyro_var=0.0, vector_var=0.0, seed=5)
         for t, omega, z, epoch in zip(*corrupt(truth, noise), truth):
             assert t == epoch.t
             np.testing.assert_array_equal(omega, epoch.omega)
@@ -192,21 +189,18 @@ class TestCorrupt:
         )
 
     def test_vector_noise_does_not_shift_gyro_stream(self):
-        # Separate substreams per sensor: toggling one covariance must not
+        # Separate substreams per sensor: toggling one variance must not
         # change the other sensor's draws.
         truth = self.fabricated_truth(50)
-        quiet = NoiseModel(gyro_cov=0.01 ** 2 * np.eye(3),
-                           vector_cov=np.zeros((3, 3)), seed=4)
-        loud = NoiseModel(gyro_cov=0.01 ** 2 * np.eye(3),
-                          vector_cov=np.eye(3), seed=4)
+        quiet = NoiseModel(gyro_var=0.01 ** 2, vector_var=0.0, seed=4)
+        loud = NoiseModel(gyro_var=0.01 ** 2, vector_var=1.0, seed=4)
         for om_a, om_b in zip(corrupt(truth, quiet)[1], corrupt(truth, loud)[1]):
             np.testing.assert_array_equal(om_a, om_b)
 
     def test_gyro_noise_variance_matches_covariance(self):
         truth = self.fabricated_truth(100_000)
         sigma2 = 0.01 ** 2
-        noise = NoiseModel(gyro_cov=sigma2 * np.eye(3),
-                           vector_cov=np.zeros((3, 3)), seed=12)
+        noise = NoiseModel(gyro_var=sigma2, vector_var=0.0, seed=12)
         draws = corrupt(truth, noise)[1]
         for axis in range(3):
             var = float(np.var(draws[:, axis]))
@@ -388,7 +382,8 @@ def per_epoch_measurements(scenario, noise):
     epoch with one draw of 3 per sensor, as corrupt and simulate_truth
     formed them before they worked on whole runs."""
     gyro_gen, vector_gen = _stream(noise.seed, 0), _stream(noise.seed, 1)
-    gyro_sqrt, vector_sqrt = _psd_sqrt(noise.gyro_cov), _psd_sqrt(noise.vector_cov)
+    gyro_sqrt, vector_sqrt = (psd_sqrt(var * np.eye(3))
+                              for var in (noise.gyro_var, noise.vector_var))
     q, out = scenario.q0, []
     for k in range(scenario.epochs()):
         t = k * scenario.sensor_dt
@@ -442,7 +437,7 @@ class TestEpochTranscription:
         expected = per_epoch_measurements(config.scenario, config.noise)
         assert len(epochs) == len(expected) == 61
         Ups_origin = upsilon(BASIS, XI_ORIGIN)
-        pinv = config.gains.vector_cov_pinv
+        pinv = np.linalg.pinv(config.gains.vector_var * np.eye(3), rcond=1e-12, hermitian=True)
         for epoch, (t, q, omega, z, z_ref) in zip(epochs, expected):
             X = epoch.state.X_hat
             coords = BASIS._flat_pinv @ (X.matrix @ BASIS.generators @ X.inverse).reshape(3, 16).T

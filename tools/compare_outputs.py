@@ -13,6 +13,13 @@ from their own ``src``:
 - ``mef simulate`` on the ``noiseless`` preset with
   ``--set scenario.duration=0`` (no epochs) and ``0.1`` (two epochs), which
   pin the empty log and the shortest stacked log;
+- ``mef simulate`` on the ``noisy`` preset with
+  ``--set noise.vector_sigma=0.3``, ``noise.vector_sigma=0`` (no output
+  weight) and ``noise.gyro_sigma=0.03``. Every other command has
+  vector_sigma = 1, whose output weight of 1 leaves the products that form
+  R exact, so only the first sees how R's product is grouped; the second
+  pins a zero weight, and the third a second gyro sigma, in the velocity
+  gain and in the injected noise;
 - ``mef check`` at ``--dt 1e-3`` and ``--dt 2.5e-4``, and at ``--dt 5e-3``,
   whose gradient agreement row fails (exit 1);
 - four runs that exit 3: the ``noisy`` preset with seed 43, whose
@@ -60,6 +67,9 @@ COMMANDS = (
     + [["simulate", "--config", "noiseless"],
        ["simulate", "--config", "noiseless", "--set", "scenario.duration=0"],
        ["simulate", "--config", "noiseless", "--set", "scenario.duration=0.1"],
+       ["simulate", "--config", "noisy", "--set", "noise.vector_sigma=0.3"],
+       ["simulate", "--config", "noisy", "--set", "noise.vector_sigma=0"],
+       ["simulate", "--config", "noisy", "--set", "noise.gyro_sigma=0.03"],
        ["check", "--dt", "1e-3"],
        ["check", "--dt", "2.5e-4"],
        ["check", "--dt", "5e-3"],
