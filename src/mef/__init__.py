@@ -74,7 +74,7 @@ from .simulation import (
     CSV_HEADER,
     LogRecord,
     RunConfig,
-    TruthEpoch,
+    Truth,
     corrupt,
     initial_observer_hessian,
     observe,

@@ -246,13 +246,18 @@ def _vector_signal(key: str, value: str) -> Callable[[float], np.ndarray]:
     raise ConfigError(f"{key}: unknown signal {value!r}")
 
 
+def _nonnegative(cfg: dict[str, str], key: str, what: str) -> float:
+    # A number used squared, where a negative one would act as its absolute value.
+    value = get_float(cfg, key)
+    if value < 0.0:
+        raise ConfigError(f"{key}: {cfg[key]} is negative; {what} must be nonnegative")
+    return value
+
+
 def _variance(cfg: dict[str, str], key: str) -> float:
     # A noise covariance is sigma^2 I, with sigma >= 0 the number at key.
-    sigma = get_float(cfg, key)
-    if sigma < 0.0:
-        raise ConfigError(f"{key}: {cfg[key]} is negative; a sigma must be nonnegative")
     try:
-        return sigma ** 2
+        return _nonnegative(cfg, key, "a sigma") ** 2
     except OverflowError:
         raise ConfigError(f"{key}: {cfg[key]} squared overflows") from None
 
@@ -314,7 +319,7 @@ def build_run_config(cfg: dict[str, str]) -> RunConfig:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    hessian_scale = get_float(cfg, "observer.hessian_scale")
+    hessian_scale = _nonnegative(cfg, "observer.hessian_scale", "a Hessian scale")
     try:  # a scale whose H_0 overflows or fails init is a config error
         initial_state(initial_estimate, hessian_scale)
     except (ValueError, OverflowError) as exc:
@@ -348,6 +353,7 @@ def build_check_config(raw: dict[str, str], dt: Optional[float] = None) -> RunCo
         raise ConfigError("--dt must be positive and finite")
     if get_float(cfg, "check.duration") <= 0.0:
         raise ConfigError("check.duration must be positive")
+    _nonnegative(cfg, "check.hessian_scale", "a Hessian scale")
     config = build_run_config(
         cfg
         | {

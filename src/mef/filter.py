@@ -336,8 +336,8 @@ def _all_finite(A: np.ndarray) -> bool:
 
 def _origin_action(basis: GeneratorBasis, origin) -> np.ndarray:
     # upsilon(basis, origin), read-only and memoized on the origin's value,
-    # so that step and optimality_residual form it once per run, not once
-    # per interval.
+    # so that step, optimality_residual, build_sample and observe form it
+    # once per run, not once per interval.
     return _upsilon_memo(basis, np.asarray(origin, dtype=float).tobytes())
 
 

@@ -21,14 +21,13 @@ from typing import Callable
 
 import numpy as np
 
-from .filter import SignalSample, _dot
+from .filter import SignalSample, _dot, _origin_action
 from .liegroup import (
     GroupElement,
     _element,
     adjoint_coords,
     quaternion_basis,
     quaternion_wedge,
-    upsilon,
     upsilon_bar,
 )
 
@@ -55,10 +54,6 @@ XI_ORIGIN = np.array([1.0, 0.0, 0.0, 0.0])
 
 # Shared generator basis of the quaternion group.
 BASIS = quaternion_basis()
-
-# upsilon(BASIS, XI_ORIGIN), the left factor of every sample's input map B.
-_UPSILON_ORIGIN = upsilon(BASIS, XI_ORIGIN)
-_UPSILON_ORIGIN.flags.writeable = False
 
 
 class Quaternion:
@@ -265,7 +260,7 @@ def build_sample(
     is R = J J^T / (sigma^2 |q_hat|^4), sigma^2 = vector_var: rank 3, and
     null along the estimate, which carries no information.
     """
-    B = _UPSILON_ORIGIN.dot(adjoint_coords(BASIS, X_hat))
+    B = _origin_action(BASIS, XI_ORIGIN).dot(adjoint_coords(BASIS, X_hat))
     J = upsilon_bar(BASIS, q_hat)
     q_v = q_hat[1:]
     norm2 = float(q_hat[0]) ** 2 + float(q_v.dot(q_v))

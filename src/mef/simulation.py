@@ -7,13 +7,14 @@ epoch (run). Identical configurations produce bitwise-identical logs and
 CSV files.
 
 Everything that does not depend on the observer state is formed once per
-run on (N, 3) or (N, 4, 4) arrays: the true attitudes, the measured rates
-and vectors, the velocity coordinates U = omega/2 and the implicit-output
-matrices C. Per epoch, observe checks the state, forms the estimate and
-the sample's state-dependent part (build_sample) and steps; run copies the
-epoch's raw arrays into buffers preallocated for the run. Logging happens
-once per run: after the last epoch, run forms every column of the log on
-those (N, .) buffers, through attitude_error_angle, optimality_residual and
+run on (N, .) arrays: the truth (a Truth of read-only arrays, the true
+attitudes among them as 4-vectors), the measured rates and vectors, the
+velocity coordinates U = omega/2 and the implicit-output matrices C. Per
+epoch, observe checks the state, forms the estimate and the sample's
+state-dependent part (build_sample) and steps; run copies the epoch's raw
+arrays into buffers preallocated for the run. Logging happens once per
+run: after the last epoch, run forms every column of the log on the truth
+and those buffers, through attitude_error_angle, optimality_residual and
 value_rate, which take one epoch or a stack and give a stack's rows the
 bits of the single-epoch calls.
 """
@@ -35,6 +36,7 @@ from .filter import (
     SignalSample,
     SingularPError,
     _dot,
+    _origin_action,
     check_invariants,
     init,
     optimality_residual,
@@ -45,6 +47,7 @@ from .filter import (
 from .liegroup import upsilon
 from .quaternion import (
     BASIS,
+    UNIT_TOLERANCE,
     AttitudeScenario,
     NoiseModel,
     Quaternion,
@@ -58,7 +61,7 @@ from .quaternion import (
 )
 
 __all__ = [
-    "TruthEpoch",
+    "Truth",
     "RunConfig",
     "LogRecord",
     "ObservedEpoch",
@@ -78,16 +81,16 @@ CSV_HEADER = (
 )
 
 
-class TruthEpoch(NamedTuple):
-    """True state at one sensor epoch.
-
-    omega is the exact body rate at the epoch, kept alongside the
-    quaternion so the corruption stage can add gyro noise without
-    re-evaluating scenario callables.
+class Truth(NamedTuple):
+    """True state at every sensor epoch, one row per epoch, as read-only
+    arrays: the times t (N,), the unit quaternions q (N, 4), the inertial
+    reference vectors z_ref and their body-frame images z (N, 3), and the
+    exact body rates omega (N, 3), kept so that the corruption stage can
+    add gyro noise without re-evaluating scenario callables.
     """
 
-    t: float
-    q: Quaternion
+    t: np.ndarray
+    q: np.ndarray
     z_ref: np.ndarray
     z: np.ndarray
     omega: np.ndarray
@@ -121,7 +124,7 @@ class LogRecord(NamedTuple):
     substeps: int
 
 
-def simulate_truth(scenario: AttitudeScenario) -> list[TruthEpoch]:
+def simulate_truth(scenario: AttitudeScenario) -> Truth:
     """True trajectory on the sensor grid via the exact one-step flow.
 
     The body rate is held at its left-endpoint value over each interval.
@@ -135,8 +138,7 @@ def simulate_truth(scenario: AttitudeScenario) -> list[TruthEpoch]:
     unit = np.abs(np.linalg.norm(z_ref, axis=1) - 1.0) <= 1e-12
     if not unit.all():
         raise ValueError(f"reference vector at t={times[int(unit.argmin())]} is not unit length")
-    # propagate_quaternion's step on raw 4-vectors, and each quaternion
-    # checked once they are all formed.
+    # propagate_quaternion's step on raw 4-vectors.
     q = np.empty((epochs, 4))
     q[:1] = scenario.q0.as_vector()
     coords, formed, error = -scenario.sensor_dt * velocity_coords(omega), epochs, None
@@ -145,21 +147,24 @@ def simulate_truth(scenario: AttitudeScenario) -> list[TruthEpoch]:
             q[k + 1] = _flow(q[k], coords[k])
     except ValueError as exc:
         formed, error = k + 1, exc
-    # A quaternion that is not unit fails before a later rate the
-    # exponential rejects, as when each was checked as it came.
-    quaternions = list(map(Quaternion.from_vector, q[:formed]))
+    # A quaternion that is not unit fails before a later rate the exponential
+    # rejects, as when each was checked as it came. A row within half the
+    # tolerance is unit however its norm rounds; any other is checked as a
+    # Quaternion, which raises for the first bad one.
+    unit = np.abs(np.linalg.norm(q[:formed], axis=1) - 1.0) <= UNIT_TOLERANCE / 2
+    for row in q[:formed][~unit]:
+        Quaternion.from_vector(row)
     if error is not None:
         raise error
-    return list(map(TruthEpoch, times, quaternions, z_ref, _to_body(q, z_ref), omega))
+    truth = Truth(np.array(times, dtype=float), q, z_ref, _to_body(q, z_ref), omega)
+    for array in truth:
+        array.flags.writeable = False
+    return truth
 
 
 def _sampled(signal, times: list) -> np.ndarray:
     # (N, 3) rows signal(t), each read as a 3-vector.
     return np.array([np.asarray(signal(t), dtype=float).reshape(3) for t in times]).reshape(-1, 3)
-
-
-def _rows(truth: list[TruthEpoch], field: str) -> np.ndarray:
-    return np.array([getattr(epoch, field) for epoch in truth]).reshape(-1, 3)
 
 
 def _stream(seed: int, stream_id: int) -> np.random.Generator:
@@ -170,21 +175,18 @@ def _stream(seed: int, stream_id: int) -> np.random.Generator:
     )
 
 
-def corrupt(
-    truth: list[TruthEpoch], noise: NoiseModel
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Measured (t, omega, z) of every epoch, as the epoch times (N,) and
-    the measured rates and vectors (N, 3), with additive zero-mean Gaussian
-    noise, one draw per epoch per sensor, reproducible per seed.
+def corrupt(truth: Truth, noise: NoiseModel) -> tuple[np.ndarray, np.ndarray]:
+    """Measured (omega, z) of every epoch, as the rates and vectors (N, 3)
+    of the truth with additive zero-mean Gaussian noise, one draw per epoch
+    per sensor, reproducible per seed.
 
     Each sensor's draws come as one (N, 3) block, which holds the same
     numbers as N draws of 3, scaled by the sensor's sigma, the square root
     of its variance.
     """
-    gyro, vector = (math.sqrt(var) * _stream(noise.seed, stream_id).standard_normal((len(truth), 3))
+    gyro, vector = (math.sqrt(var) * _stream(noise.seed, stream_id).standard_normal(truth.z.shape)
                     for stream_id, var in enumerate((noise.gyro_var, noise.vector_var)))
-    times = np.array([epoch.t for epoch in truth])
-    return times, _rows(truth, "omega") + gyro, _rows(truth, "z") + vector
+    return truth.omega + gyro, truth.z + vector
 
 
 def initial_observer_hessian(q_hat_0: Quaternion, scale: float) -> np.ndarray:
@@ -209,15 +211,17 @@ def initial_state(q_hat_0: Quaternion, scale: float) -> ObserverState:
 
 
 class ObservedEpoch(NamedTuple):
-    """One sensor epoch as observe yields it: the observer state at the
-    epoch, its estimate X_hat^-1 origin_xi as a 4-vector, the sample held
+    """One sensor epoch as observe yields it: its time t, its row q_true of
+    the true quaternions (read-only), the observer state at the epoch, its
+    estimate X_hat^-1 origin_xi as a 4-vector, the sample held
     over the next interval, the number of substeps spent on that interval,
     delta, the correction applied by the first of them (solved directly at
     the last epoch, which is not stepped and has no substeps), and the
     interval's SubstepRecords when observe was asked for them (empty
     otherwise)."""
 
-    truth: TruthEpoch
+    t: float
+    q_true: np.ndarray
     state: ObserverState
     estimate: np.ndarray
     sample: SignalSample
@@ -238,35 +242,31 @@ def observe(config: RunConfig, trace: bool = False):
     yield from _observe(config, *_epoch_inputs(config), trace)
 
 
-def _epoch_inputs(config: RunConfig) -> tuple[list[TruthEpoch], np.ndarray, np.ndarray]:
+def _epoch_inputs(config: RunConfig) -> tuple[Truth, np.ndarray, np.ndarray]:
     # The truth, and the state-free part of every sample, formed once per
     # run: the velocity coordinates U (N, 3) and the matrices C (N, 4, 4),
     # both read-only.
     truth = simulate_truth(config.scenario)
-    if config.noise is not None:
-        _, omega_meas, z_meas = corrupt(truth, config.noise)
-    else:
-        omega_meas, z_meas = _rows(truth, "omega"), _rows(truth, "z")
-    U = velocity_coords(omega_meas)
-    C = measurement_matrix(z_meas, _rows(truth, "z_ref"))
+    omega, z = (truth.omega, truth.z) if config.noise is None else corrupt(truth, config.noise)
+    U = velocity_coords(omega)
+    C = measurement_matrix(z, truth.z_ref)
     U.flags.writeable = C.flags.writeable = False
     return truth, U, C
 
 
-def _observe(config: RunConfig, truth: list[TruthEpoch], U: np.ndarray, C: np.ndarray,
-             trace: bool):
+def _observe(config: RunConfig, truth: Truth, U: np.ndarray, C: np.ndarray, trace: bool):
     # observe, on the inputs _epoch_inputs formed.
     cfg, gains, hold = config.filter, config.gains, config.scenario.sensor_dt
-    Ups = upsilon(BASIS, cfg.origin_xi)
-    last = len(truth) - 1
+    Ups = _origin_action(BASIS, cfg.origin_xi)
+    last = len(truth.t) - 1
 
     state = initial_state(config.initial_estimate, config.initial_hessian_scale)
-    for k, epoch in enumerate(truth):
+    for k, (t, q_true) in enumerate(zip(truth.t.tolist(), truth.q)):
         records: list = []
         try:
             check_invariants(state)
             estimate = state_estimate(state, cfg)
-            sample = build_sample(estimate, state.X_hat, U[k], C[k], epoch.t + hold, gains)
+            sample = build_sample(estimate, state.X_hat, U[k], C[k], t + hold, gains)
             if k < last:
                 end, substeps, delta = step(state, sample, cfg, trace=records if trace else None)
             else:
@@ -277,8 +277,8 @@ def _observe(config: RunConfig, truth: list[TruthEpoch], U: np.ndarray, C: np.nd
                                                       sample, cfg.origin_xi)
                 delta = _filter.correction_delta(BASIS, state.H, state.eta, Ups, pull - damping)
         except SingularPError as exc:
-            raise SingularPError(f"epoch {k} (t={epoch.t:g} s): {exc}") from exc
-        yield ObservedEpoch(epoch, state, estimate, sample, delta, substeps, records)
+            raise SingularPError(f"epoch {k} (t={t:g} s): {exc}") from exc
+        yield ObservedEpoch(t, q_true, state, estimate, sample, delta, substeps, records)
         state = end
 
 
@@ -293,31 +293,28 @@ def run(config: RunConfig) -> tuple[list[LogRecord], dict]:
     Per epoch, only the raw arrays the log is formed from are copied into
     buffers preallocated for the run; the error angles, |delta|, the
     optimality residuals and the value rates are then formed once, on the
-    (N, .) buffers, with the bits of the single-epoch calls.
+    truth and the (N, .) buffers, with the bits of the single-epoch calls.
     """
     truth, U, C = _epoch_inputs(config)
-    count, epochs, cfg = len(truth), _observe(config, truth, U, C, False), config.filter
-    # Only the generator holds the truth, so it is freed before the log is formed.
-    del truth, U
+    count, cfg = len(truth.t), config.filter
     m, d = BASIS.dim_embedding, BASIS.dim_algebra
-    t, substeps = np.empty(count), np.zeros(count + 1, dtype=int)
-    q_true, q_est, eta, R, B = (np.empty((count,) + shape) for shape in ((m,), (m,), (m,), (m, m),
-                                                                         (m, d)))
+    substeps = np.zeros(count + 1, dtype=int)
+    q_est, eta, R, B = (np.empty((count,) + shape) for shape in ((m,), (m,), (m, m), (m, d)))
     delta = np.empty((count, d))
     # y (zero, from build_sample) and Q_inv (the gain's memoized inverse)
     # are the same at every epoch of a run, so one of each serves the whole
     # stack; these stand in for a run of no epochs.
     y, Q_inv = np.zeros(m), np.zeros((d, d))
-    for k, (epoch, state, estimate, sample, step_delta, steps, _) in enumerate(epochs):
-        t[k], q_true[k], q_est[k], eta[k], delta[k] = (epoch.t, epoch.q.as_vector(), estimate,
-                                                       state.eta, step_delta)
+    for k, (_, _, state, estimate, sample, step_delta, steps, _) in enumerate(
+            _observe(config, truth, U, C, False)):
+        q_est[k], eta[k], delta[k] = estimate, state.eta, step_delta
         B[k], R[k], y, Q_inv = sample.B, sample.R, sample.y, sample.Q_inv
         substeps[k + 1] = steps
 
     opt_residual = optimality_residual(BASIS, eta, cfg.origin_xi)
     logged_substeps = substeps[:count].tolist()
     records = list(map(
-        LogRecord, t.tolist(), q_true, q_est, attitude_error_angle(q_true, q_est).tolist(),
+        LogRecord, truth.t.tolist(), truth.q, q_est, attitude_error_angle(truth.q, q_est).tolist(),
         # sqrt(delta . delta) is how np.linalg.norm forms |delta|, bit for bit.
         np.sqrt(_dot(delta, delta)).tolist(), opt_residual,
         value_rate(BASIS, eta, delta, q_est, C, y, B, Q_inv, R, cfg.origin_xi).tolist(),

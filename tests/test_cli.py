@@ -502,6 +502,22 @@ class TestConfigBoundary:
         assert capsys.readouterr().err.startswith(f"config error: {key}: -0.5 is negative")
         assert list(tmp_path.rglob("*.csv")) == []
 
+    @pytest.mark.parametrize("argv, key", [
+        (["simulate", "--set", "observer.hessian_scale=-1"], "observer.hessian_scale"),
+        (["sweep", "--param", "observer.hessian_scale", "--values", "-1"],
+         "observer.hessian_scale"),
+        (["check", "--set", "check.hessian_scale=-30"], "check.hessian_scale"),
+    ], ids=["simulate", "sweep", "check"])
+    def test_a_negative_hessian_scale_names_its_key(self, argv, key, tmp_path, capsys):
+        # H_0 is scale^2 times a projector: a negative scale would act as
+        # its absolute value.
+        code = main(argv + ["--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert f"{key}: -" in err and "is negative" in err
+        assert list(tmp_path.rglob("*.csv")) == []
+
     # init accepts rounding-level asymmetry at any scale (4e-10 at
     # max|H_0| = 1e8); explicit Euler on H N H then diverges within 10 epochs.
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

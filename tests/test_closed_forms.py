@@ -24,7 +24,7 @@ from mef import (
     Quaternion,
     SignalSample,
     SingularPError,
-    TruthEpoch,
+    Truth,
     adjoint_coords,
     build_sample,
     corrupt,
@@ -149,9 +149,8 @@ class TestOutputGain:
         assert np.array_equal(noise.velocity_gain, np.linalg.inv(0.25 * V))
         assert np.array_equal(noise.output_weight * np.eye(3),
                               np.linalg.pinv(V, rcond=1e-12, hermitian=True))
-        still = TruthEpoch(0.0, Quaternion(1.0, np.zeros(3)), np.zeros(3), np.zeros(3),
-                           np.zeros(3))
-        _, omega, z = corrupt([still] * 4, noise)
+        still = Truth(np.zeros(4), np.tile([1.0, 0.0, 0.0, 0.0], (4, 1)), *np.zeros((3, 4, 3)))
+        omega, z = corrupt(still, noise)
         for stream_id, measured in enumerate((omega, z)):
             block = _stream(seed, stream_id).standard_normal((4, 3))
             assert np.array_equal(measured, _matvec(psd_sqrt(V), block))

@@ -545,7 +545,7 @@ def trajectory():
                        initial_estimate=q_hat, initial_hessian_scale=1.0)
     epochs = list(observe(config, trace=True))
     trace = [rec for epoch in epochs for rec in epoch.trace]
-    return [e.truth for e in epochs], [e.state for e in epochs], trace
+    return [e.q_true for e in epochs], [e.state for e in epochs], trace
 
 
 class TestCanonicalTrajectory:
@@ -581,8 +581,8 @@ class TestCanonicalTrajectory:
         truth, states, _ = trajectory
         q_first = Quaternion.from_vector(state_estimate(states[0], CFG))
         q_last = Quaternion.from_vector(state_estimate(states[-1], CFG))
-        first = attitude_error_angle(truth[0].q, q_first)
-        last = attitude_error_angle(truth[-1].q, q_last)
+        first = attitude_error_angle(truth[0], q_first)
+        last = attitude_error_angle(truth[-1], q_last)
         assert first == pytest.approx(0.99 * np.pi, abs=1e-12)
         assert last < first
 

@@ -23,6 +23,7 @@ from mef import (
     Quaternion,
     RunConfig,
     SingularPError,
+    Truth,
     attitude_error_angle,
     corrupt,
     initial_observer_hessian,
@@ -41,7 +42,7 @@ from mef import (
 )
 import mef.filter
 from mef.config import build_run_config, read_config_source
-from mef.simulation import TruthEpoch, _fmt, _stream
+from mef.simulation import _fmt, _stream
 
 from conftest import correction_at, make_rng, psd_sqrt, random_unit_quaternion
 
@@ -93,19 +94,39 @@ class TestSimulateTruth:
             q0=q0, duration=2.0, sensor_dt=0.1,
         )
         truth = simulate_truth(scenario)
-        assert len(truth) == 21
-        for epoch in truth:
-            np.testing.assert_array_equal(epoch.q.as_vector(), q0.as_vector())
+        assert len(truth.t) == 21
+        for q in truth.q:
+            np.testing.assert_array_equal(q, q0.as_vector())
 
     def test_canonical_trajectory_stays_unit(self):
         truth = simulate_truth(canonical_scenario())
-        assert len(truth) == 1001
-        for k, epoch in enumerate(truth):
-            assert epoch.t == pytest.approx(0.1 * k, abs=1e-9)
-            assert abs(np.linalg.norm(epoch.q.as_vector()) - 1.0) <= 1e-9
+        assert len(truth.t) == 1001
+        for k, (t, q, z_ref, z) in enumerate(zip(truth.t, truth.q, truth.z_ref, truth.z)):
+            assert t == pytest.approx(0.1 * k, abs=1e-9)
+            assert abs(np.linalg.norm(q) - 1.0) <= 1e-9
             np.testing.assert_allclose(
-                epoch.z, rotate_to_body(epoch.q, epoch.z_ref), atol=1e-12
+                z, rotate_to_body(Quaternion.from_vector(q), z_ref), atol=1e-12
             )
+
+    def test_rows_near_the_unit_tolerance_pass_as_quaternions_do(self):
+        # |q| - 1 = 7.5e-10: past the vectorized screen's half tolerance,
+        # within the 1e-9 a Quaternion accepts.
+        q0 = Quaternion(1.0 + 7.5e-10, np.zeros(3))
+        scenario = AttitudeScenario(
+            omega_fn=lambda t: np.zeros(3), ref_fn=lambda t: np.array([0.0, 0.0, 1.0]),
+            q0=q0, duration=0.3, sensor_dt=0.1,
+        )
+        np.testing.assert_array_equal(simulate_truth(scenario).q, np.tile(q0.as_vector(), (4, 1)))
+
+    @pytest.mark.parametrize("duration, count", [(0.0, 0), (0.1, 2)])
+    def test_truth_is_read_only_arrays_of_one_row_per_epoch(self, duration, count):
+        truth = simulate_truth(canonical_scenario(duration))
+        assert [a.shape for a in truth] == [(count,), (count, 4), (count, 3), (count, 3),
+                                            (count, 3)]
+        for array in truth:
+            assert array.dtype == float and not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
 
     def test_full_revolution_returns_to_start(self):
         scenario = AttitudeScenario(
@@ -114,7 +135,7 @@ class TestSimulateTruth:
             q0=Quaternion(1.0, np.zeros(3)), duration=10.0, sensor_dt=0.1,
         )
         truth = simulate_truth(scenario)
-        assert attitude_error_angle(truth[0].q, truth[-1].q) <= 1e-6
+        assert attitude_error_angle(truth.q[0], truth.q[-1]) <= 1e-6
 
     def test_rejects_non_unit_reference(self):
         scenario = AttitudeScenario(
@@ -155,37 +176,33 @@ class TestSimulateTruth:
 
 
 class TestCorrupt:
-    def fabricated_truth(self, count: int) -> list:
-        epoch = TruthEpoch(
-            t=0.0, q=Quaternion(1.0, np.zeros(3)),
-            z_ref=np.array([0.0, 0.0, 1.0]), z=np.array([0.0, 0.0, 1.0]),
-            omega=np.zeros(3),
-        )
-        return [epoch] * count
+    def fabricated_truth(self, count: int) -> Truth:
+        still = np.tile([0.0, 0.0, 1.0], (count, 1))
+        return Truth(t=np.zeros(count), q=np.tile([1.0, 0.0, 0.0, 0.0], (count, 1)),
+                     z_ref=still, z=still, omega=np.zeros((count, 3)))
 
     def test_zero_covariance_passes_truth_through(self):
         truth = simulate_truth(canonical_scenario(duration=1.0))
         noise = NoiseModel(gyro_var=0.0, vector_var=0.0, seed=5)
-        for t, omega, z, epoch in zip(*corrupt(truth, noise), truth):
-            assert t == epoch.t
-            np.testing.assert_array_equal(omega, epoch.omega)
-            np.testing.assert_array_equal(z, epoch.z)
+        omega, z = corrupt(truth, noise)
+        assert omega.shape == z.shape == (11, 3)
+        np.testing.assert_array_equal(omega, truth.omega)
+        np.testing.assert_array_equal(z, truth.z)
 
     def test_same_seed_reproduces_stream(self):
         truth = simulate_truth(canonical_scenario(duration=1.0))
         noise = canonical_gains(seed=9)
         first = corrupt(truth, noise)
         second = corrupt(truth, noise)
-        for om_a, z_a, om_b, z_b in zip(*first[1:], *second[1:]):
-            np.testing.assert_array_equal(om_a, om_b)
-            np.testing.assert_array_equal(z_a, z_b)
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a, b)
 
     def test_different_seeds_differ(self):
         truth = simulate_truth(canonical_scenario(duration=1.0))
         first = corrupt(truth, canonical_gains(seed=1))
         second = corrupt(truth, canonical_gains(seed=2))
         assert any(
-            not np.array_equal(a, b) for a, b in zip(first[1], second[1])
+            not np.array_equal(a, b) for a, b in zip(first[0], second[0])
         )
 
     def test_vector_noise_does_not_shift_gyro_stream(self):
@@ -194,14 +211,14 @@ class TestCorrupt:
         truth = self.fabricated_truth(50)
         quiet = NoiseModel(gyro_var=0.01 ** 2, vector_var=0.0, seed=4)
         loud = NoiseModel(gyro_var=0.01 ** 2, vector_var=1.0, seed=4)
-        for om_a, om_b in zip(corrupt(truth, quiet)[1], corrupt(truth, loud)[1]):
+        for om_a, om_b in zip(corrupt(truth, quiet)[0], corrupt(truth, loud)[0]):
             np.testing.assert_array_equal(om_a, om_b)
 
     def test_gyro_noise_variance_matches_covariance(self):
         truth = self.fabricated_truth(100_000)
         sigma2 = 0.01 ** 2
         noise = NoiseModel(gyro_var=sigma2, vector_var=0.0, seed=12)
-        draws = corrupt(truth, noise)[1]
+        draws = corrupt(truth, noise)[0]
         for axis in range(3):
             var = float(np.var(draws[:, axis]))
             assert abs(var - sigma2) <= 0.05 * sigma2
@@ -283,7 +300,7 @@ class TestRun:
         for rec, epoch in zip(records, epochs):
             delta = correction_at(epoch.state, epoch.sample, config.filter)
             assert rec.delta_norm == float(np.linalg.norm(delta))
-            assert rec.t == epoch.truth.t
+            assert rec.t == epoch.t
 
     def test_patched_correction_reaches_the_last_epoch(self, monkeypatch):
         """Every correction a run logs, the last epoch's included, comes
@@ -445,8 +462,8 @@ class TestEpochTranscription:
             J = upsilon_bar(BASIS, q_hat.as_vector())
             norm2 = q_hat.q_r ** 2 + float(q_hat.q_v.dot(q_hat.q_v))
             sample = epoch.sample
-            assert epoch.truth.t == t and sample.valid_until == t + config.scenario.sensor_dt
-            assert epoch.truth.q.as_vector().tobytes() == q.as_vector().tobytes()
+            assert epoch.t == t and sample.valid_until == t + config.scenario.sensor_dt
+            assert epoch.q_true.tobytes() == q.as_vector().tobytes()
             assert sample.U_coords.tobytes() == (omega / 2.0).tobytes()
             assert sample.C.tobytes() == per_epoch_measurement_matrix(z, z_ref).tobytes()
             assert sample.B.tobytes() == Ups_origin.dot(coords).tobytes()
@@ -504,7 +521,7 @@ class TestWholeRunLog:
         state, sample, delta = epoch.state, epoch.sample, epoch.delta
         return {
             "q_est": epoch.estimate,
-            "error_angle": attitude_error_angle(epoch.truth.q,
+            "error_angle": attitude_error_angle(Quaternion.from_vector(epoch.q_true),
                                                 Quaternion.from_vector(epoch.estimate)),
             "delta_norm": math.sqrt(delta.dot(delta)),
             "opt_residual": optimality_residual(BASIS, state.eta, cfg.origin_xi),
@@ -518,7 +535,7 @@ class TestWholeRunLog:
         substeps = [0] + [epoch.substeps for epoch in epochs[:-1]]
         for record, epoch, n in zip(records, epochs, substeps):
             expected = self.single_epoch_calls(epoch, config.filter)
-            expected.update(t=epoch.truth.t, q_true=epoch.truth.q.as_vector(), substeps=n)
+            expected.update(t=epoch.t, q_true=epoch.q_true, substeps=n)
             for name in LogRecord._fields:
                 assert np.array_equal(int_bits(getattr(record, name)), int_bits(expected[name]))
             assert type(record.error_angle) is type(record.value_rate) is float
@@ -530,7 +547,7 @@ class TestWholeRunLog:
             state, sample, q_hat = epoch.state, epoch.sample, epoch.estimate
             single = self.single_epoch_calls(epoch, config.filter)
             stacked = {
-                "error_angle": attitude_error_angle(epoch.truth.q.as_vector()[None], q_hat[None]),
+                "error_angle": attitude_error_angle(epoch.q_true[None], q_hat[None]),
                 "opt_residual": optimality_residual(BASIS, state.eta[None], origin),
                 "value_rate": value_rate(BASIS, *(a[None] for a in (
                     state.eta, epoch.delta, q_hat, sample.C, sample.y, sample.B, sample.Q_inv,

@@ -20,6 +20,11 @@ from their own ``src``:
   R exact, so only the first sees how R's product is grouped; the second
   pins a zero weight, and the third a second gyro sigma, in the velocity
   gain and in the injected noise;
+- ``mef simulate`` on the ``noisy`` preset with constant signals in place
+  of the canonical ones, ``--set scenario.omega=const:0.3,-0.2,0.1``,
+  ``scenario.reference=const:0,0.6,0.8``, ``scenario.q0=0.5,0.5,0.5,0.5``
+  and ``scenario.duration=20``, so that the truth starts away from the
+  identity and every rate and reference component is nonzero;
 - ``mef check`` at ``--dt 1e-3`` and ``--dt 2.5e-4``, and at ``--dt 5e-3``,
   whose gradient agreement row fails (exit 1);
 - four runs that exit 3: the ``noisy`` preset with seed 43, whose
@@ -70,6 +75,9 @@ COMMANDS = (
        ["simulate", "--config", "noisy", "--set", "noise.vector_sigma=0.3"],
        ["simulate", "--config", "noisy", "--set", "noise.vector_sigma=0"],
        ["simulate", "--config", "noisy", "--set", "noise.gyro_sigma=0.03"],
+       ["simulate", "--config", "noisy", "--set", "scenario.omega=const:0.3,-0.2,0.1",
+        "--set", "scenario.reference=const:0,0.6,0.8", "--set", "scenario.q0=0.5,0.5,0.5,0.5",
+        "--set", "scenario.duration=20"],
        ["check", "--dt", "1e-3"],
        ["check", "--dt", "2.5e-4"],
        ["check", "--dt", "5e-3"],
