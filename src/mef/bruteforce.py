@@ -5,13 +5,15 @@ solve: over all disturbance sequences and initial errors consistent with
 the forward-Euler error dynamics and a fixed terminal error, minimize the
 initial cost plus the accumulated disturbance energy. The constraints are
 linear and every cost term is quadratic, so the optimum solves the KKT
-system of an equality-constrained quadratic program. Its unknowns are
-ordered stage by stage, each step's error, disturbance and dynamics
-multiplier together, as interior-point MPC solvers do, so the matrix is
-banded with half-bandwidth 2m + l - 1 at any horizon. It does not depend on
-the terminal error: one band LU with partial pivoting (LAPACK gbtrf; the
-matrix is symmetric indefinite) serves every terminal point, each costing
-one gbtrs solve, and scipy.sparse is never loaded.
+system of an equality-constrained quadratic program. Each step's
+disturbance is fixed by its own stationarity row, mu_k = Q_k^-1 B_k^T lam_k
+(Q_k symmetric positive definite), and is eliminated through it. The
+remaining unknowns are ordered stage by stage, each step's error and
+dynamics multiplier together, as interior-point MPC solvers do, so the
+matrix is banded with half-bandwidth 2m - 1 at any horizon. It does not
+depend on the terminal error: one band LU with partial pivoting (LAPACK
+gbtrf; the matrix is symmetric indefinite) serves every terminal point,
+each costing one gbtrs solve, and scipy.sparse is never loaded.
 
 The value function is therefore exactly quadratic in the terminal error,
 and the multiplier of the terminal constraint is minus its gradient. One
@@ -53,11 +55,12 @@ class DiscretizedProblem:
     """Forward-Euler discretization of the error-system optimal control
     problem over N uniform steps of length dt.
 
-    Step k carries the correction matrix Delta_k, input map B_k with gain
-    Q_k, raw output matrix C_k with gain R_k and target y_k, and the
-    observer element X_hat_k that pulls the output back to error
-    coordinates. The initial cost is 0.5 (e0 - anchor)^T H0 (e0 - anchor),
-    with anchor the image of the initial state estimate under X_hat_0.
+    Step k carries the correction matrix Delta_k, input map B_k with
+    symmetric positive-definite gain Q_k, raw output matrix C_k with gain
+    R_k and target y_k, and the observer element X_hat_k that pulls the
+    output back to error coordinates. The initial cost is
+    0.5 (e0 - anchor)^T H0 (e0 - anchor), with anchor the image of the
+    initial state estimate under X_hat_0.
 
     The KKT factorization is cached on first use, so the problem is
     immutable: the instance is frozen and its arrays are read-only copies.
@@ -102,6 +105,19 @@ class DiscretizedProblem:
             raise ValueError("H0 must be m x m")
         if self.anchor.shape != (m,):
             raise ValueError("anchor must be an m-vector")
+        # The KKT system eliminates each disturbance through Q_k^-1. The
+        # steps of one sensor interval share their Q: each run of equal
+        # ones is checked once.
+        changed = np.ones(N, dtype=bool)
+        changed[1:] = (self.Q[1:] != self.Q[:-1]).any(axis=(1, 2))
+        Q = self.Q[changed]
+        scale = max(1.0, float(np.abs(Q).max(initial=0.0)))
+        if not np.allclose(Q, np.swapaxes(Q, 1, 2), rtol=0.0, atol=1e-12 * scale):
+            raise ValueError("Q must be symmetric positive definite")
+        try:
+            np.linalg.cholesky(Q)
+        except np.linalg.LinAlgError:
+            raise ValueError("Q must be symmetric positive definite") from None
 
     @property
     def steps(self) -> int:
@@ -148,10 +164,13 @@ class DiscretizedProblem:
             H0=H0, anchor=anchor, **stacked,
         )
 
-    # Unknowns are stacked stage by stage as z = (e_0, mu_0, lam_0, ...,
-    # e_{N-1}, mu_{N-1}, lam_{N-1}, e_N, lam_N), lam_k the multiplier of
+    # Unknowns are stacked stage by stage as z = (e_0, lam_0, ..., e_{N-1},
+    # lam_{N-1}, e_N, lam_N), lam_k the multiplier of
     # e_{k+1} = (I + dt*Delta_k) e_k + dt*B_k mu_k and lam_N that of e_N = e_T.
-    # Each row then reaches at most 2m + l - 1 columns either side.
+    # The disturbance mu_k is eliminated through its own stationarity row,
+    # dt*Q_k mu_k = dt*B_k^T lam_k, which leaves -dt*B_k Q_k^-1 B_k^T in the
+    # (lam_k, lam_k) block. Each row then reaches at most 2m - 1 columns
+    # either side.
 
     def _kkt_state(self) -> dict:
         if self._kkt is not None:
@@ -160,66 +179,65 @@ class DiscretizedProblem:
         # should not pay for loading it.
         from scipy.linalg.lapack import dgbtrf
 
-        N, m, l = self.steps, self.m, self.l
-        stride = 2 * m + l
-        w = stride - 1  # lower and upper bandwidth
-        size = N * stride + 2 * m
-        starts = np.arange(N) * stride
+        N, m = self.steps, self.m
+        s = 2 * m  # unknowns per stage
+        w = s - 1  # lower and upper bandwidth
         C_tilde = self.C @ np.linalg.inv(self.X_hat)
         CtR = np.swapaxes(C_tilde, 1, 2) @ self.R
+        Q_inv_Bt = np.linalg.solve(self.Q, np.swapaxes(self.B, 1, 2))
 
-        stage = np.zeros((N, stride, stride))
-        stage[:, :m, :m] = self.dt * CtR @ C_tilde
+        # Stage N holds only the terminal constraint e_N = e_T.
+        stage = np.zeros((N + 1, s, s))
+        stage[:N, :m, :m] = self.dt * CtR @ C_tilde
         stage[0, :m, :m] += self.H0
-        stage[:, m : m + l, m : m + l] = self.dt * self.Q
-        stage[:, m + l :, :m] = -(np.eye(m) + self.dt * self.Delta)
-        stage[:, m + l :, m : m + l] = -self.dt * self.B
-        stage[:, : m + l, m + l :] = np.swapaxes(stage[:, m + l :, : m + l], 1, 2)
+        stage[:N, m:, :m] = -(np.eye(m) + self.dt * self.Delta)
+        stage[:N, :m, m:] = np.swapaxes(stage[:N, m:, :m], 1, 2)
+        stage[:N, m:, m:] = -self.dt * self.B @ Q_inv_Bt
+        stage[N, m:, :m] = stage[N, :m, m:] = np.eye(m)
         # LAPACK band storage for dgbtrf: K[i, j] sits at ab[2w + i - j, j],
-        # above w rows of room for the fill-in that pivoting brings.
-        ab = np.zeros((3 * w + 1, size), order="F")
-        i, j = np.indices((stride, stride))
-        ab[2 * w + i - j, starts[:, None, None] + j] = stage
-        # The identity coupling lam_k to e_{k+1} (row lam_k, m columns to
-        # its right) and e_N to lam_N (row e_N), and its transpose.
-        coupled = np.append(starts + stride, N * stride + m)[:, None] + np.arange(m)
-        ab[2 * w - m, coupled] = 1.0
-        ab[2 * w + m, coupled - m] = 1.0
-        rhs = np.zeros(size)
-        rhs[starts[:, None] + np.arange(m)] = self.dt * np.einsum("kij,kj->ki", CtR, self.y)
-        rhs[:m] += self.H0 @ self.anchor
+        # above w rows of room for the fill-in that pivoting brings. Stage
+        # k's columns are columns[k], a view of ab.
+        ab = np.zeros((3 * w + 1, (N + 1) * s), order="F")
+        columns = ab.T.reshape(N + 1, s, 3 * w + 1)
+        i, j = np.indices((s, s))
+        columns[:, j, 2 * w + i - j] = stage
+        # The identity coupling lam_k to e_{k+1}, m columns to its right,
+        # and its transpose.
+        columns[1:, :m, 2 * w - m] = 1.0
+        columns[:N, m:, 2 * w + m] = 1.0
+        rhs = np.zeros((N + 1, s))
+        rhs[:N, :m] = self.dt * np.einsum("kij,kj->ki", CtR, self.y)
+        rhs[0, :m] += self.H0 @ self.anchor
         lu, pivots, info = dgbtrf(ab, w, w, overwrite_ab=True)
         if info > 0:
             raise InfeasibleTerminalError(
                 f"singular optimality system: zero pivot in column {info}"
             )
         object.__setattr__(self, "_kkt", {
-            "lu": lu, "pivots": pivots, "stage": stage, "coupled": coupled,
-            "rhs": rhs, "C_tilde": C_tilde,
+            "lu": lu, "pivots": pivots, "stage": stage, "rhs": rhs.reshape(-1),
+            "C_tilde": C_tilde, "Q_inv_Bt": Q_inv_Bt,
         })
         return self._kkt
 
     def _solve(self, terminal: np.ndarray) -> np.ndarray:
-        """KKT solutions (z, multipliers), one per column of the m x k
-        array ``terminal``. Column 0 is the problem ending at terminal[:, 0];
-        the others drop the linear cost term, leaving the response to their
-        terminal point alone."""
+        """KKT solutions z, one per column of the m x k array ``terminal``.
+        Column 0 is the problem ending at terminal[:, 0]; the others drop
+        the linear cost term, leaving the response to their terminal point
+        alone."""
         from scipy.linalg.lapack import dgbtrs
 
         st = self._kkt_state()
-        N, m, stride = self.steps, self.m, 2 * self.m + self.l
+        N, m = self.steps, self.m
         rhs = np.zeros((st["rhs"].size, terminal.shape[1]), order="F")
         rhs[:, 0] = st["rhs"]
         rhs[-m:] = terminal
-        sol, _ = dgbtrs(st["lu"], stride - 1, stride - 1, rhs, st["pivots"])
+        sol, _ = dgbtrs(st["lu"], 2 * m - 1, 2 * m - 1, rhs, st["pivots"])
         # The residual against the unfactored matrix, formed from its blocks.
-        Kz = np.zeros_like(sol)
-        stages = sol[: N * stride].reshape(N, stride, -1)
-        Kz[: N * stride] = (st["stage"] @ stages).reshape(N * stride, -1)
-        coupled = st["coupled"]
-        Kz[coupled - m] += sol[coupled]
-        Kz[coupled] += sol[coupled - m]
-        residual = np.linalg.norm(Kz - rhs, axis=0)
+        stages = sol.reshape(N + 1, 2 * m, -1)
+        Kz = st["stage"] @ stages
+        Kz[:N, m:] += stages[1:, :m]
+        Kz[1:, :m] += stages[:N, m:]
+        residual = np.linalg.norm(Kz.reshape(sol.shape) - rhs, axis=0)
         if not np.all(residual <= 1e-6 * (1.0 + np.linalg.norm(rhs, axis=0))):
             raise InfeasibleTerminalError(
                 f"optimality system solve failed (residual {residual.max():.3e})"
@@ -229,11 +247,13 @@ class DiscretizedProblem:
     def _cost(self, z: np.ndarray) -> float:
         # The objective from its definition on the solved trajectory: no
         # expanded constant term that could cancel under a stiff prior.
-        N, m, l = self.steps, self.m, self.l
-        stages = z[: N * (2 * m + l)].reshape(N, 2 * m + l)
-        e, mu = stages[:, :m], stages[:, m : m + l]
+        N, m = self.steps, self.m
+        stages = z.reshape(N + 1, 2 * m)[:N]
+        e, lam = stages[:, :m], stages[:, m:]
+        st = self._kkt_state()
+        mu = np.einsum("kij,kj->ki", st["Q_inv_Bt"], lam)
         d = e[0] - self.anchor
-        r = self.y - np.einsum("kij,kj->ki", self._kkt_state()["C_tilde"], e)
+        r = self.y - np.einsum("kij,kj->ki", st["C_tilde"], e)
         running = (np.einsum("ki,kij,kj->", mu, self.Q, mu)
                    + np.einsum("ki,kij,kj->", r, self.R, r))
         return 0.5 * float(d @ self.H0 @ d) + 0.5 * self.dt * float(running)

@@ -282,6 +282,8 @@ def build_run_config(cfg: dict[str, str]) -> RunConfig:
     """
     cfg = merge_with_defaults(cfg)
     seed = get_int(cfg, "seed")
+    if seed < 0:  # numpy's SeedSequence takes no negative entropy
+        raise ConfigError(f"seed: {cfg['seed']} is negative; a seed must be nonnegative")
     q0_vec = _parse_floats("scenario.q0", cfg["scenario.q0"], 4)
     try:
         q0 = Quaternion.from_vector(q0_vec)
@@ -309,11 +311,11 @@ def build_run_config(cfg: dict[str, str]) -> RunConfig:
         if not math.isfinite(gains.output_weight):
             raise ConfigError(f"noise.vector_sigma: {cfg['noise.vector_sigma']} gives no finite "
                               "output_weight")
-        filter_cfg = FilterConfig(
-            origin_xi=XI_ORIGIN,
-            delta_step_cap=get_float(cfg, "filter.delta_step_cap"),
-            dt_max=get_float(cfg, "filter.dt_max"),
-        )
+        step_cap, dt_max = get_float(cfg, "filter.delta_step_cap"), get_float(cfg, "filter.dt_max")
+        try:
+            filter_cfg = FilterConfig(origin_xi=XI_ORIGIN, delta_step_cap=step_cap, dt_max=dt_max)
+        except ValueError as exc:  # its messages start with the field's name
+            raise ConfigError(f"filter.{exc}") from exc
         initial_estimate = _initial_estimate(cfg, q0)
     except ConfigError:
         raise
@@ -363,9 +365,13 @@ def build_check_config(raw: dict[str, str], dt: Optional[float] = None) -> RunCo
             "observer.hessian_scale": cfg["check.hessian_scale"],
         }
     )
+    try:
+        filter_cfg = replace(config.filter, delta_step_cap=1e18, dt_max=dt)
+    except ValueError as exc:
+        raise ConfigError(f"--dt (check.dt) {dt:g}: {exc}") from exc
     return replace(
         config,
-        filter=replace(config.filter, delta_step_cap=1e18, dt_max=dt),
+        filter=filter_cfg,
         noise=NoiseModel(
             gyro_var=_variance(cfg, "check.gyro_sigma_true"),
             vector_var=_variance(cfg, "check.vector_sigma_true"),

@@ -277,8 +277,10 @@ class FilterConfig:
         # Written as "not (x > 0)" so that NaN fails them too.
         if not self.delta_step_cap > 0.0:
             raise ValueError("delta_step_cap must be positive")
-        if not self.dt_max > 0.0:
-            raise ValueError("dt_max must be positive")
+        # step drops a chunk end within TIME_SNAP of t, so a smaller dt_max
+        # would never move t.
+        if not self.dt_max > TIME_SNAP:
+            raise ValueError(f"dt_max must exceed TIME_SNAP = {TIME_SNAP:g} s")
 
 
 def init(basis: GeneratorBasis, X_hat_0: GroupElement, H_0) -> ObserverState:

@@ -15,6 +15,8 @@ import pytest
 import scipy.linalg
 import scipy.linalg.lapack
 import scipy.optimize
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mef import (
     BASIS,
@@ -129,12 +131,15 @@ def reference_value(prob: DiscretizedProblem, e_T: np.ndarray) -> float:
     return float(res.fun)
 
 
-def dense_kkt_solutions(prob: DiscretizedProblem, terminal: np.ndarray) -> np.ndarray:
+def dense_kkt_solutions(prob: DiscretizedProblem,
+                        terminal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The KKT solutions of _solve, from a dense matrix written out from the
-    problem's definition and permuted into the solver's stage order.
+    problem's definition, with the disturbances kept as unknowns.
 
     Dense order: x = (e_0..e_N, mu_0..mu_{N-1}), then the multipliers of
-    e_{k+1} - A_k e_k - dt B_k mu_k = 0 (k < N) and of e_N = e_T.
+    e_{k+1} - A_k e_k - dt B_k mu_k = 0 (k < N) and of e_N = e_T. Returns
+    the errors and multipliers permuted into the solver's stage order,
+    (e_k, lam_k) for k = 0..N, and the disturbances, shape (N, l, columns).
     """
     N, m, l = prob.steps, prob.m, prob.l
     A = np.eye(m)[None] + prob.dt * prob.Delta
@@ -164,16 +169,22 @@ def dense_kkt_solutions(prob: DiscretizedProblem, terminal: np.ndarray) -> np.nd
     rhs[:nx, 0] = -c
     rhs[-m:] = terminal
     dense = np.linalg.solve(K, rhs)
-    # Stage k holds (e_k, mu_k, lam_k); the last holds (e_N, lam_N).
-    stride, stages = 2 * m + l, np.arange(N)[:, None] * (2 * m + l)
-    order = np.concatenate([
-        np.append(stages + np.arange(m), N * stride + np.arange(m)),
-        (stages + m + np.arange(l)).ravel(),
-        np.append(stages + m + l + np.arange(m), N * stride + m + np.arange(m)),
-    ])
-    stage_ordered = np.empty_like(dense)
-    stage_ordered[order] = dense
-    return stage_ordered
+    errors = dense[: (N + 1) * m].reshape(N + 1, m, -1)
+    multipliers = dense[nx:].reshape(N + 1, m, -1)
+    stage_ordered = np.concatenate([errors, multipliers], axis=1).reshape(-1, terminal.shape[1])
+    return stage_ordered, dense[(N + 1) * m : nx].reshape(N, l, -1)
+
+
+def trajectory_cost(prob: DiscretizedProblem, e: np.ndarray, mu: np.ndarray) -> float:
+    """The objective of errors e (N + 1, m) and disturbances mu (N, l),
+    written out term by term."""
+    Ct = prob.C @ np.linalg.inv(prob.X_hat)
+    d = e[0] - prob.anchor
+    V = 0.5 * d @ prob.H0 @ d
+    for k in range(prob.steps):
+        r = prob.y[k] - Ct[k] @ e[k]
+        V += 0.5 * prob.dt * (mu[k] @ prob.Q[k] @ mu[k] + r @ prob.R[k] @ r)
+    return float(V)
 
 
 def fixed_step_trace(dt: float, duration: float = 0.1,
@@ -286,9 +297,31 @@ class TestBandSolve:
         prob = random_problem(rng, N=N, shape=shape)
         terminal = np.column_stack([rng.standard_normal(shape[0]), np.eye(shape[0])])
         got = prob._solve(terminal)
-        expected = dense_kkt_solutions(prob, terminal)
+        expected, _ = dense_kkt_solutions(prob, terminal)
         error = np.linalg.norm(got - expected, axis=0)
         assert np.all(error <= 1e-10 * np.linalg.norm(expected, axis=0))
+
+    @given(m=st.integers(1, 4), l=st.integers(1, 4), n=st.integers(1, 4),
+           N=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
+    def test_eliminated_system_matches_the_full_dense_kkt(self, m, l, n, N, seed):
+        # The band system holds (e_k, lam_k) only: its solution and the
+        # disturbances recovered from lam_k must match the dense KKT, which
+        # keeps mu_k as unknowns, and so must the optimal cost.
+        rng = make_rng(seed)
+        prob = random_problem(rng, N=N, shape=(m, l, n))
+        terminal = np.column_stack([rng.standard_normal(m), np.eye(m)])
+        got = prob._solve(terminal)
+        expected, mu_expected = dense_kkt_solutions(prob, terminal)
+        stages = got.reshape(N + 1, 2 * m, -1)
+        mu = prob._kkt_state()["Q_inv_Bt"] @ stages[:N, m:]
+        for column in range(m + 1):
+            for a, b in ((got, expected), (mu, mu_expected)):
+                a, b = a[..., column], b[..., column]
+                assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
+        dense_value = trajectory_cost(prob, expected[:, 0].reshape(N + 1, 2 * m)[:, :m],
+                                      mu_expected[..., 0])
+        assert value_at(prob, terminal[:, 0]) == pytest.approx(dense_value, rel=1e-10,
+                                                               abs=1e-14)
 
     @pytest.mark.parametrize("fault", ["factor", "solve"])
     def test_residual_guard_catches_a_corrupted_solve(self, fault, monkeypatch):
@@ -297,7 +330,7 @@ class TestBandSolve:
         value_at(prob, e)
         state = prob._kkt_state()
         if fault == "factor":
-            w = 2 * prob.m + prob.l - 1
+            w = 2 * prob.m - 1
             state["lu"][2 * w] *= 1.0 + 1e-4  # the diagonal of U
         else:
             real = scipy.linalg.lapack.dgbtrs
@@ -527,3 +560,19 @@ class TestProblemConstruction:
         bad["anchor"] = np.zeros(3)
         with pytest.raises(ValueError, match="anchor"):
             DiscretizedProblem(**bad)
+
+    @pytest.mark.parametrize("Q", [
+        np.diag([1.0, -0.5, 2.0]),
+        np.diag([1.0, 0.0, 2.0]),
+        np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    ], ids=["indefinite", "singular", "asymmetric"])
+    def test_rejects_a_gain_that_is_not_positive_definite(self, Q):
+        # Eliminating each disturbance divides by Q_k, so a Q that is not
+        # symmetric positive definite must be refused, alone or in a run of
+        # equal ones.
+        good = random_problem(make_rng(516), N=4)
+        for bad in (slice(1, 2), slice(3, 4), slice(1, 4)):
+            Qs = np.array(good.Q)
+            Qs[bad] = Q
+            with pytest.raises(ValueError, match="Q must be symmetric positive definite"):
+                dataclasses.replace(good, Q=Qs)

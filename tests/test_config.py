@@ -324,6 +324,19 @@ class TestBuildRunConfig:
         with pytest.raises(ConfigError, match="dt_max"):
             build_run_config({"filter.dt_max": "0"})
 
+    @pytest.mark.parametrize("dt_max", ["1e-12", "1e-13", "1e-300"])
+    def test_dt_max_at_or_below_the_time_snap_is_a_config_error(self, dt_max):
+        with pytest.raises(ConfigError, match=r"^filter\.dt_max must exceed TIME_SNAP"):
+            build_run_config({"filter.dt_max": dt_max})
+
+    @pytest.mark.parametrize("seed", ["-1", "-20"])
+    def test_negative_seed_is_a_config_error(self, seed):
+        # With or without injected noise: the seed is checked before the
+        # noise model draws from it.
+        for inject in ("true", "false"):
+            with pytest.raises(ConfigError, match=f"^seed: {seed} is negative"):
+                build_run_config({"seed": seed, "noise.inject": inject})
+
     def test_gyro_sigma_must_be_positive(self):
         # The velocity gain inverts the gyro variance.
         with pytest.raises(ConfigError, match="noise.gyro_sigma must be positive"):
@@ -357,6 +370,17 @@ class TestBuildCheckConfig:
 
     def test_dt_defaults_to_the_check_dt_key(self):
         assert build_check_config({"check.dt": "5e-3"}).filter.dt_max == 5e-3
+
+    @pytest.mark.parametrize("dt", [1e-12, 1e-13, 1e-300])
+    def test_dt_at_or_below_the_time_snap_is_a_config_error(self, dt):
+        with pytest.raises(ConfigError, match=r"^--dt \(check\.dt\) .*must exceed TIME_SNAP"):
+            build_check_config({}, dt)
+        with pytest.raises(ConfigError, match=r"^--dt \(check\.dt\) .*must exceed TIME_SNAP"):
+            build_check_config({"check.dt": repr(dt)})
+
+    def test_negative_seed_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="^seed: -1 is negative"):
+            build_check_config({"seed": "-1"}, 1e-3)
 
     def test_zero_injected_noise_is_legal(self):
         rc = build_check_config({"check.gyro_sigma_true": "0"}, 1e-3)

@@ -44,7 +44,7 @@ from mef import (
     wedge,
 )
 from mef.cli import EXIT_SINGULAR, main
-from mef.filter import ORTHOGONALITY_TOLERANCE, check_invariants
+from mef.filter import ORTHOGONALITY_TOLERANCE, TIME_SNAP, check_invariants
 
 from conftest import (
     correction_at,
@@ -751,6 +751,14 @@ class TestFilterConfigValidation:
     def test_rejects_nonpositive_dt_max(self):
         with pytest.raises(ValueError, match="dt_max"):
             FilterConfig(origin_xi=XI_ORIGIN, dt_max=-0.1)
+
+    @pytest.mark.parametrize("dt_max", [TIME_SNAP, 1e-13, 1e-300])
+    def test_rejects_dt_max_at_or_below_the_time_snap(self, dt_max):
+        # step drops a chunk end within TIME_SNAP of t, so it would never
+        # reach the interval end.
+        with pytest.raises(ValueError, match="dt_max must exceed TIME_SNAP"):
+            FilterConfig(origin_xi=XI_ORIGIN, dt_max=dt_max)
+        FilterConfig(origin_xi=XI_ORIGIN, dt_max=2.0 * TIME_SNAP)
 
     @pytest.mark.parametrize("field", ["delta_step_cap", "dt_max"])
     def test_rejects_nan(self, field):

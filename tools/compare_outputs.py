@@ -25,8 +25,10 @@ from their own ``src``:
   ``scenario.reference=const:0,0.6,0.8``, ``scenario.q0=0.5,0.5,0.5,0.5``
   and ``scenario.duration=20``, so that the truth starts away from the
   identity and every rate and reference component is nonzero;
-- ``mef check`` at ``--dt 1e-3`` and ``--dt 2.5e-4``, and at ``--dt 5e-3``,
-  whose gradient agreement row fails (exit 1);
+- ``mef check`` at ``--dt 1e-3`` and ``--dt 2.5e-4``, at ``--dt 1e-4``
+  (N = 10 000 steps, where the brute-force solve takes the largest share
+  of the run), and at ``--dt 5e-3``, whose gradient agreement row fails
+  (exit 1);
 - four runs that exit 3: the ``noisy`` preset with seed 43, whose
   correction solve fails late (t = 96.4 s), the default preset with
   ``--set observer.hessian_scale=1e3``, whose state overflows at epoch 10,
@@ -36,7 +38,9 @@ from their own ``src``:
 - ``mef sweep`` over the ``noisy`` preset's seeds 3 and 0 with
   ``--jobs 2``, so that both runs are made in forked pool workers, and
   with ``--jobs 1``, so that both are made in the sweep's own process,
-  which never imports the pool.
+  which never imports the pool;
+- ``mef simulate`` on the ``noisy`` preset with ``--seed -1``, a config
+  error (exit 2).
 
 Each command is given TIMEOUT_S seconds; one that runs longer is stopped,
 and "timeout" is its outcome in place of an exit code, with empty stdout
@@ -80,13 +84,15 @@ COMMANDS = (
         "--set", "scenario.duration=20"],
        ["check", "--dt", "1e-3"],
        ["check", "--dt", "2.5e-4"],
+       ["check", "--dt", "1e-4"],
        ["check", "--dt", "5e-3"],
        ["simulate", "--config", "noisy", "--seed", "43"],
        ["simulate", "--set", "observer.hessian_scale=1e3"],
        ["check", "--set", "check.hessian_scale=0"],
        ["check", "--set", "check.vector_sigma_true=1e150"],
        ["sweep", "--config", "noisy", "--param", "seed", "--values", "3,0", "--jobs", "2"],
-       ["sweep", "--config", "noisy", "--param", "seed", "--values", "3,0", "--jobs", "1"]]
+       ["sweep", "--config", "noisy", "--param", "seed", "--values", "3,0", "--jobs", "1"],
+       ["simulate", "--config", "noisy", "--seed", "-1"]]
 )
 TIMEOUT_S = 300
 IGNORED_PREFIXES = ("wall_time_s:",)
