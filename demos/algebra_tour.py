@@ -29,8 +29,9 @@ np.set_printoptions(precision=4, suppress=True)
 
 def as_quaternion(X) -> Quaternion:
     # The group is built so that X^-1 applied to the origin recovers the
-    # quaternion X was constructed from.
-    return Quaternion.from_vector(X.apply_inverse(XI_ORIGIN))
+    # quaternion X was constructed from. The basis inverts its elements:
+    # by the transpose, as its generators are skew-symmetric.
+    return Quaternion.from_vector(BASIS.inverse(X) @ XI_ORIGIN)
 
 # ---------------------------------------------------------------------------
 # wedge and vee: coordinates <-> 4x4 algebra matrices
@@ -47,17 +48,17 @@ print("A @ A + |u|^2 I =")
 print(A @ A + np.dot(u, u) * np.eye(4))
 
 # ---------------------------------------------------------------------------
-# exponential: group elements from coordinates
+# exponential: group elements (plain 4x4 matrices) from coordinates
 # ---------------------------------------------------------------------------
 X = exp_group(BASIS, u)
 theta = np.linalg.norm(u)
 print("||exp(u) - (cos|u| I + sin|u|/|u| wedge(u))|| =",
-      np.linalg.norm(X.matrix - (np.cos(theta) * np.eye(4)
+      np.linalg.norm(X - (np.cos(theta) * np.eye(4)
                                  + np.sin(theta) / theta * A)))
 
 # Group elements act on embedded points by plain matrix-vector products.
 # The orbit of the origin is the whole unit sphere in R^4.
-xi = X.apply(XI_ORIGIN)
+xi = X @ XI_ORIGIN
 print("X @ origin =", xi, " norm =", np.linalg.norm(xi))
 
 # The same element, read back as a unit quaternion (angle |u|, axis u/|u|).

@@ -44,7 +44,6 @@ from .filter import (
 )
 from .liegroup import (
     GeneratorBasis,
-    GroupElement,
     NotInAlgebraError,
     adjoint_coords,
     exp_group,
@@ -65,9 +64,7 @@ from .quaternion import (
     build_sample,
     group_from_quaternion,
     measurement_matrix,
-    propagate_quaternion,
     quat_product,
-    rotate_to_body,
     velocity_coords,
 )
 from .simulation import (

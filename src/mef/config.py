@@ -311,6 +311,11 @@ def build_run_config(cfg: dict[str, str]) -> RunConfig:
         if not math.isfinite(gains.output_weight):
             raise ConfigError(f"noise.vector_sigma: {cfg['noise.vector_sigma']} gives no finite "
                               "output_weight")
+        # A zero variance means no output weight, which a positive sigma
+        # must not come to by underflow.
+        if gains.vector_var == 0.0 and get_float(cfg, "noise.vector_sigma") > 0.0:
+            raise ConfigError(f"noise.vector_sigma: {cfg['noise.vector_sigma']} squared "
+                              "underflows to 0, which would ignore the vector measurements")
         step_cap, dt_max = get_float(cfg, "filter.delta_step_cap"), get_float(cfg, "filter.dt_max")
         try:
             filter_cfg = FilterConfig(origin_xi=XI_ORIGIN, delta_step_cap=step_cap, dt_max=dt_max)

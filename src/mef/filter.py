@@ -1,9 +1,10 @@
 """Exact minimum-energy observer for group-linear systems.
 
-The observer integrates three coupled quantities: a group element X_hat
-whose inverse action on the origin point gives the state estimate, the
-Hessian H of the induced value function at the origin, and its gradient
-eta. The correction direction is obtained at every substep by solving a
+The observer integrates three coupled quantities: a group element X_hat,
+a plain (m, m) matrix whose inverse action on the origin point gives the
+state estimate, the Hessian H of the induced value function at the
+origin, and its gradient eta. X_hat is inverted by GeneratorBasis.inverse
+alone. The correction direction is obtained at every substep by solving a
 small d x d linear system by LU; with that choice the tangential part of
 eta is invariant under the exact flow, so its drift is a direct measure of
 integration error. The solve, and the eigenvalue test of R and H_0, call
@@ -12,9 +13,9 @@ under the error state those wrappers set: the same bits and errors,
 without the wrappers' checks and conversions, which take nearly half of
 np.linalg.solve's time on a 3 x 3.
 
-step walks an interval on plain arrays: X_hat's matrix X, its inverse
-X_inv, H and eta. It builds one ObserverState per interval, at the end,
-and each SubstepRecord holds the raw matrix X. The rate pieces take
+step walks an interval on plain arrays: X_hat, its inverse X_inv, H and
+eta. It builds one ObserverState per interval, at the end, and each
+SubstepRecord holds that substep's X_hat. The rate pieces take
 arrays: forcing_terms(X_inv, H, eta, sample, origin),
 correction_delta(basis, H, eta, Ups, forcing),
 hessian_rate(X_inv, H, sample, Delta) and
@@ -22,7 +23,7 @@ gradient_rate(H, eta, Delta, pull, damping, origin). step computes each
 term they share once and passes it on: Upsilon at the origin, memoized
 on the basis and the origin's value, so once per run; per substep, the
 forcing terms (output pull and noise damping), wedge(delta), and one
-product of the raw group matrices, checked once for finiteness. The
+product of group matrices, the kernel's one finiteness test. The
 correction solve keeps its residual guard every substep, measured in units
 of max|rhs| when |rhs|^2 overflows or underflows, and a step cap that
 leaves no step (|delta|^2 overflows) raises.
@@ -31,7 +32,7 @@ velocity gain Q are memoized on Q's value, so the samples of a run, which
 share one Q, check and invert it once; one |R| serves both of R's checks,
 and an R whose mirror entries have equal bits skips forming R - R^T.
 check_invariants guards the state once per epoch, counting finite entries
-as liegroup._finite does, against the basis's read-only identity.
+as step does (_all_finite), against the basis's read-only identity.
 
 The diagnostics optimality_residual and value_rate take one epoch or an
 (N, .) stack of epochs, so that a run logs all of its epochs at once. A
@@ -61,7 +62,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .liegroup import GeneratorBasis, GroupElement, _element, _finite, exp_group, upsilon
+from .liegroup import GeneratorBasis, exp_group, upsilon
 
 __all__ = [
     "ObserverState",
@@ -85,11 +86,11 @@ __all__ = [
 # integrated, so accumulated rounding of substep times cannot produce
 # spurious near-zero substeps at interval boundaries.
 TIME_SNAP = 1e-12
-# Largest ||X_hat^T X_hat - I||_F that check_invariants accepts for an
-# orthogonal X_hat, whose inverse is taken as its transpose. Rounding adds
-# about 1e-16 per substep; 1e5 substeps of one repeated exponential, the
-# worst case, reach about 2e-11. A drift of 1e-9 would move the estimate by
-# as much, still far below the integration error.
+# Largest ||X_hat^T X_hat - I||_F that check_invariants accepts on an
+# orthogonal basis, whose elements are inverted by their transpose.
+# Rounding adds about 1e-16 per substep; 1e5 substeps of one repeated
+# exponential, the worst case, reach about 2e-11. A drift of 1e-9 would
+# move the estimate by as much, still far below the integration error.
 ORTHOGONALITY_TOLERANCE = 1e-9
 # Largest relative residual |P delta - rhs| / |rhs| that correction_delta
 # accepts from its LU solve; past it, P is treated as singular.
@@ -111,13 +112,14 @@ class SingularPError(RuntimeError):
 class ObserverState:
     """Observer triple (X_hat, H, eta) at time t.
 
-    The basis rides along with the state; it is shared, never copied. H is
+    X_hat is the (m, m) group matrix; basis.inverse inverts it. The basis
+    rides along with the state; it is shared, never copied. H is
     kept symmetric by construction. The tangential part of eta staying near
     zero is the observer's defining property; it is monitored through
     optimality_residual, not enforced.
     """
 
-    X_hat: GroupElement
+    X_hat: np.ndarray
     H: np.ndarray
     eta: np.ndarray
     t: float
@@ -247,8 +249,7 @@ class SubstepRecord(NamedTuple):
     """Snapshot of one integrator substep, taken at the substep start.
 
     Consumed by the brute-force verifier, which rebuilds the discretized
-    estimation problem from exactly the quantities the filter used. X_hat
-    is the raw (m, m) group matrix.
+    estimation problem from exactly the quantities the filter used.
     """
 
     t: float
@@ -283,16 +284,20 @@ class FilterConfig:
             raise ValueError(f"dt_max must exceed TIME_SNAP = {TIME_SNAP:g} s")
 
 
-def init(basis: GeneratorBasis, X_hat_0: GroupElement, H_0) -> ObserverState:
+def init(basis: GeneratorBasis, X_hat_0, H_0) -> ObserverState:
     """Initial observer state at t = 0.
 
-    The initial estimate is X_hat_0^-1 origin_xi, with the origin_xi of the
+    X_hat_0 is an (m, m) group matrix with finite entries. The initial
+    estimate is X_hat_0^-1 origin_xi, with the origin_xi of the
     FilterConfig that steps it; the value-function minimum is then at the
     origin and the initial gradient is exactly zero.
     """
     m = basis.dim_embedding
-    if X_hat_0.matrix.shape != (m, m):
+    X_hat_0 = np.asarray(X_hat_0, dtype=float)
+    if X_hat_0.shape != (m, m):
         raise ValueError("X_hat_0 dimension does not match the basis")
+    if not _all_finite(X_hat_0):
+        raise ValueError("X_hat_0 must be finite")
     H_0 = np.asarray(H_0, dtype=float)
     if H_0.shape != (m, m):
         raise ValueError("H_0 must be m x m")
@@ -310,17 +315,17 @@ def init(basis: GeneratorBasis, X_hat_0: GroupElement, H_0) -> ObserverState:
 
 
 def check_invariants(state: ObserverState) -> None:
-    """Raise SingularPError unless X_hat, H and eta are finite and, for an
-    orthogonal X_hat, ||X_hat^T X_hat - I||_F <= ORTHOGONALITY_TOLERANCE.
+    """Raise SingularPError unless X_hat, H and eta are finite and, on an
+    orthogonal basis, ||X_hat^T X_hat - I||_F <= ORTHOGONALITY_TOLERANCE.
 
-    The kernel relies on both: an orthogonal X_hat is inverted by its
+    The kernel relies on both: an orthogonal basis inverts X_hat by its
     transpose, and a NaN would pass through the rate equations unnoticed.
     Cheap enough to run once per sensor epoch.
     """
-    X = state.X_hat.matrix
+    X = state.X_hat
     if not (_all_finite(X) and _all_finite(state.H) and _all_finite(state.eta)):
         raise SingularPError("observer state is not finite")
-    if state.X_hat.orthogonal:
+    if state.basis.orthogonal:
         # The Frobenius norm as np.linalg.norm forms it, bit for bit.
         drift = (X.T.dot(X) - state.basis._identity).ravel()
         drift = math.sqrt(drift.dot(drift))
@@ -332,7 +337,8 @@ def check_invariants(state: ObserverState) -> None:
 
 
 def _all_finite(A: np.ndarray) -> bool:
-    # Counted, as liegroup._finite counts: a third of isfinite(A).all().
+    # Counting the finite entries costs a third of isfinite(A).all() on a
+    # 4 x 4, and step tests one matrix per substep.
     return np.count_nonzero(np.isfinite(A)) == A.size
 
 
@@ -460,9 +466,9 @@ def step(
     Ups = _origin_action(basis, origin)
     # wedge(basis, delta) is delta.dot(flat_T) reshaped, as wedge forms it.
     flat_T, m = basis._flat.T, basis.dim_embedding
-    # The substeps carry raw arrays; X_hat is wrapped once, at the end.
-    orthogonal = basis.orthogonal and state.X_hat.orthogonal
-    X, X_inv = state.X_hat.matrix, state.X_hat.inverse
+    inverse = basis.inverse
+    X = state.X_hat
+    X_inv = inverse(X)
     H, eta, t = state.H, state.eta, state.t
     t_stop = t
     substeps = 0
@@ -481,7 +487,8 @@ def step(
         if delta_norm > 0.0 and cap / delta_norm < dt:
             dt = cap / delta_norm
             # A finite delta whose squared norm overflows gives dt = 0, and t
-            # would never advance; a non-finite one fails exp_group below.
+            # would never advance; a non-finite one fails the product's test
+            # below.
             if not dt > 0.0 and _all_finite(delta):
                 raise SingularPError(
                     "correction norm overflows (|delta|^2 = inf), so the substep "
@@ -491,27 +498,29 @@ def step(
         H_dot = hessian_rate(X_inv, H, sample, Delta)
         eta_dot = gradient_rate(H, eta, Delta, pull, damping, origin)
         if dt != exp_dt:
-            exp_dt, exp_U = dt, exp_group(basis, dt * U).matrix
-        # One product of the raw matrices, checked once for finiteness: a
-        # non-finite entry of the inner product makes its whole row of the
-        # outer one non-finite (inf * 0 = NaN), so that check still sees it.
-        X_next = _finite(exp_group(basis, dt * delta).matrix.dot(X).dot(exp_U))
+            exp_dt, exp_U = dt, exp_group(basis, dt * U)
+        # The kernel's one finiteness test, on the product: a non-finite
+        # entry of either factor, or of the inner product, makes a whole row
+        # or column of the outer one non-finite (inf * 0 = NaN).
+        X_next = exp_group(basis, dt * delta).dot(X).dot(exp_U)
+        if not _all_finite(X_next):
+            raise ValueError("group element matrix must be finite")
         if trace is not None:
             trace.append(SubstepRecord(t, dt, delta, X, H, eta, sample))
         X = X_next
-        X_inv = X.T if orthogonal else np.linalg.inv(X)
+        X_inv = inverse(X)
         H_new = H + dt * H_dot
         H = H_new + H_new.T
         H *= 0.5
         eta = eta + dt * eta_dot
         t = t_stop if dt >= remaining else t + dt
-    end = ObserverState(X_hat=_element(X, orthogonal), H=H, eta=eta, t=t, basis=basis)
+    end = ObserverState(X_hat=X, H=H, eta=eta, t=t, basis=basis)
     return end, substeps, first_delta
 
 
 def state_estimate(state: ObserverState, cfg: FilterConfig) -> np.ndarray:
     """Estimate X_hat^-1 origin_xi; on the manifold by construction."""
-    return state.X_hat.apply_inverse(cfg.origin_xi)
+    return state.basis.inverse(state.X_hat).dot(cfg.origin_xi)
 
 
 def optimality_residual(basis: GeneratorBasis, eta, origin) -> np.ndarray:

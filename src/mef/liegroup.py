@@ -3,9 +3,10 @@ adjoint coordinates, and the tangent action matrices.
 
 A symmetry group is described here by a :class:`GeneratorBasis`, an ordered
 set of m x m matrices E_1..E_d spanning the Lie algebra. Coordinate vectors
-u in R^d correspond to algebra elements sum_i u_i E_i (the wedge map), and
-group elements are built by exponentiating algebra elements or multiplying
-existing elements, so membership is maintained structurally.
+u in R^d correspond to algebra elements sum_i u_i E_i (the wedge map). A
+group element is its m x m float matrix, built by exponentiating algebra
+elements or multiplying existing elements, so membership is maintained
+structurally; GeneratorBasis.inverse inverts one.
 
 One least-squares projection onto the generator span answers every
 membership question: vee, of a matrix or a stack; adjoint_coords, vee of
@@ -22,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "GeneratorBasis",
-    "GroupElement",
     "NotInAlgebraError",
     "wedge",
     "vee",
@@ -63,8 +63,8 @@ class GeneratorBasis:
     ----------
     orthogonal : bool
         Whether every generator is skew-symmetric. Each exponential, and so
-        each product of them, is then orthogonal, and the elements built
-        from this basis are inverted by their transpose.
+        each product of them, is then orthogonal, and :meth:`inverse` takes
+        the transpose.
     """
 
     def __init__(
@@ -104,6 +104,11 @@ class GeneratorBasis:
             raise ValueError("generator span is not closed under the commutator "
                              f"(pair {i[k]},{j[k]}: residual {residual:.3e})")
 
+    def inverse(self, X: np.ndarray) -> np.ndarray:
+        """Inverse of the group element X: its transpose for an orthogonal
+        basis, np.linalg.inv otherwise."""
+        return X.T if self.orthogonal else np.linalg.inv(X)
+
 
 def _project(basis: GeneratorBasis, stack: np.ndarray, tol: float):
     """Least-squares coordinates (d, N) of an (N, m, m) stack in the span, and
@@ -128,73 +133,6 @@ def _project(basis: GeneratorBasis, stack: np.ndarray, tol: float):
         return coords, None
     k = int(held.argmin())
     return coords, (k, math.sqrt(res2[k]))
-
-
-class GroupElement:
-    """Group element stored as its m x m matrix, with a cached inverse.
-
-    Elements are created through :meth:`identity`, :func:`exp_group`, or
-    products of existing elements; this keeps them inside the group without
-    a per-call membership test. Those constructors set ``orthogonal`` for an
-    element of an orthogonal group (see :class:`GeneratorBasis`), whose
-    inverse is then the transpose; a product is orthogonal when both factors
-    are. ``GroupElement(matrix)`` assumes nothing and inverts with inv.
-    """
-
-    __slots__ = ("matrix", "orthogonal", "_inverse")
-
-    def __init__(self, matrix):
-        mat = np.asarray(matrix, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("group element matrix must be square")
-        self.matrix = _finite(mat)
-        self.orthogonal = False
-        self._inverse = None
-
-    @classmethod
-    def identity(cls, m: int) -> "GroupElement":
-        return _element(np.eye(m), orthogonal=True)
-
-    @property
-    def inverse(self) -> np.ndarray:
-        """Matrix inverse, computed once on first use: the transpose for an
-        orthogonal element, np.linalg.inv otherwise."""
-        if self._inverse is None:
-            self._inverse = self.matrix.T if self.orthogonal else np.linalg.inv(self.matrix)
-        return self._inverse
-
-    def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        return _element(self.matrix.dot(other.matrix),
-                        orthogonal=self.orthogonal and other.orthogonal)
-
-    def apply(self, xi) -> np.ndarray:
-        """Action on an embedding-space vector."""
-        return self.matrix.dot(np.asarray(xi, dtype=float))
-
-    def apply_inverse(self, xi) -> np.ndarray:
-        return self.inverse.dot(np.asarray(xi, dtype=float))
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"GroupElement({self.matrix!r})"
-
-
-def _finite(matrix: np.ndarray) -> np.ndarray:
-    # Counting the finite entries costs a third of isfinite(...).all() on a
-    # 4 x 4, and the kernel tests two or three matrices per substep.
-    if np.count_nonzero(np.isfinite(matrix)) != matrix.size:
-        raise ValueError("group element matrix must be finite")
-    return matrix
-
-
-def _element(matrix: np.ndarray, orthogonal: bool) -> GroupElement:
-    # For the constructors above, exp_group, group_from_quaternion and step,
-    # which build a square float matrix and know from how they built it
-    # whether it belongs to an orthogonal group.
-    element = GroupElement.__new__(GroupElement)
-    element.matrix = _finite(matrix)
-    element.orthogonal = orthogonal
-    element._inverse = None
-    return element
 
 
 def _coords(basis: GeneratorBasis, u) -> np.ndarray:
@@ -284,19 +222,20 @@ def _exp_series(A: np.ndarray) -> np.ndarray:
     return result
 
 
-def exp_group(basis: GeneratorBasis, u) -> GroupElement:
-    """Group element exp(wedge(u)).
+def exp_group(basis: GeneratorBasis, u) -> np.ndarray:
+    """Group element exp(wedge(u)) as its (m, m) matrix.
 
     Uses the basis closed form when one is registered, otherwise the scaled
-    truncated series. Total on finite input.
+    truncated series. Total on finite input; the matrix is not tested for
+    finiteness (step tests the product it enters).
     """
     u = _coords(basis, u)
     if basis.closed_form_exp is not None:
-        return _element(basis.closed_form_exp(u), basis.orthogonal)
-    return _element(_exp_series(wedge(basis, u)), basis.orthogonal)
+        return basis.closed_form_exp(u)
+    return _exp_series(wedge(basis, u))
 
 
-def adjoint_coords(basis: GeneratorBasis, X: GroupElement) -> np.ndarray:
+def adjoint_coords(basis: GeneratorBasis, X: np.ndarray) -> np.ndarray:
     """d x d matrix of the conjugation map u -> vee(X wedge(u) X^-1).
 
     Column i is vee(X E_i X^-1): the stack of conjugated generators goes
@@ -304,7 +243,7 @@ def adjoint_coords(basis: GeneratorBasis, X: GroupElement) -> np.ndarray:
     :class:`NotInAlgebraError` when a conjugated generator leaves the
     algebra span, which signals a basis/group inconsistency.
     """
-    return _span_coords(basis, X.matrix @ basis.generators @ X.inverse)
+    return _span_coords(basis, X @ basis.generators @ basis.inverse(X))
 
 
 # ---------------------------------------------------------------------------

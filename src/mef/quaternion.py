@@ -22,14 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .filter import SignalSample, _dot, _origin_action
-from .liegroup import (
-    GroupElement,
-    _element,
-    adjoint_coords,
-    quaternion_basis,
-    quaternion_wedge,
-    upsilon_bar,
-)
+from .liegroup import adjoint_coords, quaternion_basis, quaternion_wedge, upsilon_bar
 
 __all__ = [
     "Quaternion",
@@ -39,8 +32,6 @@ __all__ = [
     "BASIS",
     "quat_product",
     "velocity_coords",
-    "rotate_to_body",
-    "propagate_quaternion",
     "measurement_matrix",
     "build_sample",
     "group_from_quaternion",
@@ -113,34 +104,20 @@ def velocity_coords(omega) -> np.ndarray:
     return (omega.reshape(-1, 3) if omega.ndim == 2 else omega.reshape(3)) / 2.0
 
 
-def rotate_to_body(q: Quaternion, z_ref) -> np.ndarray:
-    """Body-frame components z of an inertial vector z_ref, from
-    (0, z) = q^-1 (0, z_ref) q."""
-    return _to_body(q.as_vector(), np.asarray(z_ref, dtype=float).reshape(3))
-
-
 def _to_body(q: np.ndarray, z_ref: np.ndarray) -> np.ndarray:
-    # rotate_to_body of a quaternion 4-vector, or row by row of (N, 4)
-    # quaternion and (N, 3) vector stacks, with the same bits either way.
+    # Body-frame components z of an inertial vector z_ref, from
+    # (0, z) = q^-1 (0, z_ref) q, for a quaternion 4-vector, or row by row of
+    # (N, 4) quaternion and (N, 3) vector stacks, with the same bits either way.
     q_r, q1, q2, q3 = q.T
     r, v1, v2, v3 = _hamilton(q_r, -q1, -q2, -q3, 0.0, *z_ref.T)
     _, z1, z2, z3 = _hamilton(r, v1, v2, v3, q_r, q1, q2, q3)
     return np.stack((z1, z2, z3), axis=-1)
 
 
-def propagate_quaternion(q: Quaternion, omega, dt: float) -> Quaternion:
-    """Exact flow of the kinematics over dt with omega held constant.
-
-    The state satisfies qdot = -wedge(omega/2) q, so one step is the group
-    exponential exp(-dt wedge(omega/2)) applied to q.
-    """
-    return Quaternion.from_vector(_flow(q.as_vector(), -dt * velocity_coords(omega)))
-
-
 def _flow(q: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    # One exact step exp(wedge(coords)) q of a quaternion 4-vector, with
-    # coords = -dt omega/2: propagate_quaternion, and simulate_truth epoch
-    # by epoch.
+    # Exact flow of the kinematics qdot = -wedge(omega/2) q over dt with
+    # omega held constant: one step exp(wedge(coords)) q of a quaternion
+    # 4-vector, with coords = -dt omega/2 (simulate_truth, epoch by epoch).
     return BASIS.closed_form_exp(coords).dot(q)
 
 
@@ -238,7 +215,7 @@ class NoiseModel:
 
 def build_sample(
     q_hat: np.ndarray,
-    X_hat: GroupElement,
+    X_hat: np.ndarray,
     U_coords: np.ndarray,
     C: np.ndarray,
     valid_until: float,
@@ -247,7 +224,7 @@ def build_sample(
     """Assemble one sensor epoch into the filter's input structure.
 
     q_hat is the estimate as a 4-vector and X_hat the observer's group
-    element. U_coords = velocity_coords(omega_meas) and
+    matrix. U_coords = velocity_coords(omega_meas) and
     C = measurement_matrix(z_meas, z_ref) depend on no observer state, so a
     run forms them for all its epochs at once (see simulation.observe).
     The sample holds until valid_until.
@@ -269,7 +246,7 @@ def build_sample(
                         R=R, valid_until=valid_until)
 
 
-def group_from_quaternion(q: Quaternion) -> GroupElement:
+def group_from_quaternion(q: Quaternion) -> np.ndarray:
     """Group element X = exp(theta * wedge(axis)) with q = (cos theta,
     sin theta * axis) and theta in [0, pi], so that X^-1 (1, 0, 0, 0)
     recovers q. For q_v = 0 this is +I or -I by the sign of q_r."""
@@ -279,8 +256,7 @@ def group_from_quaternion(q: Quaternion) -> GroupElement:
         axis = q.q_v / sin_theta
     else:
         axis = np.array([1.0, 0.0, 0.0])
-    mat = np.cos(theta) * np.eye(4) + np.sin(theta) * quaternion_wedge(axis)
-    return _element(mat, BASIS.orthogonal)
+    return np.cos(theta) * np.eye(4) + np.sin(theta) * quaternion_wedge(axis)
 
 
 def attitude_error_angle(q, q_hat):

@@ -138,7 +138,7 @@ def simulate_truth(scenario: AttitudeScenario) -> Truth:
     unit = np.abs(np.linalg.norm(z_ref, axis=1) - 1.0) <= 1e-12
     if not unit.all():
         raise ValueError(f"reference vector at t={times[int(unit.argmin())]} is not unit length")
-    # propagate_quaternion's step on raw 4-vectors.
+    # The exact flow (_flow) on raw 4-vectors.
     q = np.empty((epochs, 4))
     q[:1] = scenario.q0.as_vector()
     coords, formed, error = -scenario.sensor_dt * velocity_coords(omega), epochs, None
@@ -201,7 +201,7 @@ def initial_observer_hessian(q_hat_0: Quaternion, scale: float) -> np.ndarray:
     """
     X0 = group_from_quaternion(q_hat_0)
     Ups = upsilon(BASIS, q_hat_0.as_vector())
-    return scale ** 2 * X0.matrix @ (Ups @ Ups.T) @ X0.matrix.T
+    return scale ** 2 * X0 @ (Ups @ Ups.T) @ X0.T
 
 
 def initial_state(q_hat_0: Quaternion, scale: float) -> ObserverState:
@@ -273,8 +273,8 @@ def _observe(config: RunConfig, truth: Truth, U: np.ndarray, C: np.ndarray, trac
                 # Looked up through mef.filter, as step does, so that a
                 # patched correction_delta reaches this solve too.
                 end, substeps = state, 0
-                pull, damping = _filter.forcing_terms(state.X_hat.inverse, state.H, state.eta,
-                                                      sample, cfg.origin_xi)
+                pull, damping = _filter.forcing_terms(BASIS.inverse(state.X_hat), state.H,
+                                                      state.eta, sample, cfg.origin_xi)
                 delta = _filter.correction_delta(BASIS, state.H, state.eta, Ups, pull - damping)
         except SingularPError as exc:
             raise SingularPError(f"epoch {k} (t={t:g} s): {exc}") from exc

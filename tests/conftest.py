@@ -92,13 +92,15 @@ def psd_sqrt(cov: np.ndarray) -> np.ndarray:
 def correction_at(state, sample, cfg):
     """correction_delta at ``state``, with its arguments formed as step
     forms them."""
-    pull, damping = forcing_terms(state.X_hat.inverse, state.H, state.eta, sample, cfg.origin_xi)
+    pull, damping = forcing_terms(state.basis.inverse(state.X_hat), state.H, state.eta, sample,
+                                  cfg.origin_xi)
     return correction_delta(state.basis, state.H, state.eta, upsilon(state.basis, cfg.origin_xi),
                             pull - damping)
 
 
 def gradient_rate_at(state, sample, delta, cfg):
     """gradient_rate at ``state`` for the correction coordinates delta."""
-    pull, damping = forcing_terms(state.X_hat.inverse, state.H, state.eta, sample, cfg.origin_xi)
+    pull, damping = forcing_terms(state.basis.inverse(state.X_hat), state.H, state.eta, sample,
+                                  cfg.origin_xi)
     return gradient_rate(state.H, state.eta, wedge(state.basis, delta), pull, damping,
                          cfg.origin_xi)

@@ -17,7 +17,6 @@ from mef import (
     XI_ORIGIN,
     FilterConfig,
     GeneratorBasis,
-    GroupElement,
     ObserverState,
     SignalSample,
     adjoint_coords,
@@ -203,7 +202,7 @@ def test_criterion_6_algebra_identities_hold():
         for k in range(1, 26):
             term = term @ A / k
             series += term
-        worst["exp"] = max(worst["exp"], float(np.linalg.norm(X.matrix - series)))
+        worst["exp"] = max(worst["exp"], float(np.linalg.norm(X - series)))
         Y = exp_group(BASIS, v)
         hom = adjoint_coords(BASIS, X) @ adjoint_coords(BASIS, Y)
         worst["adjoint"] = max(
@@ -233,7 +232,7 @@ def test_criterion_7_scalar_hessian_follows_riccati_solution():
 
     basis = GeneratorBasis(np.zeros((0, 1, 1)))
     state = ObserverState(
-        X_hat=GroupElement.identity(1), H=np.array([[h0]]),
+        X_hat=np.eye(1), H=np.array([[h0]]),
         eta=np.zeros(1), t=0.0, basis=basis,
     )
     sample = SignalSample(

@@ -489,12 +489,14 @@ class TestConfigBoundary:
                        id=f"{key}={value}")
           for key, value in (("noise.gyro_sigma", "1e200"), ("noise.vector_sigma", "1e200"),
                              ("noise.gyro_sigma", "1e-200"), ("noise.gyro_sigma", "1e-160"),
-                             ("noise.vector_sigma", "1e-160"))],
+                             ("noise.vector_sigma", "1e-160"), ("noise.vector_sigma", "1e-200"))],
         *[pytest.param(["check", "--set", f"{key}=1e200"], key, id=f"{key}=1e200")
           for key in ("check.gyro_sigma_true", "check.vector_sigma_true")],
     ])
     def test_noise_sigma_without_finite_gains_names_its_key(self, argv, key, tmp_path, capsys):
-        # Squares that overflow, and nonzero squares with no finite inverse.
+        # Squares that overflow, nonzero squares with no finite inverse, and
+        # a vector sigma whose square underflows to 0, which the output
+        # weight would read as no weight.
         code = main(argv + ["--out", str(tmp_path)])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err

@@ -19,7 +19,6 @@ from mef import (
     AttitudeScenario,
     FilterConfig,
     GeneratorBasis,
-    GroupElement,
     NoiseModel,
     ObserverState,
     Quaternion,
@@ -35,7 +34,7 @@ from mef import (
     observe,
     optimality_residual,
     quat_product,
-    rotate_to_body,
+    simulate_truth,
     state_estimate,
     step,
     upsilon,
@@ -78,7 +77,7 @@ def scalar_riccati_solution(t: float) -> float:
 def scalar_setup(valid_until: float = 2.0):
     basis = GeneratorBasis(np.zeros((0, 1, 1)))
     state = ObserverState(
-        X_hat=GroupElement.identity(1),
+        X_hat=np.eye(1),
         H=np.array([[SCALAR_H0]]),
         eta=np.zeros(1),
         t=0.0,
@@ -131,7 +130,7 @@ class TestInit:
         rng = make_rng(300)
         A = rng.standard_normal((4, 4))
         H0 = A @ A.T
-        state = init(BASIS, GroupElement.identity(4), H0)
+        state = init(BASIS, np.eye(4), H0)
         np.testing.assert_array_equal(state.eta, np.zeros(4))
         assert state.t == 0.0
         np.testing.assert_allclose(state.H, H0, atol=1e-14)
@@ -148,12 +147,12 @@ class TestInit:
         H0 = np.eye(4)
         H0[0, 1] = 1e-3
         with pytest.raises(ValueError, match="symmetric"):
-            init(BASIS, GroupElement.identity(4), H0)
+            init(BASIS, np.eye(4), H0)
 
     def test_rejects_indefinite_prior(self):
         H0 = np.diag([1.0, 1.0, 1.0, -1.0])
         with pytest.raises(ValueError, match="positive semidefinite"):
-            init(BASIS, GroupElement.identity(4), H0)
+            init(BASIS, np.eye(4), H0)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -163,13 +162,24 @@ class TestInit:
         H0 = np.eye(4)
         H0[1, 2] = H0[2, 1] = bad
         with pytest.raises(ValueError, match="H_0 must be finite"):
-            init(BASIS, GroupElement.identity(4), H0)
+            init(BASIS, np.eye(4), H0)
 
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError, match="X_hat_0"):
-            init(BASIS, GroupElement.identity(3), np.eye(4))
+            init(BASIS, np.eye(3), np.eye(4))
         with pytest.raises(ValueError, match="m x m"):
-            init(BASIS, GroupElement.identity(4), np.eye(3))
+            init(BASIS, np.eye(4), np.eye(3))
+
+    @pytest.mark.parametrize("X_hat_0", [
+        np.zeros((3, 4)), np.zeros((4, 4, 1)), np.ones(16),
+        np.diag([1.0, np.nan, 1.0, 1.0]), np.diag([1.0, 1.0, np.inf, 1.0]),
+        np.diag([1.0, 1.0, 1.0, -np.inf]),
+    ], ids=["3x4", "4x4x1", "flat", "nan", "inf", "-inf"])
+    def test_rejects_a_misshapen_or_non_finite_X_hat_0(self, X_hat_0):
+        # A group element is a plain matrix: init is where one from outside
+        # the kernel is checked.
+        with pytest.raises(ValueError, match="X_hat_0"):
+            init(BASIS, X_hat_0, np.eye(4))
 
 
 class TestCorrectionDelta:
@@ -197,7 +207,7 @@ class TestCorrectionDelta:
             valid_until=1.0,
         )
         # With H = Ups Ups^T and eta = 0 the solve matrix is the identity.
-        X_inv = np.linalg.inv(X.matrix)
+        X_inv = np.linalg.inv(X)
         residual = C @ (X_inv @ XI_ORIGIN) - y
         expected = Ups.T @ (X_inv.T @ (C.T @ (R @ residual)))
         delta = correction_at(state, sample, CFG)
@@ -217,7 +227,7 @@ class TestCorrectionDelta:
     def test_rank_deficient_weight_raises(self):
         rng = make_rng(304)
         state = ObserverState(
-            X_hat=GroupElement.identity(4), H=np.zeros((4, 4)),
+            X_hat=np.eye(4), H=np.zeros((4, 4)),
             eta=np.zeros(4), t=0.0, basis=BASIS,
         )
         sample = SignalSample(
@@ -261,14 +271,15 @@ class TestHessianRate:
             U_coords=np.zeros(3), C=C, y=np.zeros(4),
             B=np.zeros((4, 3)), Q=np.eye(3), R=R, valid_until=1.0,
         )
-        X_inv = np.linalg.inv(X.matrix)
+        X_inv = np.linalg.inv(X)
         expected = X_inv.T @ C.T @ R @ C @ X_inv
-        got = hessian_rate(state.X_hat.inverse, state.H, sample, wedge(state.basis, np.zeros(3)))
+        got = hessian_rate(state.basis.inverse(state.X_hat), state.H, sample,
+                           wedge(state.basis, np.zeros(3)))
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
     def test_zero_weight_zero_output_gives_zero(self):
         state = ObserverState(
-            X_hat=GroupElement.identity(4), H=np.zeros((4, 4)),
+            X_hat=np.eye(4), H=np.zeros((4, 4)),
             eta=np.zeros(4), t=0.0, basis=BASIS,
         )
         sample = SignalSample(
@@ -276,7 +287,7 @@ class TestHessianRate:
             B=upsilon(BASIS, XI_ORIGIN), Q=np.eye(3), R=np.eye(4),
             valid_until=1.0,
         )
-        got = hessian_rate(state.X_hat.inverse, state.H, sample,
+        got = hessian_rate(state.basis.inverse(state.X_hat), state.H, sample,
                            wedge(state.basis, np.array([0.3, -0.1, 0.7])))
         np.testing.assert_array_equal(got, np.zeros((4, 4)))
 
@@ -285,20 +296,21 @@ class TestHessianRate:
         # identically when H = I.
         rng = make_rng(307)
         state = ObserverState(
-            X_hat=GroupElement.identity(4), H=np.eye(4),
+            X_hat=np.eye(4), H=np.eye(4),
             eta=np.zeros(4), t=0.0, basis=BASIS,
         )
         sample = SignalSample(
             U_coords=np.zeros(3), C=np.zeros((4, 4)), y=np.zeros(4),
             B=np.zeros((4, 3)), Q=np.eye(3), R=np.eye(4), valid_until=1.0,
         )
-        got = hessian_rate(state.X_hat.inverse, state.H, sample,
+        got = hessian_rate(state.basis.inverse(state.X_hat), state.H, sample,
                            wedge(state.basis, rng.standard_normal(3)))
         np.testing.assert_array_equal(got, np.zeros((4, 4)))
 
     def test_scalar_rate_value(self):
         state, sample, _ = scalar_setup()
-        got = hessian_rate(state.X_hat.inverse, state.H, sample, wedge(state.basis, np.zeros(0)))
+        got = hessian_rate(state.basis.inverse(state.X_hat), state.H, sample,
+                           wedge(state.basis, np.zeros(0)))
         expected = -(SCALAR_B ** 2 / SCALAR_Q) * SCALAR_H0 ** 2 \
             + SCALAR_C ** 2 * SCALAR_R
         assert got.shape == (1, 1)
@@ -335,7 +347,7 @@ class TestGradientRate:
             U_coords=np.zeros(3), C=C, y=y, B=upsilon(BASIS, XI_ORIGIN),
             Q=np.eye(3), R=R, valid_until=1.0,
         )
-        X_inv = np.linalg.inv(X.matrix)
+        X_inv = np.linalg.inv(X)
         expected = X_inv.T @ (C.T @ (R @ (C @ (X_inv @ XI_ORIGIN) - y)))
         got = gradient_rate_at(state, sample, np.zeros(3), CFG)
         np.testing.assert_allclose(got, expected, atol=1e-10)
@@ -344,7 +356,7 @@ class TestGradientRate:
         rng = make_rng(310)
         eta = rng.standard_normal(4)
         state = ObserverState(
-            X_hat=GroupElement.identity(4), H=np.zeros((4, 4)),
+            X_hat=np.eye(4), H=np.zeros((4, 4)),
             eta=eta, t=0.0, basis=BASIS,
         )
         sample = SignalSample(
@@ -381,7 +393,7 @@ class TestStep:
         state, sample = self.equilibrium_state(rng)
         out, _, delta = step(state, sample, CFG)
         np.testing.assert_array_equal(delta, np.zeros(3))
-        np.testing.assert_array_equal(out.X_hat.matrix, state.X_hat.matrix)
+        np.testing.assert_array_equal(out.X_hat, state.X_hat)
         np.testing.assert_array_equal(out.H, state.H)
         np.testing.assert_array_equal(out.eta, state.eta)
         assert out.t == 0.1
@@ -399,7 +411,7 @@ class TestStep:
         state = init(BASIS, group_from_quaternion(q), initial_observer_hessian(q, 1.0))
         out, _, _ = step(state, sample, CFG)
         expected = state.X_hat @ exp_group(BASIS, 0.1 * velocity_coords(omega))
-        np.testing.assert_allclose(out.X_hat.matrix, expected.matrix, atol=1e-12)
+        np.testing.assert_allclose(out.X_hat, expected, atol=1e-12)
         assert out.t == 0.1
 
     def test_one_call_reaches_interval_end_in_dt_max_substeps(self):
@@ -431,7 +443,7 @@ class TestStep:
         rec = trace[0]
         assert rec.t == state.t
         assert rec.sample is sample
-        np.testing.assert_array_equal(rec.X_hat, state.X_hat.matrix)
+        np.testing.assert_array_equal(rec.X_hat, state.X_hat)
         np.testing.assert_array_equal(rec.eta, state.eta)
         assert rec.dt == pytest.approx(out.t - state.t, abs=1e-15)
         assert rec.delta is delta
@@ -446,7 +458,7 @@ class TestStep:
         monkeypatch.setattr(mef.filter, "correction_delta", lambda *args: np.zeros(3))
         out, _, _ = step(state, sample, CFG)
         expected = state.X_hat @ exp_group(BASIS, 0.1 * velocity_coords(omega))
-        np.testing.assert_allclose(out.X_hat.matrix, expected.matrix, atol=1e-12)
+        np.testing.assert_allclose(out.X_hat, expected, atol=1e-12)
 
 
 class TestInvariantGuard:
@@ -457,26 +469,30 @@ class TestInvariantGuard:
     @pytest.mark.parametrize("field", ["H", "eta"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_a_non_finite_state(self, field, bad):
-        state = init(BASIS, GroupElement.identity(4), np.eye(4))
+        state = init(BASIS, np.eye(4), np.eye(4))
         value = getattr(state, field).copy()
         value[1] = bad
         with pytest.raises(SingularPError, match="not finite"):
             check_invariants(dataclasses.replace(state, **{field: value}))
 
     def test_rejects_orthogonality_drift_past_the_bound(self):
-        M = exp_group(BASIS, [0.3, -1.2, 0.7]).matrix
+        M = exp_group(BASIS, [0.3, -1.2, 0.7])
         for scale, ok in ((1.0 + 0.1 * ORTHOGONALITY_TOLERANCE, True),
                           (1.0 + ORTHOGONALITY_TOLERANCE, False)):
-            drifted = GroupElement(M * scale)
-            drifted.orthogonal = True  # as exp_group and products set it
-            state = init(BASIS, drifted, np.eye(4))
+            state = init(BASIS, M * scale, np.eye(4))
             if ok:
                 check_invariants(state)
             else:
                 with pytest.raises(SingularPError, match="orthogonality drift"):
                     check_invariants(state)
-        # An element not known to be orthogonal is inverted with inv: no bound.
-        check_invariants(init(BASIS, GroupElement(2.0 * M), np.eye(4)))
+
+    def test_rejects_a_scaled_element_handed_to_init(self):
+        # On an orthogonal basis every X_hat is inverted by its transpose, so
+        # the bound holds for any matrix init was handed: 2 exp(u) is finite
+        # and square, but its transpose is not its inverse.
+        state = init(BASIS, 2.0 * exp_group(BASIS, [0.3, -1.2, 0.7]), np.eye(4))
+        with pytest.raises(SingularPError, match="orthogonality drift"):
+            check_invariants(state)
 
     def test_violation_is_tagged_with_its_epoch_and_exits_3(self, monkeypatch, tmp_path, capsys):
         real_step = mef.simulation.step
@@ -508,7 +524,7 @@ class TestLongHorizon:
         gains = NoiseModel(gyro_var=0.01 ** 2, vector_var=1.0)
         cfg = FilterConfig(origin_xi=XI_ORIGIN, dt_max=0.01 / 50, delta_step_cap=1e18)
         state = init(BASIS, group_from_quaternion(q_hat), initial_observer_hessian(q_hat, 1.0))
-        z = rotate_to_body(q, z_ref)
+        z = simulate_truth(scenario).z[0]
         total = 0
         for k in range(2000):
             check_invariants(state)
@@ -518,13 +534,13 @@ class TestLongHorizon:
             state, substeps, _ = step(state, sample, cfg)
             total += substeps
         assert total >= 100_000
-        X = state.X_hat.matrix
+        X = state.X_hat
         drift = float(np.linalg.norm(X.T @ X - np.eye(4)))
         assert drift <= 0.1 * ORTHOGONALITY_TOLERANCE
         # With X^T X = I + E, the transpose differs from the inverse by
         # (I - (I + E)^-1) X^T, about E X^T, and the estimate X^T origin has
         # norm 1 + O(||E||) / 2: both are bounded by the drift itself.
-        np.testing.assert_allclose(state.X_hat.inverse, np.linalg.inv(X), rtol=0, atol=drift)
+        np.testing.assert_allclose(BASIS.inverse(X), np.linalg.inv(X), rtol=0, atol=drift)
         assert abs(np.linalg.norm(state_estimate(state, cfg)) - 1.0) <= drift
 
 
@@ -589,7 +605,7 @@ class TestCanonicalTrajectory:
 
 class TestStateEstimate:
     def test_identity_returns_origin(self):
-        state = init(BASIS, GroupElement.identity(4), np.zeros((4, 4)))
+        state = init(BASIS, np.eye(4), np.zeros((4, 4)))
         np.testing.assert_array_equal(state_estimate(state, CFG), XI_ORIGIN)
 
     def test_exponential_gives_cosine_sine_coordinates(self):
@@ -621,7 +637,7 @@ def epoch_value_rate(state, sample, delta) -> float:
 
 class TestDiagnostics:
     def test_fresh_state_has_zero_residual(self):
-        state = init(BASIS, GroupElement.identity(4), np.eye(4))
+        state = init(BASIS, np.eye(4), np.eye(4))
         np.testing.assert_array_equal(optimality_residual(BASIS, state.eta, CFG.origin_xi),
                                       np.zeros(3))
 
@@ -636,7 +652,7 @@ class TestDiagnostics:
         v = np.array([0.2, -0.1, 0.4, 0.05])
         R = np.diag([1.0, 2.0, 3.0, 4.0])
         state = ObserverState(
-            X_hat=GroupElement.identity(4), H=np.zeros((4, 4)),
+            X_hat=np.eye(4), H=np.zeros((4, 4)),
             eta=np.zeros(4), t=0.0, basis=BASIS,
         )
         sample = SignalSample(
@@ -652,7 +668,7 @@ class TestDiagnostics:
         eta = rng.standard_normal(4)
         delta = rng.standard_normal(3)
         state = ObserverState(
-            X_hat=GroupElement.identity(4), H=np.zeros((4, 4)),
+            X_hat=np.eye(4), H=np.zeros((4, 4)),
             eta=eta, t=0.0, basis=BASIS,
         )
         sample = SignalSample(

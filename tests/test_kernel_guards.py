@@ -58,13 +58,14 @@ from conftest import make_rng, random_filter_instance, sample_from_measurements
 def transcribed_step(state, sample, cfg):
     """The substeps of step written out on raw arrays, each term computed
     where the rate equations use it (the output pull twice, Upsilon and
-    wedge(delta) per use), in the floating-point order of the library. An
-    orthogonal X_hat is inverted by its transpose, any other by inv.
+    wedge(delta) per use), in the floating-point order of the library. On
+    an orthogonal basis X_hat is inverted by its transpose, on any other by
+    inv.
     Returns the per-substep (delta, dt, X_hat, H, eta) and the end state."""
     basis, origin, N = state.basis, cfg.origin_xi, sample.noise_shape
-    gens, orthogonal = basis.generators, state.X_hat.orthogonal
+    gens, orthogonal = basis.generators, basis.orthogonal
     flat = gens.reshape(len(gens), -1)
-    X, H, eta, t = state.X_hat.matrix, state.H, state.eta, state.t
+    X, H, eta, t = state.X_hat, state.H, state.eta, state.t
     t_stop, records = t, []
     while sample.valid_until - t > TIME_SNAP:
         if t_stop - t <= TIME_SNAP:
@@ -86,7 +87,7 @@ def transcribed_step(state, sample, cfg):
         pull = X_inv.T @ (sample.C.T @ (sample.R @ (sample.C @ (X_inv @ origin) - sample.y)))
         eta_dot = -H @ (Delta @ origin) - Delta.T @ eta - H @ (N @ eta) + pull
         records.append((delta, dt, X, H, eta))
-        X = (exp_group(basis, dt * delta).matrix @ X) @ exp_group(basis, dt * sample.U_coords).matrix
+        X = (exp_group(basis, dt * delta) @ X) @ exp_group(basis, dt * sample.U_coords)
         H_new = H + dt * H_dot
         H = 0.5 * (H_new + H_new.T)
         eta = eta + dt * eta_dot
@@ -126,7 +127,7 @@ def assert_step_matches_transcription(state, sample, cfg, trace, end):
                              (H_k, record.H), (eta_k, record.eta)):
             assert np.array_equal(ours, theirs)
     assert t == end.t
-    for ours, theirs in ((X, end.X_hat.matrix), (H, end.H), (eta, end.eta)):
+    for ours, theirs in ((X, end.X_hat), (H, end.H), (eta, end.eta)):
         assert np.array_equal(ours, theirs)
 
 
@@ -177,7 +178,7 @@ class TestTranscription:
         cfg = FilterConfig(origin_xi=[0.6, 0.8, 0.5, 0.1], dt_max=0.01)
         trace: list = []
         end, _, _ = step(state, sample, cfg, trace=trace)
-        assert not end.X_hat.orthogonal
+        assert not np.allclose(end.X_hat.T @ end.X_hat, np.eye(4))
         assert_step_matches_transcription(state, sample, cfg, trace, end)
 
 
@@ -250,7 +251,7 @@ class TestProductFiniteness:
         inf and NaN (inf * 0) across that row, so the one check raises."""
         basis = GeneratorBasis(np.diag([1.0, 0.0, 0.0, 0.0])[None])
         X_hat = exp_group(basis, [709.7])
-        assert np.isfinite(X_hat.matrix).all()
+        assert np.isfinite(X_hat).all()
         state = ObserverState(X_hat=X_hat, H=np.eye(4), eta=np.zeros(4), t=0.0, basis=basis)
         sample = SignalSample(U_coords=[0.0], C=np.zeros((4, 4)), y=np.zeros(4),
                               B=np.zeros((4, 1)), Q=[[1.0]], R=np.eye(4), valid_until=1.0)

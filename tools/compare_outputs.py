@@ -12,7 +12,10 @@ from their own ``src``:
   12 and 7, and on the ``noiseless`` preset;
 - ``mef simulate`` on the ``noiseless`` preset with
   ``--set scenario.duration=0`` (no epochs) and ``0.1`` (two epochs), which
-  pin the empty log and the shortest stacked log;
+  pin the empty log and the shortest stacked log, and with
+  ``--set scenario.q0=-1,0,0,0 --set observer.initial_error_rad=0``, which
+  starts the observer at the lift of a quaternion with zero vector part
+  (X_hat close to -I, the double cover of the identity);
 - ``mef simulate`` on the ``noisy`` preset with
   ``--set noise.vector_sigma=0.3``, ``noise.vector_sigma=0`` (no output
   weight) and ``noise.gyro_sigma=0.03``. Every other command has
@@ -76,6 +79,8 @@ COMMANDS = (
     + [["simulate", "--config", "noiseless"],
        ["simulate", "--config", "noiseless", "--set", "scenario.duration=0"],
        ["simulate", "--config", "noiseless", "--set", "scenario.duration=0.1"],
+       ["simulate", "--config", "noiseless", "--set", "scenario.q0=-1,0,0,0",
+        "--set", "observer.initial_error_rad=0"],
        ["simulate", "--config", "noisy", "--set", "noise.vector_sigma=0.3"],
        ["simulate", "--config", "noisy", "--set", "noise.vector_sigma=0"],
        ["simulate", "--config", "noisy", "--set", "noise.gyro_sigma=0.03"],
