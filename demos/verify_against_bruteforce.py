@@ -28,7 +28,7 @@ for dt in (4e-3, 2e-3, 1e-3, 5e-4):
     problem, state = build_verification_problem(overrides, dt)
 
     # Exact derivatives of the replayed cost at the origin, from one
-    # factorization and m + 1 solves.
+    # reduction of the KKT system and m + 1 solves.
     grad, hess = gradient_hessian_at(problem, XI_ORIGIN)
     grad_rel = np.linalg.norm(state.eta - grad) / np.linalg.norm(grad)
     hess_rel = np.linalg.norm(state.H - hess) / np.linalg.norm(hess)

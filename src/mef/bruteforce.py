@@ -10,16 +10,20 @@ disturbance is fixed by its own stationarity row, mu_k = Q_k^-1 B_k^T lam_k
 (Q_k symmetric positive definite), and is eliminated through it. The
 remaining unknowns are ordered stage by stage, each step's error and
 dynamics multiplier together, as interior-point MPC solvers do, so the
-matrix is banded with half-bandwidth 2m - 1 at any horizon. It does not
-depend on the terminal error: one band LU with partial pivoting (LAPACK
-gbtrf; the matrix is symmetric indefinite) serves every terminal point,
-each costing one gbtrs solve, and scipy.sparse is never loaded.
+matrix is block tridiagonal in 2m x 2m stage blocks at any horizon. It
+does not depend on the terminal error, and neither does its odd-even block
+cyclic reduction (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 1970):
+about log2 N levels of batched block inverses, in numpy alone, computed
+once and applied to every terminal point. The odd-even order keeps the
+verifier apart from the observer, whose Riccati recursion is what a
+forward block elimination would compute. Every solve takes one step of
+iterative refinement and is checked against the unreduced matrix.
 
 The value function is therefore exactly quadratic in the terminal error,
 and the multiplier of the terminal constraint is minus its gradient. One
 solve gives the gradient, and one solve per coordinate, driven by a unit
 terminal point alone, gives a Hessian column; all m + 1 solves share the
-one factorization. These exact derivatives are then compared against the
+one reduction. These exact derivatives are then compared against the
 observer's propagated quantities.
 """
 
@@ -62,8 +66,9 @@ class DiscretizedProblem:
     0.5 (e0 - anchor)^T H0 (e0 - anchor), with anchor the image of the
     initial state estimate under X_hat_0.
 
-    The KKT factorization is cached on first use, so the problem is
-    immutable: the instance is frozen and its arrays are read-only copies.
+    The reduction of the KKT system is cached on first use, so the problem
+    is immutable: the instance is frozen and its arrays are read-only
+    copies.
     """
 
     dt: float
@@ -76,6 +81,7 @@ class DiscretizedProblem:
     R: np.ndarray
     H0: np.ndarray
     anchor: np.ndarray
+    _C_tilde: np.ndarray = field(init=False, repr=False)
     _kkt: Optional[dict] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -108,9 +114,7 @@ class DiscretizedProblem:
         # The KKT system eliminates each disturbance through Q_k^-1. The
         # steps of one sensor interval share their Q: each run of equal
         # ones is checked once.
-        changed = np.ones(N, dtype=bool)
-        changed[1:] = (self.Q[1:] != self.Q[:-1]).any(axis=(1, 2))
-        Q = self.Q[changed]
+        Q = self.Q[_run_starts(self.Q)]
         scale = max(1.0, float(np.abs(Q).max(initial=0.0)))
         if not np.allclose(Q, np.swapaxes(Q, 1, 2), rtol=0.0, atol=1e-12 * scale):
             raise ValueError("Q must be symmetric positive definite")
@@ -118,6 +122,11 @@ class DiscretizedProblem:
             np.linalg.cholesky(Q)
         except np.linalg.LinAlgError:
             raise ValueError("Q must be symmetric positive definite") from None
+        # The output matrices in error coordinates, C_k X_hat_k^-1.
+        try:
+            object.__setattr__(self, "_C_tilde", self.C @ np.linalg.inv(self.X_hat))
+        except np.linalg.LinAlgError:
+            raise ValueError("X_hat must be invertible") from None
 
     @property
     def steps(self) -> int:
@@ -169,53 +178,36 @@ class DiscretizedProblem:
     # e_{k+1} = (I + dt*Delta_k) e_k + dt*B_k mu_k and lam_N that of e_N = e_T.
     # The disturbance mu_k is eliminated through its own stationarity row,
     # dt*Q_k mu_k = dt*B_k^T lam_k, which leaves -dt*B_k Q_k^-1 B_k^T in the
-    # (lam_k, lam_k) block. Each row then reaches at most 2m - 1 columns
-    # either side.
+    # (lam_k, lam_k) block. The matrix is block tridiagonal: stage k's
+    # diagonal block, and the identity coupling lam_k to e_{k+1} and its
+    # transpose.
 
     def _kkt_state(self) -> dict:
         if self._kkt is not None:
             return self._kkt
-        # Imported here: only check needs scipy, and simulate and sweep
-        # should not pay for loading it.
-        from scipy.linalg.lapack import dgbtrf
-
         N, m = self.steps, self.m
-        s = 2 * m  # unknowns per stage
-        w = s - 1  # lower and upper bandwidth
-        C_tilde = self.C @ np.linalg.inv(self.X_hat)
-        CtR = np.swapaxes(C_tilde, 1, 2) @ self.R
-        Q_inv_Bt = np.linalg.solve(self.Q, np.swapaxes(self.B, 1, 2))
+        CtR = np.swapaxes(self._C_tilde, 1, 2) @ self.R
+        # B and Q are shared by the steps of a sensor interval: Q^-1 B^T
+        # and B Q^-1 B^T are formed once per run of equal pairs.
+        starts = _run_starts(self.Q, self.B)
+        run = np.cumsum(starts) - 1
+        B = self.B[starts]
+        Q_inv_Bt = np.linalg.solve(self.Q[starts], np.swapaxes(B, 1, 2))
 
         # Stage N holds only the terminal constraint e_N = e_T.
-        stage = np.zeros((N + 1, s, s))
-        stage[:N, :m, :m] = self.dt * CtR @ C_tilde
+        stage = np.zeros((N + 1, 2 * m, 2 * m))
+        stage[:N, :m, :m] = self.dt * CtR @ self._C_tilde
         stage[0, :m, :m] += self.H0
         stage[:N, m:, :m] = -(np.eye(m) + self.dt * self.Delta)
         stage[:N, :m, m:] = np.swapaxes(stage[:N, m:, :m], 1, 2)
-        stage[:N, m:, m:] = -self.dt * self.B @ Q_inv_Bt
+        stage[:N, m:, m:] = (-self.dt * B @ Q_inv_Bt)[run]
         stage[N, m:, :m] = stage[N, :m, m:] = np.eye(m)
-        # LAPACK band storage for dgbtrf: K[i, j] sits at ab[2w + i - j, j],
-        # above w rows of room for the fill-in that pivoting brings. Stage
-        # k's columns are columns[k], a view of ab.
-        ab = np.zeros((3 * w + 1, (N + 1) * s), order="F")
-        columns = ab.T.reshape(N + 1, s, 3 * w + 1)
-        i, j = np.indices((s, s))
-        columns[:, j, 2 * w + i - j] = stage
-        # The identity coupling lam_k to e_{k+1}, m columns to its right,
-        # and its transpose.
-        columns[1:, :m, 2 * w - m] = 1.0
-        columns[:N, m:, 2 * w + m] = 1.0
-        rhs = np.zeros((N + 1, s))
+        rhs = np.zeros((N + 1, 2 * m))
         rhs[:N, :m] = self.dt * np.einsum("kij,kj->ki", CtR, self.y)
         rhs[0, :m] += self.H0 @ self.anchor
-        lu, pivots, info = dgbtrf(ab, w, w, overwrite_ab=True)
-        if info > 0:
-            raise InfeasibleTerminalError(
-                f"singular optimality system: zero pivot in column {info}"
-            )
         object.__setattr__(self, "_kkt", {
-            "lu": lu, "pivots": pivots, "stage": stage, "rhs": rhs.reshape(-1),
-            "C_tilde": C_tilde, "Q_inv_Bt": Q_inv_Bt,
+            "levels": _cyclic_reduction(stage, m), "stage": stage, "rhs": rhs,
+            "Q_inv_Bt": Q_inv_Bt[run],
         })
         return self._kkt
 
@@ -224,25 +216,33 @@ class DiscretizedProblem:
         Column 0 is the problem ending at terminal[:, 0]; the others drop
         the linear cost term, leaving the response to their terminal point
         alone."""
-        from scipy.linalg.lapack import dgbtrs
-
         st = self._kkt_state()
         N, m = self.steps, self.m
-        rhs = np.zeros((st["rhs"].size, terminal.shape[1]), order="F")
-        rhs[:, 0] = st["rhs"]
-        rhs[-m:] = terminal
-        sol, _ = dgbtrs(st["lu"], 2 * m - 1, 2 * m - 1, rhs, st["pivots"])
-        # The residual against the unfactored matrix, formed from its blocks.
-        stages = sol.reshape(N + 1, 2 * m, -1)
-        Kz = st["stage"] @ stages
-        Kz[:N, m:] += stages[1:, :m]
-        Kz[1:, :m] += stages[:N, m:]
-        residual = np.linalg.norm(Kz.reshape(sol.shape) - rhs, axis=0)
-        if not np.all(residual <= 1e-6 * (1.0 + np.linalg.norm(rhs, axis=0))):
+        rhs = np.zeros((N + 1, 2 * m, terminal.shape[1]))
+        rhs[:, :, 0] = st["rhs"]
+        rhs[N, m:] = terminal
+        stages = _cyclic_solve(st["levels"], rhs, m)
+        # The reduction multiplies by explicit block inverses, and its
+        # couplings grow with products of the one-step maps: alone it
+        # leaves relative errors of about 1e-12 in the terminal multipliers
+        # at N = 4000, and more on stiff problems. One step of iterative
+        # refinement brings them to the round-off of the residual.
+        stages += _cyclic_solve(st["levels"], self._residual(stages, rhs), m)
+        residual = _column_norms(self._residual(stages, rhs))
+        if not np.all(residual <= 1e-6 * (1.0 + _column_norms(rhs))):
             raise InfeasibleTerminalError(
                 f"optimality system solve failed (residual {residual.max():.3e})"
             )
-        return sol
+        return stages.reshape(-1, terminal.shape[1])
+
+    def _residual(self, stages: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """rhs - K z for z and rhs in stage shape (N + 1, 2m, k), formed
+        from the unreduced blocks."""
+        N, m = self.steps, self.m
+        Kz = self._kkt_state()["stage"] @ stages
+        Kz[:N, m:] += stages[1:, :m]
+        Kz[1:, :m] += stages[:N, m:]
+        return np.subtract(rhs, Kz, out=Kz)
 
     def _cost(self, z: np.ndarray) -> float:
         # The objective from its definition on the solved trajectory: no
@@ -250,13 +250,105 @@ class DiscretizedProblem:
         N, m = self.steps, self.m
         stages = z.reshape(N + 1, 2 * m)[:N]
         e, lam = stages[:, :m], stages[:, m:]
-        st = self._kkt_state()
-        mu = np.einsum("kij,kj->ki", st["Q_inv_Bt"], lam)
+        mu = np.einsum("kij,kj->ki", self._kkt_state()["Q_inv_Bt"], lam)
         d = e[0] - self.anchor
-        r = self.y - np.einsum("kij,kj->ki", st["C_tilde"], e)
+        r = self.y - np.einsum("kij,kj->ki", self._C_tilde, e)
         running = (np.einsum("ki,kij,kj->", mu, self.Q, mu)
                    + np.einsum("ki,kij,kj->", r, self.R, r))
         return 0.5 * float(d @ self.H0 @ d) + 0.5 * self.dt * float(running)
+
+
+# Block cyclic reduction (Buzbee, Golub & Nielson 1970) on the stage blocks.
+# A level eliminates its odd blocks: each is solved for through its inverse
+# G and substituted into its even neighbours, which leaves a block
+# tridiagonal system of the even blocks alone. The couplings stay confined
+# to the same m x m corners, block (lam_j, e_{j+1}) and its transpose, so a
+# level's couplings are an (n - 1, m, m) stack u, and None at level 0, where
+# every one is the identity and each product with it is a slice. The
+# elimination order is odd-even, so no block is ever a Schur complement of
+# a forward sweep, the observer's own Riccati recursion.
+
+
+def _inverse(blocks: np.ndarray, level: int) -> np.ndarray:
+    try:
+        return np.linalg.inv(blocks)
+    except np.linalg.LinAlgError:
+        raise InfeasibleTerminalError(
+            f"singular optimality system: singular block at reduction level {level}"
+        ) from None
+
+
+def _cyclic_reduction(stage: np.ndarray, m: int) -> list:
+    """The right-hand-side-free part of the reduction of the (n, 2m, 2m)
+    stage blocks: per level, the odd blocks' inverses and the couplings
+    u. The last level holds the inverse of the one block left."""
+    levels, D, u = [], stage, None
+    while len(D) > 1:
+        G = _inverse(D[1::2], len(levels))
+        even = (len(D) + 1) // 2
+        # What an even block sees of its neighbours' inverses: the
+        # (lam, lam) corner from its left, the (e, e) corner from its
+        # right, and the (e, lam) corner through to the next even block.
+        left, right, through = G[: even - 1, m:, m:], G[:, :m, :m], G[: even - 1, :m, m:]
+        if u is not None:
+            to_right, to_left = u[0::2], u[1::2]
+            left = np.swapaxes(to_left, 1, 2) @ left @ to_left
+            right = to_right @ right @ np.swapaxes(to_right, 1, 2)
+            through = to_right[: even - 1] @ through @ to_left
+        levels.append((G, u))
+        D = D[0::2].copy()
+        D[1:, :m, :m] -= left
+        D[: len(G), m:, m:] -= right
+        u = -through
+    levels.append((_inverse(D, len(levels)), None))
+    return levels
+
+
+def _cyclic_solve(levels: list, rhs: np.ndarray, m: int) -> np.ndarray:
+    """Solution (n, 2m, k) of the stage system for the stacked right-hand
+    sides rhs (n, 2m, k), from the levels of _cyclic_reduction.
+
+    Level j's blocks are every 2^j-th of the n, so one array holds every
+    level: the forward sweep updates each level's even blocks in place,
+    and the backward sweep overwrites its odd blocks with their solution.
+    """
+    x = rhs.copy()
+    for level, (G, u) in enumerate(levels[:-1]):
+        r = x[:: 2 ** level]
+        Gr = G @ r[1::2]
+        left, right = Gr[: len(r[2::2]), m:], Gr[:, :m]
+        if u is not None:
+            left = np.swapaxes(u[1::2], 1, 2) @ left
+            right = u[0::2] @ right
+        r[2::2, :m] -= left
+        r[0 : 2 * len(G) : 2, m:] -= right
+    x[:1] = levels[-1][0] @ x[:1]
+    for level, (G, u) in reversed(list(enumerate(levels[:-1]))):
+        # Each odd block from its row, given both even neighbours.
+        r = x[:: 2 ** level]
+        left, right = r[0 : 2 * len(G) : 2, m:], r[2::2, :m]
+        if u is not None:
+            left = np.swapaxes(u[0::2], 1, 2) @ left
+            right = u[1::2] @ right
+        odd = r[1::2]
+        odd[:, :m] -= left
+        odd[: len(right), m:] -= right
+        r[1::2] = G @ odd
+    return x
+
+
+def _column_norms(stages: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(stages.reshape(-1, stages.shape[-1]), axis=0)
+
+
+def _run_starts(*stacks: np.ndarray) -> np.ndarray:
+    """Mask of the steps k where some stack's entry differs from step k - 1
+    (always step 0)."""
+    starts = np.zeros(len(stacks[0]), dtype=bool)
+    starts[:1] = True
+    for stack in stacks:
+        starts[1:] |= (stack[1:] != stack[:-1]).any(axis=(1, 2))
+    return starts
 
 
 def _terminal_point(prob: DiscretizedProblem, e) -> np.ndarray:
@@ -282,7 +374,7 @@ def gradient_hessian_at(prob: DiscretizedProblem, e) -> tuple[np.ndarray, np.nda
     Both are exact: the gradient is minus the terminal multiplier of the
     solve ending at e, and Hessian column j is minus the terminal
     multiplier of the solve driven by the unit terminal point e_j alone.
-    All m + 1 solves share one factorization. The Hessian is symmetrized.
+    All m + 1 solves share one reduction. The Hessian is symmetrized.
     """
     e = _terminal_point(prob, e)
     grad_hess = -prob._solve(np.column_stack([e, np.eye(prob.m)]))[-prob.m :]

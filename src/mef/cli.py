@@ -105,7 +105,7 @@ CHECK_AGREEMENT_TOL = 1e-4
 def cmd_check(args) -> int:
     raw, _ = _merged_config(args)
     problem, state = build_verification_problem(raw, args.dt)
-    # One factorization and one batch of m + 1 solves give every row.
+    # One reduction and one batch of m + 1 solves give every row.
     grad, hess = gradient_hessian_at(problem, XI_ORIGIN)
     critical = check_critical_point(grad, BASIS, XI_ORIGIN)
     grad_rel = float(np.linalg.norm(state.eta - grad)) / max(float(np.linalg.norm(grad)), 1e-300)

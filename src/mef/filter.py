@@ -315,8 +315,9 @@ def init(basis: GeneratorBasis, X_hat_0, H_0) -> ObserverState:
 
 
 def check_invariants(state: ObserverState) -> None:
-    """Raise SingularPError unless X_hat, H and eta are finite and, on an
-    orthogonal basis, ||X_hat^T X_hat - I||_F <= ORTHOGONALITY_TOLERANCE.
+    """Raise SingularPError unless X_hat, H and eta are finite and X_hat
+    is invertible: on an orthogonal basis ||X_hat^T X_hat - I||_F <=
+    ORTHOGONALITY_TOLERANCE, on any other np.linalg.inv succeeds.
 
     The kernel relies on both: an orthogonal basis inverts X_hat by its
     transpose, and a NaN would pass through the rate equations unnoticed.
@@ -334,6 +335,11 @@ def check_invariants(state: ObserverState) -> None:
                 f"X_hat orthogonality drift {drift:.3e} exceeds "
                 f"{ORTHOGONALITY_TOLERANCE:.0e}"
             )
+    else:
+        try:
+            np.linalg.inv(X)
+        except np.linalg.LinAlgError:
+            raise SingularPError("X_hat is singular") from None
 
 
 def _all_finite(A: np.ndarray) -> bool:

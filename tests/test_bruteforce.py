@@ -13,9 +13,8 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.linalg.lapack
 import scipy.optimize
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mef import (
@@ -34,11 +33,17 @@ from mef import (
     value_at,
     wedge,
 )
+import mef.bruteforce
 from mef.cli import build_verification_problem
 from mef.config import build_check_config
 from mef.filter import hessian_rate
 
 from conftest import make_rng
+
+
+# Horizons N whose N + 1 stage blocks take every parity at the reduction's
+# levels: N + 1 of 1 to 5, and 2^k - 1, 2^k and 2^k + 1.
+REDUCTION_HORIZONS = [0, 1, 2, 3, 4] + [2 ** k + d - 1 for k in (3, 4, 5, 6, 7) for d in (-1, 0, 1)]
 
 
 def random_problem(rng, N: int = 10, dt: float = 0.01, zero_delta: bool = False,
@@ -172,7 +177,7 @@ def dense_kkt_solutions(prob: DiscretizedProblem,
     errors = dense[: (N + 1) * m].reshape(N + 1, m, -1)
     multipliers = dense[nx:].reshape(N + 1, m, -1)
     stage_ordered = np.concatenate([errors, multipliers], axis=1).reshape(-1, terminal.shape[1])
-    return stage_ordered, dense[(N + 1) * m : nx].reshape(N, l, -1)
+    return stage_ordered, dense[(N + 1) * m : nx].reshape(N, l, terminal.shape[1])
 
 
 def trajectory_cost(prob: DiscretizedProblem, e: np.ndarray, mu: np.ndarray) -> float:
@@ -291,6 +296,9 @@ class TestValueAt:
 
 
 class TestBandSolve:
+    """The stage system is banded, block tridiagonal in 2m x 2m blocks; it
+    is solved by block cyclic reduction and one refinement step."""
+
     @pytest.mark.parametrize("shape, N", [((4, 3, 4), 12), ((3, 1, 2), 9), ((2, 3, 1), 1)])
     def test_columns_match_a_dense_solve(self, shape, N):
         rng = make_rng(520)
@@ -304,7 +312,7 @@ class TestBandSolve:
     @given(m=st.integers(1, 4), l=st.integers(1, 4), n=st.integers(1, 4),
            N=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
     def test_eliminated_system_matches_the_full_dense_kkt(self, m, l, n, N, seed):
-        # The band system holds (e_k, lam_k) only: its solution and the
+        # The stage system holds (e_k, lam_k) only: its solution and the
         # disturbances recovered from lam_k must match the dense KKT, which
         # keeps mu_k as unknowns, and so must the optimal cost.
         rng = make_rng(seed)
@@ -323,23 +331,79 @@ class TestBandSolve:
         assert value_at(prob, terminal[:, 0]) == pytest.approx(dense_value, rel=1e-10,
                                                                abs=1e-14)
 
+    @given(m=st.integers(1, 4), l=st.integers(1, 4), n=st.integers(1, 4),
+           N=st.one_of(st.sampled_from(REDUCTION_HORIZONS), st.integers(1, 300)),
+           log_dt=st.floats(-4.0, 0.0), stiff=st.sampled_from([None, "H0", "R"]),
+           log_scale=st.floats(-8.0, 8.0), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60)
+    def test_reduction_matches_the_dense_kkt_at_every_parity_and_scale(
+            self, m, l, n, N, log_dt, stiff, log_scale, seed):
+        # Cyclic reduction halves the block count per level, so every parity
+        # of N + 1 at every level must agree with the dense KKT: N + 1 of
+        # 1 to 5 and 2^k - 1, 2^k, 2^k + 1, and random horizons, with H0 or
+        # R scaled by up to 10^8 either way.
+        rng = make_rng(seed)
+        prob = random_problem(rng, N=max(N, 1), dt=10.0 ** log_dt, shape=(m, l, n))
+        prob = dataclasses.replace(prob, **{name: getattr(prob, name)[:N] for name in
+                                            ("Delta", "B", "Q", "C", "X_hat", "y", "R")})
+        if stiff is not None:
+            prob = dataclasses.replace(prob, **{stiff: getattr(prob, stiff) * 10.0 ** log_scale})
+        terminal = np.column_stack([rng.standard_normal(m), np.eye(m)])
+        got = prob._solve(terminal)
+        expected, _ = dense_kkt_solutions(prob, terminal)
+        error = np.linalg.norm(got - expected, axis=0)
+        assert np.all(error <= 1e-7 * np.linalg.norm(expected, axis=0))
+
+    def test_gains_shared_by_runs_of_steps_match_a_dense_solve(self):
+        # As in a sensor interval, runs of steps share B and Q; each run's
+        # Q^-1 B^T is formed once and must serve all of its steps.
+        rng = make_rng(523)
+        prob = random_problem(rng, N=11)
+        shared = np.array([0, 0, 0, 1, 1, 2, 2, 2, 2, 1, 1])
+        prob = dataclasses.replace(prob, B=prob.B[shared], Q=prob.Q[shared])
+        terminal = np.column_stack([rng.standard_normal(4), np.eye(4)])
+        got = prob._solve(terminal)
+        expected, _ = dense_kkt_solutions(prob, terminal)
+        error = np.linalg.norm(got - expected, axis=0)
+        assert np.all(error <= 1e-10 * np.linalg.norm(expected, axis=0))
+
+    def test_a_stiff_problem_is_solved_after_refinement(self):
+        # R scaled by 9.5e7 leaves unit-terminal residuals of about 3e-6
+        # after the reduction, past the guard's 2e-6; one refinement step
+        # brings them to 1e-10.
+        prob = random_problem(make_rng(298865460), N=14, dt=0.01129666422566898,
+                              shape=(3, 1, 2))
+        prob = dataclasses.replace(prob, R=prob.R * 94829235.73475687)
+        terminal = np.column_stack([np.ones(3), np.eye(3)])
+        got = prob._solve(terminal)
+        expected, _ = dense_kkt_solutions(prob, terminal)
+        error = np.linalg.norm(got - expected, axis=0)
+        assert np.all(error <= 1e-9 * np.linalg.norm(expected, axis=0))
+
+    def test_singular_block_raises_infeasible(self):
+        # A zero one-step map with no input or output makes every step's
+        # block exactly singular: the reduction reports the first it
+        # meets, stage 1's, with no bare LinAlgError.
+        prob = dataclasses.replace(random_problem(make_rng(522), N=3),
+                                   Delta=np.stack([-np.eye(4) / 0.01] * 3),
+                                   B=np.zeros((3, 4, 3)), C=np.zeros((3, 4, 4)))
+        with pytest.raises(InfeasibleTerminalError, match="singular optimality system"):
+            value_at(prob, np.zeros(4))
+
     @pytest.mark.parametrize("fault", ["factor", "solve"])
     def test_residual_guard_catches_a_corrupted_solve(self, fault, monkeypatch):
+        # Each fault is large enough that the refinement step, which runs
+        # on the same faulty reduction, cannot repair it.
         prob = random_problem(make_rng(521))
         e = np.full(4, 0.3)
         value_at(prob, e)
-        state = prob._kkt_state()
         if fault == "factor":
-            w = 2 * prob.m - 1
-            state["lu"][2 * w] *= 1.0 + 1e-4  # the diagonal of U
+            inverses, _ = prob._kkt_state()["levels"][0]
+            inverses[0] *= 2.0  # stage 1's block inverse
         else:
-            real = scipy.linalg.lapack.dgbtrs
-
-            def scaled_solve(*args):
-                x, info = real(*args)
-                return x * (1.0 + 1e-4), info
-
-            monkeypatch.setattr(scipy.linalg.lapack, "dgbtrs", scaled_solve)
+            real = mef.bruteforce._cyclic_solve
+            monkeypatch.setattr(mef.bruteforce, "_cyclic_solve",
+                                lambda *args: 2.0 * real(*args))
         with pytest.raises(InfeasibleTerminalError, match="solve failed"):
             value_at(prob, e)
 
@@ -576,3 +640,11 @@ class TestProblemConstruction:
             Qs[bad] = Q
             with pytest.raises(ValueError, match="Q must be symmetric positive definite"):
                 dataclasses.replace(good, Q=Qs)
+
+    def test_rejects_a_singular_X_hat(self):
+        # The output pull-back C_k X_hat_k^-1 needs every X_hat invertible.
+        good = random_problem(make_rng(517), N=3)
+        X_hat = np.array(good.X_hat)
+        X_hat[1] = np.diag([0.0, 1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="X_hat must be invertible"):
+            dataclasses.replace(good, X_hat=X_hat)

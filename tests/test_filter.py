@@ -494,6 +494,16 @@ class TestInvariantGuard:
         with pytest.raises(SingularPError, match="orthogonality drift"):
             check_invariants(state)
 
+    def test_rejects_a_singular_X_hat_on_a_non_orthogonal_basis(self):
+        # Off the orthogonal group X_hat is inverted by np.linalg.inv, which
+        # would raise a bare LinAlgError later (in state_estimate).
+        basis = GeneratorBasis(np.diag([1.0, 0.0, 0.0, 0.0])[None])
+        assert not basis.orthogonal
+        state = init(basis, np.diag([0.0, 1.0, 1.0, 1.0]), np.eye(4))
+        with pytest.raises(SingularPError, match="X_hat is singular"):
+            check_invariants(state)
+        check_invariants(init(basis, np.diag([2.0, 1.0, 1.0, 1.0]), np.eye(4)))
+
     def test_violation_is_tagged_with_its_epoch_and_exits_3(self, monkeypatch, tmp_path, capsys):
         real_step = mef.simulation.step
 
