@@ -10,13 +10,6 @@ command line (``mef simulate|check|sweep``).
 
 import types as _types
 
-from .bruteforce import (
-    DiscretizedProblem,
-    InfeasibleTerminalError,
-    check_critical_point,
-    gradient_hessian_at,
-    value_at,
-)
 from .config import (
     DEFAULTS,
     ConfigError,
@@ -31,7 +24,7 @@ from .filter import (
     ObserverState,
     SignalSample,
     SingularPError,
-    SubstepRecord,
+    StepTrace,
     correction_delta,
     forcing_terms,
     gradient_rate,
@@ -82,9 +75,28 @@ from .simulation import (
 
 __version__ = "0.1.0"
 
-# Every name imported above, and nothing else (the submodules themselves
-# are not part of the flat namespace).
-__all__ = sorted(
-    name for name, value in globals().items()
-    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+# The brute-force verifier's names, which load mef.bruteforce on first use
+# (see __getattr__): only check needs it.
+_VERIFIER = (
+    "DiscretizedProblem",
+    "InfeasibleTerminalError",
+    "check_critical_point",
+    "gradient_hessian_at",
+    "value_at",
 )
+
+# Every name imported above and the verifier's, and nothing else (the
+# submodules themselves are not part of the flat namespace).
+__all__ = sorted(
+    [name for name, value in globals().items()
+     if not name.startswith("_") and not isinstance(value, _types.ModuleType)]
+    + list(_VERIFIER)
+)
+
+
+def __getattr__(name: str):
+    if name in _VERIFIER:
+        from . import bruteforce
+
+        return getattr(bruteforce, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,7 +17,10 @@ about log2 N levels of batched block inverses, in numpy alone, computed
 once and applied to every terminal point. The odd-even order keeps the
 verifier apart from the observer, whose Riccati recursion is what a
 forward block elimination would compute. Every solve takes one step of
-iterative refinement and is checked against the unreduced matrix.
+iterative refinement and is checked against the unreduced matrix; it
+works in place on one buffer of its own. Each sensor interval's data
+(B, Q, C, y, R) is held once, as one row that its steps read through an
+index.
 
 The value function is therefore exactly quadratic in the terminal error,
 and the multiplier of the terminal constraint is minus its gradient. One
@@ -59,10 +62,13 @@ class DiscretizedProblem:
     """Forward-Euler discretization of the error-system optimal control
     problem over N uniform steps of length dt.
 
-    Step k carries the correction matrix Delta_k, input map B_k with
-    symmetric positive-definite gain Q_k, raw output matrix C_k with gain
-    R_k and target y_k, and the observer element X_hat_k that pulls the
-    output back to error coordinates. The initial cost is
+    Step k carries the correction matrix Delta_k and the observer element
+    X_hat_k that pulls the output back to error coordinates, and reads the
+    sensor data of row i = interval[k] of K rows: input map B_i with
+    symmetric positive-definite gain Q_i, raw output matrix C_i with gain
+    R_i and target y_i. The steps of one sensor interval share one row, so
+    that each interval's data is held once; interval defaults to
+    arange(N), one row per step. The initial cost is
     0.5 (e0 - anchor)^T H0 (e0 - anchor), with anchor the image of the
     initial state estimate under X_hat_0.
 
@@ -81,50 +87,55 @@ class DiscretizedProblem:
     R: np.ndarray
     H0: np.ndarray
     anchor: np.ndarray
+    interval: Optional[np.ndarray] = None
     _C_tilde: np.ndarray = field(init=False, repr=False)
     _kkt: Optional[dict] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("Delta", "B", "Q", "C", "X_hat", "y", "R", "H0", "anchor"):
-            array = np.array(getattr(self, name), dtype=float)
+        if self.interval is None:
+            object.__setattr__(self, "interval", np.arange(len(self.Delta)))
+        for name in ("Delta", "B", "Q", "C", "X_hat", "y", "R", "H0", "anchor", "interval"):
+            array = np.array(getattr(self, name), dtype=None if name == "interval" else float)
             array.flags.writeable = False
             object.__setattr__(self, name, array)
         object.__setattr__(self, "anchor", self.anchor.reshape(-1))
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
-        N, m, l, n = self.steps, self.m, self.l, self.n
+        N, K, m, l, n = self.steps, len(self.B), self.m, self.l, self.n
         if self.Delta.shape != (N, m, m):
             raise ValueError("Delta must have shape (N, m, m)")
-        if self.B.shape != (N, m, l):
-            raise ValueError("B must have shape (N, m, l)")
-        if self.Q.shape != (N, l, l):
-            raise ValueError("Q must have shape (N, l, l)")
-        if self.C.shape != (N, n, m):
-            raise ValueError("C must have shape (N, n, m)")
         if self.X_hat.shape != (N, m, m):
             raise ValueError("X_hat must have shape (N, m, m)")
-        if self.y.shape != (N, n):
-            raise ValueError("y must have shape (N, n)")
-        if self.R.shape != (N, n, n):
-            raise ValueError("R must have shape (N, n, n)")
+        if self.B.shape != (K, m, l):
+            raise ValueError("B must have shape (K, m, l)")
+        if self.Q.shape != (K, l, l):
+            raise ValueError("Q must have shape (K, l, l)")
+        if self.C.shape != (K, n, m):
+            raise ValueError("C must have shape (K, n, m)")
+        if self.y.shape != (K, n):
+            raise ValueError("y must have shape (K, n)")
+        if self.R.shape != (K, n, n):
+            raise ValueError("R must have shape (K, n, n)")
         if self.H0.shape != (m, m):
             raise ValueError("H0 must be m x m")
         if self.anchor.shape != (m,):
             raise ValueError("anchor must be an m-vector")
-        # The KKT system eliminates each disturbance through Q_k^-1. The
-        # steps of one sensor interval share their Q: each run of equal
-        # ones is checked once.
-        Q = self.Q[_run_starts(self.Q)]
-        scale = max(1.0, float(np.abs(Q).max(initial=0.0)))
-        if not np.allclose(Q, np.swapaxes(Q, 1, 2), rtol=0.0, atol=1e-12 * scale):
+        if self.interval.shape != (N,) or self.interval.dtype.kind not in "iu":
+            raise ValueError("interval must be an integer array of shape (N,)")
+        if N and not 0 <= self.interval.min() <= self.interval.max() < K:
+            raise ValueError("interval entries must be row indices in [0, K)")
+        # The KKT system eliminates each disturbance through Q^-1.
+        scale = max(1.0, float(np.abs(self.Q).max(initial=0.0)))
+        if not np.allclose(self.Q, np.swapaxes(self.Q, 1, 2), rtol=0.0, atol=1e-12 * scale):
             raise ValueError("Q must be symmetric positive definite")
         try:
-            np.linalg.cholesky(Q)
+            np.linalg.cholesky(self.Q)
         except np.linalg.LinAlgError:
             raise ValueError("Q must be symmetric positive definite") from None
         # The output matrices in error coordinates, C_k X_hat_k^-1.
         try:
-            object.__setattr__(self, "_C_tilde", self.C @ np.linalg.inv(self.X_hat))
+            object.__setattr__(self, "_C_tilde",
+                               self.C[self.interval] @ np.linalg.inv(self.X_hat))
         except np.linalg.LinAlgError:
             raise ValueError("X_hat must be invertible") from None
 
@@ -146,31 +157,30 @@ class DiscretizedProblem:
 
     @classmethod
     def from_substeps(
-        cls, basis: GeneratorBasis, records, H0, anchor
+        cls, basis: GeneratorBasis, traces, H0, anchor
     ) -> "DiscretizedProblem":
-        """Build the problem from an observer substep trace.
+        """Build the problem from the observer's StepTraces, one per sensor
+        interval in time order: one row of sensor data per interval, and
+        its substeps as that interval's steps.
 
         Requires a uniform substep size (relative spread below 1e-9); run
         the observer with dt_max equal to the intended dt and an
         effectively unbounded delta_step_cap to get one.
         """
-        if len(records) == 0:
-            raise ValueError("need at least one substep record")
-        dts = np.array([r.dt for r in records])
+        if len(traces) == 0:
+            raise ValueError("need at least one substep trace")
+        dts = np.concatenate([trace.dt for trace in traces])
         dt = float(dts[0])
         if float(np.abs(dts - dt).max()) > 1e-9 * dt:
             raise ValueError("substep sizes are not uniform")
-        # The records of one sensor interval share its sample: stack each
-        # distinct sample once and expand by each record's slot.
-        samples = {id(r.sample): r.sample for r in records}
-        slot = {key: k for k, key in enumerate(samples)}
-        which = np.array([slot[id(r.sample)] for r in records])
-        stacked = {name: np.stack([getattr(s, name) for s in samples.values()])[which]
-                   for name in ("B", "Q", "C", "y", "R")}
+        rows = {name: np.stack([getattr(trace.sample, name) for trace in traces])
+                for name in ("B", "Q", "C", "y", "R")}
         return cls(
-            dt=dt, Delta=wedge(basis, np.stack([r.delta for r in records])),
-            X_hat=np.stack([r.X_hat for r in records]),
-            H0=H0, anchor=anchor, **stacked,
+            dt=dt, Delta=wedge(basis, np.concatenate([trace.delta for trace in traces])),
+            X_hat=np.concatenate([trace.X_hat for trace in traces]),
+            H0=H0, anchor=anchor,
+            interval=np.repeat(np.arange(len(traces)), [len(trace.dt) for trace in traces]),
+            **rows,
         )
 
     # Unknowns are stacked stage by stage as z = (e_0, lam_0, ..., e_{N-1},
@@ -185,14 +195,10 @@ class DiscretizedProblem:
     def _kkt_state(self) -> dict:
         if self._kkt is not None:
             return self._kkt
-        N, m = self.steps, self.m
-        CtR = np.swapaxes(self._C_tilde, 1, 2) @ self.R
-        # B and Q are shared by the steps of a sensor interval: Q^-1 B^T
-        # and B Q^-1 B^T are formed once per run of equal pairs.
-        starts = _run_starts(self.Q, self.B)
-        run = np.cumsum(starts) - 1
-        B = self.B[starts]
-        Q_inv_Bt = np.linalg.solve(self.Q[starts], np.swapaxes(B, 1, 2))
+        N, m, row = self.steps, self.m, self.interval
+        CtR = np.swapaxes(self._C_tilde, 1, 2) @ self.R[row]
+        # Q^-1 B^T and B Q^-1 B^T are formed once per row.
+        Q_inv_Bt = np.linalg.solve(self.Q, np.swapaxes(self.B, 1, 2))
 
         # Stage N holds only the terminal constraint e_N = e_T.
         stage = np.zeros((N + 1, 2 * m, 2 * m))
@@ -200,14 +206,14 @@ class DiscretizedProblem:
         stage[0, :m, :m] += self.H0
         stage[:N, m:, :m] = -(np.eye(m) + self.dt * self.Delta)
         stage[:N, :m, m:] = np.swapaxes(stage[:N, m:, :m], 1, 2)
-        stage[:N, m:, m:] = (-self.dt * B @ Q_inv_Bt)[run]
+        stage[:N, m:, m:] = (-self.dt * self.B @ Q_inv_Bt)[row]
         stage[N, m:, :m] = stage[N, :m, m:] = np.eye(m)
         rhs = np.zeros((N + 1, 2 * m))
-        rhs[:N, :m] = self.dt * np.einsum("kij,kj->ki", CtR, self.y)
+        rhs[:N, :m] = self.dt * np.einsum("kij,kj->ki", CtR, self.y[row])
         rhs[0, :m] += self.H0 @ self.anchor
         object.__setattr__(self, "_kkt", {
             "levels": _cyclic_reduction(stage, m), "stage": stage, "rhs": rhs,
-            "Q_inv_Bt": Q_inv_Bt[run],
+            "Q_inv_Bt": Q_inv_Bt,
         })
         return self._kkt
 
@@ -218,43 +224,51 @@ class DiscretizedProblem:
         alone."""
         st = self._kkt_state()
         N, m = self.steps, self.m
-        rhs = np.zeros((N + 1, 2 * m, terminal.shape[1]))
-        rhs[:, :, 0] = st["rhs"]
-        rhs[N, m:] = terminal
-        stages = _cyclic_solve(st["levels"], rhs, m)
+        # The right-hand side is the linear cost terms in column 0 and the
+        # terminal points in stage N; the solve overwrites it in place.
+        stages = np.zeros((N + 1, 2 * m, terminal.shape[1]))
+        stages[:, :, 0] = st["rhs"]
+        stages[N, m:] = terminal
+        bound = 1e-6 * (1.0 + _column_norms(stages))
+        stages = _cyclic_solve(st["levels"], stages, m)
         # The reduction multiplies by explicit block inverses, and its
         # couplings grow with products of the one-step maps: alone it
         # leaves relative errors of about 1e-12 in the terminal multipliers
         # at N = 4000, and more on stiff problems. One step of iterative
         # refinement brings them to the round-off of the residual.
-        stages += _cyclic_solve(st["levels"], self._residual(stages, rhs), m)
-        residual = _column_norms(self._residual(stages, rhs))
-        if not np.all(residual <= 1e-6 * (1.0 + _column_norms(rhs))):
+        stages += _cyclic_solve(st["levels"], self._residual(stages, terminal), m)
+        residual = _column_norms(self._residual(stages, terminal))
+        if not np.all(residual <= bound):
             raise InfeasibleTerminalError(
                 f"optimality system solve failed (residual {residual.max():.3e})"
             )
         return stages.reshape(-1, terminal.shape[1])
 
-    def _residual(self, stages: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """rhs - K z for z and rhs in stage shape (N + 1, 2m, k), formed
-        from the unreduced blocks."""
+    def _residual(self, stages: np.ndarray, terminal: np.ndarray) -> np.ndarray:
+        """rhs - K z for z in stage shape (N + 1, 2m, k), formed from the
+        unreduced blocks, with rhs the right-hand side of _solve for these
+        terminal points."""
+        st = self._kkt_state()
         N, m = self.steps, self.m
-        Kz = self._kkt_state()["stage"] @ stages
-        Kz[:N, m:] += stages[1:, :m]
-        Kz[1:, :m] += stages[:N, m:]
-        return np.subtract(rhs, Kz, out=Kz)
+        r = st["stage"] @ stages
+        r[:N, m:] += stages[1:, :m]
+        r[1:, :m] += stages[:N, m:]
+        np.negative(r, out=r)
+        r[:, :, 0] += st["rhs"]
+        r[N, m:] += terminal
+        return r
 
     def _cost(self, z: np.ndarray) -> float:
         # The objective from its definition on the solved trajectory: no
         # expanded constant term that could cancel under a stiff prior.
-        N, m = self.steps, self.m
+        N, m, row = self.steps, self.m, self.interval
         stages = z.reshape(N + 1, 2 * m)[:N]
         e, lam = stages[:, :m], stages[:, m:]
-        mu = np.einsum("kij,kj->ki", self._kkt_state()["Q_inv_Bt"], lam)
+        mu = np.einsum("kij,kj->ki", self._kkt_state()["Q_inv_Bt"][row], lam)
         d = e[0] - self.anchor
-        r = self.y - np.einsum("kij,kj->ki", self._C_tilde, e)
-        running = (np.einsum("ki,kij,kj->", mu, self.Q, mu)
-                   + np.einsum("ki,kij,kj->", r, self.R, r))
+        r = self.y[row] - np.einsum("kij,kj->ki", self._C_tilde, e)
+        running = (np.einsum("ki,kij,kj->", mu, self.Q[row], mu)
+                   + np.einsum("ki,kij,kj->", r, self.R[row], r))
         return 0.5 * float(d @ self.H0 @ d) + 0.5 * self.dt * float(running)
 
 
@@ -304,15 +318,15 @@ def _cyclic_reduction(stage: np.ndarray, m: int) -> list:
     return levels
 
 
-def _cyclic_solve(levels: list, rhs: np.ndarray, m: int) -> np.ndarray:
-    """Solution (n, 2m, k) of the stage system for the stacked right-hand
-    sides rhs (n, 2m, k), from the levels of _cyclic_reduction.
+def _cyclic_solve(levels: list, x: np.ndarray, m: int) -> np.ndarray:
+    """Solve the stage system in place: x (n, 2m, k) holds the stacked
+    right-hand sides on entry and the solution, which is returned, on
+    exit; the levels are those of _cyclic_reduction.
 
     Level j's blocks are every 2^j-th of the n, so one array holds every
     level: the forward sweep updates each level's even blocks in place,
     and the backward sweep overwrites its odd blocks with their solution.
     """
-    x = rhs.copy()
     for level, (G, u) in enumerate(levels[:-1]):
         r = x[:: 2 ** level]
         Gr = G @ r[1::2]
@@ -339,16 +353,6 @@ def _cyclic_solve(levels: list, rhs: np.ndarray, m: int) -> np.ndarray:
 
 def _column_norms(stages: np.ndarray) -> np.ndarray:
     return np.linalg.norm(stages.reshape(-1, stages.shape[-1]), axis=0)
-
-
-def _run_starts(*stacks: np.ndarray) -> np.ndarray:
-    """Mask of the steps k where some stack's entry differs from step k - 1
-    (always step 0)."""
-    starts = np.zeros(len(stacks[0]), dtype=bool)
-    starts[:1] = True
-    for stack in stacks:
-        starts[1:] |= (stack[1:] != stack[:-1]).any(axis=(1, 2))
-    return starts
 
 
 def _terminal_point(prob: DiscretizedProblem, e) -> np.ndarray:

@@ -4,8 +4,9 @@ Three subcommands: ``simulate`` runs a configured scenario and writes a
 CSV log, ``check`` cross-examines the observer against the brute-force
 trajectory optimizer, and ``sweep`` repeats simulate over a list of values
 for one numeric config key. Exit codes: 0 success, 1 failed verification
-or a sweep run that raised another error, 2 configuration error, 3
-singular correction solve during a run.
+or a sweep run that raised another error, 2 configuration error, 3 the
+observer stopped during a run (a SingularPError, whose message names
+why), printed as ``observer stopped: <why>``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .bruteforce import DiscretizedProblem, check_critical_point, gradient_hessian_at
 from .config import (
     KEYS,
     NUMERIC_KEYS,
@@ -90,11 +90,17 @@ def build_verification_problem(raw: dict[str, str], dt: Optional[float]):
     (check.dt when None) as its fixed substep. The problem's initial cost
     uses the H the observer started from. Returns (problem, final_state).
     """
+    # The verifier is loaded here, for check alone.
+    from .bruteforce import DiscretizedProblem
+
     config = build_check_config(raw, dt)
-    trace: list = []
+    traces = []
     for epoch in observe(config, trace=True):
-        trace += epoch.trace
-    problem = DiscretizedProblem.from_substeps(BASIS, trace, trace[0].H, anchor=XI_ORIGIN)
+        if epoch.trace is not None:
+            traces.append(epoch.trace)
+    # check.duration is a positive multiple of check.sensor_dt, so at least
+    # one interval is stepped; the observer started from its first H.
+    problem = DiscretizedProblem.from_substeps(BASIS, traces, traces[0].H[0], anchor=XI_ORIGIN)
     return problem, epoch.state
 
 
@@ -103,6 +109,8 @@ CHECK_AGREEMENT_TOL = 1e-4
 
 
 def cmd_check(args) -> int:
+    from .bruteforce import check_critical_point, gradient_hessian_at
+
     raw, _ = _merged_config(args)
     problem, state = build_verification_problem(raw, args.dt)
     # One reduction and one batch of m + 1 solves give every row.
@@ -230,8 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    """Run one subcommand; every config or singular-solve failure, from any
-    subcommand, ends here with its message and exit code."""
+    """Run one subcommand; every config failure, and every SingularPError
+    that stopped the observer, from any subcommand, ends here with its
+    message and exit code."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
@@ -239,7 +248,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SingularPError as exc:
-        print(f"singular correction solve: {exc}", file=sys.stderr)
+        print(f"observer stopped: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
 
 

@@ -14,9 +14,9 @@ without the wrappers' checks and conversions, which take nearly half of
 np.linalg.solve's time on a 3 x 3.
 
 step walks an interval on plain arrays: X_hat, its inverse X_inv, H and
-eta. It builds one ObserverState per interval, at the end, and each
-SubstepRecord holds that substep's X_hat. The rate pieces take
-arrays: forcing_terms(X_inv, H, eta, sample, origin),
+eta. At the end of the interval it builds one ObserverState and, traced,
+one StepTrace of (S, .) arrays, so no substep's record outlives it. The
+rate pieces take arrays: forcing_terms(X_inv, H, eta, sample, origin),
 correction_delta(basis, H, eta, Ups, forcing),
 hessian_rate(X_inv, H, sample, Delta) and
 gradient_rate(H, eta, Delta, pull, damping, origin). step computes each
@@ -69,7 +69,7 @@ __all__ = [
     "SignalSample",
     "FilterConfig",
     "SingularPError",
-    "SubstepRecord",
+    "StepTrace",
     "init",
     "check_invariants",
     "forcing_terms",
@@ -245,20 +245,20 @@ def _symmetric_scale(A: np.ndarray, tol: float) -> Optional[float]:
     return scale if np.count_nonzero(held) == held.size else None
 
 
-class SubstepRecord(NamedTuple):
-    """Snapshot of one integrator substep, taken at the substep start.
+class StepTrace(NamedTuple):
+    """One step call: its sample and, stacked as (S, .) arrays at the end,
+    each substep's dt, delta, and the X_hat, H and eta it started from.
 
     Consumed by the brute-force verifier, which rebuilds the discretized
     estimation problem from exactly the quantities the filter used.
     """
 
-    t: float
-    dt: float
+    sample: SignalSample
+    dt: np.ndarray
     delta: np.ndarray
     X_hat: np.ndarray
     H: np.ndarray
     eta: np.ndarray
-    sample: SignalSample
 
 
 @dataclass
@@ -453,8 +453,8 @@ def step(
     dt <= dt_max and ||delta|| * dt <= delta_step_cap. The group update is
     the two-exponential split X_hat <- exp(dt delta) X_hat exp(dt U), so
     X_hat stays in the group regardless of dt. H and eta use explicit Euler
-    at the same dt. When ``trace`` is a list, one SubstepRecord is appended
-    per substep.
+    at the same dt. When ``trace`` is a list, one StepTrace of the
+    interval's substeps is appended to it at the end (none if step raises).
 
     Returns (end_state, substeps, delta): the state at valid_until, the
     number of substeps taken, and the correction applied by the first of
@@ -477,7 +477,7 @@ def step(
     X_inv = inverse(X)
     H, eta, t = state.H, state.eta, state.t
     t_stop = t
-    substeps = 0
+    substeps, rows = 0, []
     exp_dt = None
     while t_end - t > TIME_SNAP:
         if t_stop - t <= TIME_SNAP:
@@ -512,7 +512,7 @@ def step(
         if not _all_finite(X_next):
             raise ValueError("group element matrix must be finite")
         if trace is not None:
-            trace.append(SubstepRecord(t, dt, delta, X, H, eta, sample))
+            rows.append((dt, delta, X, H, eta))
         X = X_next
         X_inv = inverse(X)
         H_new = H + dt * H_dot
@@ -520,6 +520,9 @@ def step(
         H *= 0.5
         eta = eta + dt * eta_dot
         t = t_stop if dt >= remaining else t + dt
+    if trace is not None:
+        dts, *stacks = zip(*rows)
+        trace.append(StepTrace(sample, np.array(dts), *map(np.stack, stacks)))
     end = ObserverState(X_hat=X, H=H, eta=eta, t=t, basis=basis)
     return end, substeps, first_delta
 

@@ -11,8 +11,9 @@ run on (N, .) arrays: the truth (a Truth of read-only arrays, the true
 attitudes among them as 4-vectors), the measured rates and vectors, the
 velocity coordinates U = omega/2 and the implicit-output matrices C. Per
 epoch, observe checks the state, forms the estimate and the sample's
-state-dependent part (build_sample) and steps; run copies the epoch's raw
-arrays into buffers preallocated for the run. Logging happens once per
+state-dependent part (build_sample) and steps; traced, for check, it
+hands on the interval's StepTrace of (S, .) arrays. run copies the
+epoch's raw arrays into buffers preallocated for the run. Logging happens once per
 run: after the last epoch, run forms every column of the log on the truth
 and those buffers, through attitude_error_angle, optimality_residual and
 value_rate, which take one epoch or a stack and give a stack's rows the
@@ -35,6 +36,7 @@ from .filter import (
     ObserverState,
     SignalSample,
     SingularPError,
+    StepTrace,
     _dot,
     _origin_action,
     check_invariants,
@@ -217,8 +219,8 @@ class ObservedEpoch(NamedTuple):
     over the next interval, the number of substeps spent on that interval,
     delta, the correction applied by the first of them (solved directly at
     the last epoch, which is not stepped and has no substeps), and the
-    interval's SubstepRecords when observe was asked for them (empty
-    otherwise)."""
+    interval's StepTrace, the (S, .) arrays of its substeps, when observe
+    was asked for it (None otherwise, and at the last epoch)."""
 
     t: float
     q_true: np.ndarray
@@ -227,17 +229,17 @@ class ObservedEpoch(NamedTuple):
     sample: SignalSample
     delta: np.ndarray
     substeps: int
-    trace: list
+    trace: Optional[StepTrace]
 
 
 def observe(config: RunConfig, trace: bool = False):
     """Drive the observer from the configured estimate through every
     sensor epoch of the scenario, yielding one ObservedEpoch each.
 
-    With ``trace`` each epoch carries the SubstepRecords of its interval.
-    The state is checked once per epoch (check_invariants). A SingularPError,
-    from that check or from a correction solve, is re-raised with the epoch
-    index and time attached.
+    With ``trace`` each stepped epoch carries the StepTrace of its
+    interval. The state is checked once per epoch (check_invariants). A
+    SingularPError, from that check or from a correction solve, is
+    re-raised with the epoch index and time attached.
     """
     yield from _observe(config, *_epoch_inputs(config), trace)
 
@@ -262,13 +264,13 @@ def _observe(config: RunConfig, truth: Truth, U: np.ndarray, C: np.ndarray, trac
 
     state = initial_state(config.initial_estimate, config.initial_hessian_scale)
     for k, (t, q_true) in enumerate(zip(truth.t.tolist(), truth.q)):
-        records: list = []
+        traced = [] if trace else None
         try:
             check_invariants(state)
             estimate = state_estimate(state, cfg)
             sample = build_sample(estimate, state.X_hat, U[k], C[k], t + hold, gains)
             if k < last:
-                end, substeps, delta = step(state, sample, cfg, trace=records if trace else None)
+                end, substeps, delta = step(state, sample, cfg, trace=traced)
             else:
                 # Looked up through mef.filter, as step does, so that a
                 # patched correction_delta reaches this solve too.
@@ -278,7 +280,8 @@ def _observe(config: RunConfig, truth: Truth, U: np.ndarray, C: np.ndarray, trac
                 delta = _filter.correction_delta(BASIS, state.H, state.eta, Ups, pull - damping)
         except SingularPError as exc:
             raise SingularPError(f"epoch {k} (t={t:g} s): {exc}") from exc
-        yield ObservedEpoch(t, q_true, state, estimate, sample, delta, substeps, records)
+        yield ObservedEpoch(t, q_true, state, estimate, sample, delta, substeps,
+                            traced[0] if traced else None)
         state = end
 
 

@@ -242,9 +242,12 @@ def test_criterion_7_scalar_hessian_follows_riccati_solution():
     )
     cfg = FilterConfig(origin_xi=np.array([1.0]), dt_max=1e-4)
     trace = []
-    state, _, _ = step(state, sample, cfg, trace=trace)
+    end, _, _ = step(state, sample, cfg, trace=trace)
     # Every substep end: the start of the next substep, then the final state.
-    points = [(rec.t, rec.H) for rec in trace[1:]] + [(state.t, state.H)]
+    (rec,) = trace
+    times = state.t + np.cumsum(rec.dt)
+    points = list(zip(times[:-1].tolist(), rec.H[1:])) + [(end.t, end.H)]
+    state = end
     worst = max(abs(float(H[0, 0]) - analytic(t)) for t, H in points)
     covered = abs(state.t - 1.0) <= 1e-12
     passed = covered and worst <= 1e-6

@@ -194,7 +194,8 @@ def trajectory_cost(prob: DiscretizedProblem, e: np.ndarray, mu: np.ndarray) -> 
 
 def fixed_step_trace(dt: float, duration: float = 0.1,
                      initial_error: float = 0.3):
-    """Uniform-substep observer run on the canonical scenario."""
+    """Uniform-substep observer run on the canonical scenario: its
+    StepTraces, one per sensor interval."""
     scenario = AttitudeScenario(
         omega_fn=lambda t: np.array([0.1 * np.cos(0.1 * t), 0.0, 0.2]),
         ref_fn=lambda t: np.array([np.sin(t), 0.0, np.cos(t)]),
@@ -206,7 +207,13 @@ def fixed_step_trace(dt: float, duration: float = 0.1,
     cfg = FilterConfig(origin_xi=XI_ORIGIN, dt_max=dt, delta_step_cap=1e18)
     config = RunConfig(scenario=scenario, gains=gains, filter=cfg,
                        initial_estimate=q_hat, initial_hessian_scale=1.0)
-    return [rec for epoch in observe(config, trace=True) for rec in epoch.trace], cfg
+    return [epoch.trace for epoch in observe(config, trace=True) if epoch.trace is not None], cfg
+
+
+def first_substeps(trace, k: int):
+    """The StepTrace of the first k substeps of an interval."""
+    return trace._replace(**{name: getattr(trace, name)[:k]
+                             for name in ("dt", "delta", "X_hat", "H", "eta")})
 
 
 class TestValueAt:
@@ -345,7 +352,8 @@ class TestBandSolve:
         rng = make_rng(seed)
         prob = random_problem(rng, N=max(N, 1), dt=10.0 ** log_dt, shape=(m, l, n))
         prob = dataclasses.replace(prob, **{name: getattr(prob, name)[:N] for name in
-                                            ("Delta", "B", "Q", "C", "X_hat", "y", "R")})
+                                            ("Delta", "B", "Q", "C", "X_hat", "y", "R",
+                                             "interval")})
         if stiff is not None:
             prob = dataclasses.replace(prob, **{stiff: getattr(prob, stiff) * 10.0 ** log_scale})
         terminal = np.column_stack([rng.standard_normal(m), np.eye(m)])
@@ -355,8 +363,9 @@ class TestBandSolve:
         assert np.all(error <= 1e-7 * np.linalg.norm(expected, axis=0))
 
     def test_gains_shared_by_runs_of_steps_match_a_dense_solve(self):
-        # As in a sensor interval, runs of steps share B and Q; each run's
-        # Q^-1 B^T is formed once and must serve all of its steps.
+        # As in a sensor interval, runs of steps share B and Q, here copied
+        # into one row per step; test_shared_rows_give_the_bits_of_per_step_rows
+        # holds each once, read through the interval index.
         rng = make_rng(523)
         prob = random_problem(rng, N=11)
         shared = np.array([0, 0, 0, 1, 1, 2, 2, 2, 2, 1, 1])
@@ -476,20 +485,20 @@ class TestGradientHessian:
         # closed-form rate to first order; the error halves with dt.
         errors = {}
         for dt in (2e-3, 1e-3):
-            trace, _ = fixed_step_trace(dt)
-            H0 = trace[0].H
-            k = len(trace) // 2
+            (trace,), _ = fixed_step_trace(dt)
+            H0 = trace.H[0]
+            k = len(trace.dt) // 2
             before = DiscretizedProblem.from_substeps(
-                BASIS, trace[:k], H0, XI_ORIGIN
+                BASIS, [first_substeps(trace, k)], H0, XI_ORIGIN
             )
             after = DiscretizedProblem.from_substeps(
-                BASIS, trace[:k + 1], H0, XI_ORIGIN
+                BASIS, [first_substeps(trace, k + 1)], H0, XI_ORIGIN
             )
             _, h_before = gradient_hessian_at(before, XI_ORIGIN)
             _, h_after = gradient_hessian_at(after, XI_ORIGIN)
             fd = (h_after - h_before) / dt
-            rec = trace[k]
-            rate = hessian_rate(rec.X_hat.T, rec.H, rec.sample, wedge(BASIS, rec.delta))
+            rate = hessian_rate(trace.X_hat[k].T, trace.H[k], trace.sample,
+                                wedge(BASIS, trace.delta[k]))
             rate = 0.5 * (rate + rate.T)
             errors[dt] = float(np.abs(fd - rate).max())
         assert errors[2e-3] <= 1e-2
@@ -539,43 +548,45 @@ class TestCheckCriticalPoint:
 
 class TestProblemConstruction:
     def test_from_substeps_roundtrip(self):
-        trace, _ = fixed_step_trace(1e-3, duration=0.1)
+        traces, _ = fixed_step_trace(1e-3, duration=0.1)
         prob = DiscretizedProblem.from_substeps(
-            BASIS, trace, trace[0].H, XI_ORIGIN
+            BASIS, traces, traces[0].H[0], XI_ORIGIN
         )
-        assert prob.steps == len(trace)
+        assert prob.steps == sum(len(trace.dt) for trace in traces)
         assert prob.dt == pytest.approx(1e-3, abs=1e-15)
         assert prob.steps * prob.dt == pytest.approx(0.1, abs=1e-9)
         np.testing.assert_array_equal(prob.Delta[3],
-                                      wedge(BASIS, trace[3].delta))
+                                      wedge(BASIS, traces[0].delta[3]))
 
-    @pytest.mark.parametrize("trace", [
+    @pytest.mark.parametrize("traces", [
         lambda: fixed_step_trace(1e-3, duration=0.3)[0],
-        lambda: [rec for epoch in observe(build_check_config({"check.duration": "0.3"}, 1e-3),
-                                          trace=True) for rec in epoch.trace],
+        lambda: [epoch.trace for epoch in observe(build_check_config({"check.duration": "0.3"},
+                                                                     1e-3), trace=True)
+                 if epoch.trace is not None],
     ], ids=["fixed-step", "noisy-check"])
-    def test_from_substeps_stacks_the_records_bit_for_bit(self, trace):
-        # Each interval's sample is stacked once and expanded; the arrays
-        # must equal a record-by-record stack byte for byte.
-        trace = trace()
-        assert len({id(r.sample) for r in trace}) == 3 < len(trace)
-        prob = DiscretizedProblem.from_substeps(BASIS, trace, trace[0].H, XI_ORIGIN)
+    def test_from_substeps_stacks_the_records_bit_for_bit(self, traces):
+        # Each interval's sample is held once, as one row; read through the
+        # interval index, the rows must equal a substep-by-substep stack
+        # byte for byte.
+        traces = traces()
+        prob = DiscretizedProblem.from_substeps(BASIS, traces, traces[0].H[0], XI_ORIGIN)
+        substeps = [(trace.sample, delta, X_hat) for trace in traces
+                    for delta, X_hat in zip(trace.delta, trace.X_hat)]
+        assert len(prob.B) == len(traces) == 3 < len(substeps) == prob.steps
         for name in ("B", "Q", "C", "y", "R"):
-            stacked = np.stack([getattr(r.sample, name) for r in trace])
-            assert getattr(prob, name).tobytes() == stacked.tobytes(), name
-        assert prob.Delta.tobytes() == wedge(BASIS, np.stack([r.delta for r in trace])).tobytes()
-        assert prob.X_hat.tobytes() == np.stack([r.X_hat for r in trace]).tobytes()
+            stacked = np.stack([getattr(sample, name) for sample, _, _ in substeps])
+            assert getattr(prob, name)[prob.interval].tobytes() == stacked.tobytes(), name
+        deltas = np.stack([delta for _, delta, _ in substeps])
+        assert prob.Delta.tobytes() == wedge(BASIS, deltas).tobytes()
+        assert prob.X_hat.tobytes() == np.stack([X for _, _, X in substeps]).tobytes()
 
     def test_from_substeps_rejects_nonuniform_steps(self):
-        trace, _ = fixed_step_trace(1e-3, duration=0.1)
-        record = trace[5]
-        slowed = type(record)(
-            t=record.t, dt=2e-3, delta=record.delta, X_hat=record.X_hat,
-            H=record.H, eta=record.eta, sample=record.sample,
-        )
+        (trace,), _ = fixed_step_trace(1e-3, duration=0.1)
+        dt = trace.dt.copy()
+        dt[5] = 2e-3
         with pytest.raises(ValueError, match="uniform"):
             DiscretizedProblem.from_substeps(
-                BASIS, trace[:5] + [slowed], trace[0].H, XI_ORIGIN
+                BASIS, [first_substeps(trace._replace(dt=dt), 6)], trace.H[0], XI_ORIGIN
             )
 
     def test_data_is_frozen_against_later_edits(self):
@@ -624,6 +635,37 @@ class TestProblemConstruction:
         bad["anchor"] = np.zeros(3)
         with pytest.raises(ValueError, match="anchor"):
             DiscretizedProblem(**bad)
+
+    @pytest.mark.parametrize("interval", [
+        np.array([0, 1, 1]), np.array([[0], [1]]), np.array([0, -1]), np.array([0, 2]),
+        np.array([0.0, 1.0]),
+    ], ids=["too-long", "two-dimensional", "negative", "past-the-rows", "float"])
+    def test_rejects_a_bad_interval_index(self, interval):
+        good = random_problem(make_rng(518), N=2)
+        with pytest.raises(ValueError, match="interval"):
+            dataclasses.replace(good, interval=interval)
+
+    @given(rows=st.lists(st.integers(0, 3), min_size=1, max_size=30),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40)
+    def test_shared_rows_give_the_bits_of_per_step_rows(self, rows, seed):
+        # K = 4 rows of sensor data read through an interval index, and the
+        # same problem with each step's row copied out (K = N): the value,
+        # gradient and Hessian must agree bit for bit.
+        rng = make_rng(seed)
+        N = len(rows)
+        per_row = random_problem(rng, N=4)
+        steps = random_problem(rng, N=N)
+        shared = dataclasses.replace(
+            steps, interval=np.array(rows),
+            **{name: getattr(per_row, name) for name in ("B", "Q", "C", "y", "R")})
+        expanded = dataclasses.replace(
+            steps, **{name: getattr(per_row, name)[rows] for name in ("B", "Q", "C", "y", "R")})
+        assert len(shared.B) == 4 and len(expanded.B) == N
+        e = 0.5 * rng.standard_normal(4)
+        assert value_at(shared, e) == value_at(expanded, e)
+        for a, b in zip(gradient_hessian_at(shared, e), gradient_hessian_at(expanded, e)):
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("Q", [
         np.diag([1.0, -0.5, 2.0]),

@@ -62,6 +62,26 @@ def test_check_leaves_scipy_unloaded(tmp_path):
     assert b"gradient_agreement_rel" in proc.stdout
 
 
+def test_simulate_leaves_the_verifier_unloaded(tmp_path):
+    # Only check loads mef.bruteforce; a simulate never needs it.
+    code = ("import sys; from mef.cli import main; "
+            "main(['simulate', '--set', 'scenario.duration=1', '--out', '.']); "
+            "sys.exit('mef.bruteforce' in sys.modules)")
+    proc = fresh_process(code, tmp_path)
+    assert proc.returncode == 0
+    assert b"final_error_rad" in proc.stdout
+
+
+def test_the_verifier_names_load_it_on_first_use():
+    code = ("import sys, mef\n"
+            "assert 'mef.bruteforce' not in sys.modules\n"
+            "from mef import DiscretizedProblem, value_at\n"
+            "assert value_at is sys.modules['mef.bruteforce'].value_at\n"
+            "assert mef.DiscretizedProblem is DiscretizedProblem\n")
+    proc = fresh_process(code)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_check_runs_where_scipy_cannot_be_imported(tmp_path):
     # scipy is a test dependency only: check must pass in an interpreter
     # whose import system refuses it.
@@ -163,8 +183,8 @@ class TestSimulate:
         ])
         assert code == EXIT_SINGULAR
         err = capsys.readouterr().err
-        assert "singular correction solve" in err
-        assert "epoch" in err
+        assert "observer stopped: epoch" in err
+        assert "(P is singular)" in err
 
     def test_identical_seeds_reproduce_bytes(self, tmp_path):
         args = ["simulate", "--config", "noisy", "--set", "scenario.duration=5"]
@@ -195,7 +215,7 @@ class TestCheck:
         code = main(["check", "--set", "check.hessian_scale=0"])
         assert code == EXIT_SINGULAR
         err = capsys.readouterr().err
-        assert "singular correction solve: epoch 0 (t=0 s)" in err
+        assert "observer stopped: epoch 0 (t=0 s)" in err
         assert "(P is singular)" in err
 
     def test_overflowing_correction_norm_exits_3(self, tmp_path):
@@ -206,7 +226,7 @@ class TestCheck:
                 "sys.exit(main(['check', '--set', 'check.vector_sigma_true=1e150']))")
         proc = fresh_process(code, tmp_path)
         assert proc.returncode == EXIT_SINGULAR
-        assert (b"singular correction solve: epoch 0 (t=0 s): correction norm overflows"
+        assert (b"observer stopped: epoch 0 (t=0 s): correction norm overflows"
                 in proc.stderr)
 
     def test_sabotaged_correction_fails_critical_point(self, monkeypatch, capsys):
@@ -556,7 +576,9 @@ class TestConfigBoundary:
         code = main([argv[0], "--config", "noisy", *argv[1:], "--out", str(tmp_path)])
         assert code == EXIT_SINGULAR
         err = capsys.readouterr().err
-        assert "singular correction solve" in err
+        assert "observer stopped: " in err
+        assert "observer state is not finite" in err
+        assert "singular" not in err
         assert "config error" not in err
         assert list(tmp_path.rglob("*.csv")) == []
 

@@ -421,9 +421,10 @@ class TestStep:
         trace = []
         state, substeps, _ = step(state, sample, cfg, trace=trace)
         assert state.t == 0.1
-        assert substeps == len(trace) == 4
-        assert all(rec.dt <= 0.03 for rec in trace)
-        assert trace[1].t == pytest.approx(0.03, abs=1e-15)
+        assert len(trace) == 1
+        assert substeps == len(trace[0].dt) == 4
+        assert all(trace[0].dt <= 0.03)
+        assert trace[0].dt[0] == pytest.approx(0.03, abs=1e-15)
 
     def test_rejects_expired_sample(self):
         rng = make_rng(315)
@@ -439,14 +440,15 @@ class TestStep:
         state = init(BASIS, group_from_quaternion(q), initial_observer_hessian(q, 1.0))
         trace = []
         out, substeps, delta = step(state, sample, CFG, trace=trace)
-        assert substeps == len(trace) == 1
+        assert len(trace) == 1
         rec = trace[0]
-        assert rec.t == state.t
+        assert substeps == len(rec.dt) == 1
         assert rec.sample is sample
-        np.testing.assert_array_equal(rec.X_hat, state.X_hat)
-        np.testing.assert_array_equal(rec.eta, state.eta)
-        assert rec.dt == pytest.approx(out.t - state.t, abs=1e-15)
-        assert rec.delta is delta
+        np.testing.assert_array_equal(rec.X_hat[0], state.X_hat)
+        np.testing.assert_array_equal(rec.H[0], state.H)
+        np.testing.assert_array_equal(rec.eta[0], state.eta)
+        assert rec.dt[0] == pytest.approx(out.t - state.t, abs=1e-15)
+        np.testing.assert_array_equal(rec.delta[0], delta)
 
     def test_patched_correction_replaces_the_solve(self, monkeypatch):
         rng = make_rng(317)
@@ -570,7 +572,7 @@ def trajectory():
     config = RunConfig(scenario=scenario, gains=gains, filter=CFG,
                        initial_estimate=q_hat, initial_hessian_scale=1.0)
     epochs = list(observe(config, trace=True))
-    trace = [rec for epoch in epochs for rec in epoch.trace]
+    trace = [epoch.trace for epoch in epochs if epoch.trace is not None]
     return [e.q_true for e in epochs], [e.state for e in epochs], trace
 
 
@@ -597,11 +599,11 @@ class TestCanonicalTrajectory:
 
     def test_substeps_respect_size_contract(self, trajectory):
         _, _, trace = trajectory
-        assert len(trace) >= 20
+        assert sum(len(rec.dt) for rec in trace) >= 20
         for rec in trace:
-            assert rec.dt <= CFG.dt_max + 1e-15
-            move = float(np.linalg.norm(rec.delta)) * rec.dt
-            assert move <= CFG.delta_step_cap + 1e-12
+            assert all(rec.dt <= CFG.dt_max + 1e-15)
+            move = np.linalg.norm(rec.delta, axis=1) * rec.dt
+            assert all(move <= CFG.delta_step_cap + 1e-12)
 
     def test_error_decreases_from_initial_transient(self, trajectory):
         truth, states, _ = trajectory
