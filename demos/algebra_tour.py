@@ -14,10 +14,10 @@ import numpy as np
 from mef import (
     BASIS,
     XI_ORIGIN,
-    Quaternion,
     adjoint_coords,
     exp_group,
     quat_product,
+    unit_quaternion,
     upsilon,
     upsilon_bar,
     vee,
@@ -27,11 +27,12 @@ from mef import (
 np.set_printoptions(precision=4, suppress=True)
 
 
-def as_quaternion(X) -> Quaternion:
+def as_quaternion(X) -> np.ndarray:
     # The group is built so that X^-1 applied to the origin recovers the
-    # quaternion X was constructed from. The basis inverts its elements:
-    # by the transpose, as its generators are skew-symmetric.
-    return Quaternion.from_vector(BASIS.inverse(X) @ XI_ORIGIN)
+    # quaternion X was constructed from, a unit 4-vector (scalar first).
+    # The basis inverts its elements: by the transpose, as its generators
+    # are skew-symmetric.
+    return unit_quaternion(BASIS.inverse(X) @ XI_ORIGIN)
 
 # ---------------------------------------------------------------------------
 # wedge and vee: coordinates <-> 4x4 algebra matrices
@@ -63,7 +64,7 @@ print("X @ origin =", xi, " norm =", np.linalg.norm(xi))
 
 # The same element, read back as a unit quaternion (angle |u|, axis u/|u|).
 q = as_quaternion(X)
-print("as quaternion:", q.as_vector())
+print("as quaternion:", q)
 
 # ---------------------------------------------------------------------------
 # the two action matrices
@@ -96,8 +97,7 @@ lhs = adjoint_coords(BASIS, X @ Y)
 rhs = adjoint_coords(BASIS, X) @ adjoint_coords(BASIS, Y)
 print("homomorphism defect:", np.linalg.norm(lhs - rhs))
 
-# Quaternion product and group product agree.
+# The quaternion product and the group product agree.
 p = as_quaternion(X @ Y)
-print("quaternion of X@Y:      ", p.as_vector())
-print("product of quaternions: ",
-      quat_product(q, as_quaternion(Y)).as_vector())
+print("quaternion of X@Y:      ", p)
+print("product of quaternions: ", quat_product(q, as_quaternion(Y)))

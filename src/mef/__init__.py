@@ -52,12 +52,12 @@ from .quaternion import (
     XI_ORIGIN,
     AttitudeScenario,
     NoiseModel,
-    Quaternion,
     attitude_error_angle,
     build_sample,
     group_from_quaternion,
     measurement_matrix,
     quat_product,
+    unit_quaternion,
     velocity_coords,
 )
 from .simulation import (

@@ -151,13 +151,17 @@ def _sweep_worker(payload: tuple[dict[str, str], str]) -> Union[dict, Exception]
 def ProcessPoolExecutor(max_workers: int):
     """concurrent.futures.ProcessPoolExecutor, imported only when a sweep
     forks: it loads multiprocessing, socket, subprocess and logging, which
-    simulate, check and a serial sweep never use."""
+    simulate, check and a serial sweep never use. Its workers start with
+    numpy's floating-point warnings off, as main runs every command,
+    whether or not they are forked from it."""
     from concurrent.futures import ProcessPoolExecutor as pool
 
-    return pool(max_workers=max_workers)
+    return pool(max_workers=max_workers, initializer=np.seterr, initargs=("ignore",))
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs {args.jobs}: a sweep needs at least 1 job")
     raw, stem = _merged_config(args)
     if args.param not in NUMERIC_KEYS:
         raise ConfigError(f"{args.param!r} is not a sweepable numeric key")
@@ -240,10 +244,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     """Run one subcommand; every config failure, and every SingularPError
     that stopped the observer, from any subcommand, ends here with its
-    message and exit code."""
+    message and exit code.
+
+    numpy's floating-point warnings are off: an overflow or a NaN that
+    matters stops the observer through a guard that names it, so a warning
+    would only come before that line."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .filter import FilterConfig
-from .quaternion import XI_ORIGIN, AttitudeScenario, NoiseModel, Quaternion, quat_product
+from .quaternion import XI_ORIGIN, AttitudeScenario, NoiseModel, quat_product, unit_quaternion
 from .simulation import RunConfig, initial_state
 
 __all__ = [
@@ -262,7 +262,7 @@ def _variance(cfg: dict[str, str], key: str) -> float:
         raise ConfigError(f"{key}: {cfg[key]} squared overflows") from None
 
 
-def _initial_estimate(cfg: dict[str, str], q0: Quaternion) -> Quaternion:
+def _initial_estimate(cfg: dict[str, str], q0: np.ndarray) -> np.ndarray:
     angle = get_float(cfg, "observer.initial_error_rad")
     if angle == 0.0:
         return q0
@@ -271,7 +271,7 @@ def _initial_estimate(cfg: dict[str, str], q0: Quaternion) -> Quaternion:
     if norm == 0.0:
         raise ConfigError("observer.initial_error_axis: axis must be nonzero")
     axis = axis / norm
-    offset = Quaternion(np.cos(angle / 2.0), np.sin(angle / 2.0) * axis)
+    offset = unit_quaternion(np.append(np.cos(angle / 2.0), np.sin(angle / 2.0) * axis))
     return quat_product(q0, offset)
 
 
@@ -284,9 +284,8 @@ def build_run_config(cfg: dict[str, str]) -> RunConfig:
     seed = get_int(cfg, "seed")
     if seed < 0:  # numpy's SeedSequence takes no negative entropy
         raise ConfigError(f"seed: {cfg['seed']} is negative; a seed must be nonnegative")
-    q0_vec = _parse_floats("scenario.q0", cfg["scenario.q0"], 4)
+    q0 = _parse_floats("scenario.q0", cfg["scenario.q0"], 4)
     try:
-        q0 = Quaternion.from_vector(q0_vec)
         scenario = AttitudeScenario(
             omega_fn=_vector_signal("scenario.omega", cfg["scenario.omega"]),
             ref_fn=_vector_signal("scenario.reference", cfg["scenario.reference"]),
@@ -321,7 +320,7 @@ def build_run_config(cfg: dict[str, str]) -> RunConfig:
             filter_cfg = FilterConfig(origin_xi=XI_ORIGIN, delta_step_cap=step_cap, dt_max=dt_max)
         except ValueError as exc:  # its messages start with the field's name
             raise ConfigError(f"filter.{exc}") from exc
-        initial_estimate = _initial_estimate(cfg, q0)
+        initial_estimate = _initial_estimate(cfg, scenario.q0)
     except ConfigError:
         raise
     except ValueError as exc:

@@ -2,7 +2,8 @@
 
 Attitude kinematics on the 3-sphere, the implicit linear measurement built
 from a known time-varying reference vector, and the gain construction that
-feeds the filter. Conventions: scalar-first quaternions; q maps body to
+feeds the filter. Conventions: a quaternion is a float (4,) array, scalar
+first, and unit_quaternion is the one check that it is unit; q maps body to
 inertial, so body-frame observations of an inertial vector use the inverse
 rotation; the embedding origin is (1, 0, 0, 0).
 
@@ -25,7 +26,7 @@ from .filter import SignalSample, _dot, _origin_action
 from .liegroup import adjoint_coords, quaternion_basis, quaternion_wedge, upsilon_bar
 
 __all__ = [
-    "Quaternion",
+    "unit_quaternion",
     "AttitudeScenario",
     "NoiseModel",
     "XI_ORIGIN",
@@ -47,28 +48,14 @@ XI_ORIGIN = np.array([1.0, 0.0, 0.0, 0.0])
 BASIS = quaternion_basis()
 
 
-class Quaternion:
-    """Unit quaternion with scalar part ``q_r`` and vector part ``q_v``."""
-
-    __slots__ = ("q_r", "q_v")
-
-    def __init__(self, q_r: float, q_v):
-        self.q_r = float(q_r)
-        self.q_v = np.asarray(q_v, dtype=float).reshape(3)
-        norm = float(np.sqrt(self.q_r ** 2 + self.q_v.dot(self.q_v)))
-        if not abs(norm - 1.0) <= UNIT_TOLERANCE:  # written so that NaN fails too
-            raise ValueError(f"quaternion norm {norm} is not 1 within {UNIT_TOLERANCE}")
-
-    @classmethod
-    def from_vector(cls, v) -> "Quaternion":
-        v = np.asarray(v, dtype=float).reshape(4)
-        return cls(v[0], v[1:])
-
-    def as_vector(self) -> np.ndarray:
-        return np.array((self.q_r, *self.q_v.tolist()))
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Quaternion({self.q_r}, {self.q_v})"
+def unit_quaternion(v) -> np.ndarray:
+    """v as a quaternion: a new float (4,) array, scalar first. Raises
+    ValueError unless its norm is 1 within UNIT_TOLERANCE."""
+    q = np.array(v, dtype=float).reshape(4)
+    norm = float(np.sqrt(q[0] ** 2 + q[1:].dot(q[1:])))
+    if not abs(norm - 1.0) <= UNIT_TOLERANCE:  # written so that NaN fails too
+        raise ValueError(f"quaternion norm {norm} is not 1 within {UNIT_TOLERANCE}")
+    return q
 
 
 def _hamilton(a_r, a1, a2, a3, b_r, b1, b2, b3):
@@ -82,19 +69,15 @@ def _hamilton(a_r, a1, a2, a3, b_r, b1, b2, b3):
             a_r * b3 + b_r * a3 + (a1 * b2 - a2 * b1))
 
 
-def _mul(a_r: float, a_v: np.ndarray, b_r: float, b_v: np.ndarray):
-    r, v1, v2, v3 = _hamilton(a_r, *a_v.tolist(), b_r, *b_v.tolist())
-    return r, np.array([v1, v2, v3])
-
-
-def quat_product(q: Quaternion, h: Quaternion) -> Quaternion:
+def quat_product(q: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Hamilton product of two unit quaternions, renormalized if the result
-    drifts from unit norm by more than 1e-12."""
-    r, v = _mul(q.q_r, q.q_v, h.q_r, h.q_v)
-    norm = float(np.sqrt(r * r + v.dot(v)))
+    drifts from unit norm by more than 1e-12, and checked unit
+    (unit_quaternion)."""
+    p = np.array(_hamilton(*q, *h))
+    norm = float(np.sqrt(p[0] * p[0] + p[1:].dot(p[1:])))
     if abs(norm - 1.0) > 1e-12:
-        r, v = r / norm, v / norm
-    return Quaternion(r, v)
+        p /= norm
+    return unit_quaternion(p)
 
 
 def velocity_coords(omega) -> np.ndarray:
@@ -151,11 +134,12 @@ class AttitudeScenario:
 
     omega_fn: Callable[[float], np.ndarray]
     ref_fn: Callable[[float], np.ndarray]
-    q0: Quaternion
+    q0: np.ndarray
     duration: float
     sensor_dt: float
 
     def __post_init__(self):
+        self.q0 = unit_quaternion(self.q0)
         # Written as "not (a <= x < inf)" so that NaN fails them too.
         if not 0.0 < self.sensor_dt < math.inf:
             raise ValueError("sensor_dt must be positive and finite")
@@ -246,14 +230,15 @@ def build_sample(
                         R=R, valid_until=valid_until)
 
 
-def group_from_quaternion(q: Quaternion) -> np.ndarray:
+def group_from_quaternion(q: np.ndarray) -> np.ndarray:
     """Group element X = exp(theta * wedge(axis)) with q = (cos theta,
     sin theta * axis) and theta in [0, pi], so that X^-1 (1, 0, 0, 0)
-    recovers q. For q_v = 0 this is +I or -I by the sign of q_r."""
-    sin_theta = float(np.linalg.norm(q.q_v))
-    theta = float(np.arctan2(sin_theta, q.q_r))
+    recovers q. For a zero vector part this is +I or -I by the sign of the
+    scalar part."""
+    sin_theta = float(np.linalg.norm(q[1:]))
+    theta = float(np.arctan2(sin_theta, q[0]))
     if sin_theta > 0.0:
-        axis = q.q_v / sin_theta
+        axis = q[1:] / sin_theta
     else:
         axis = np.array([1.0, 0.0, 0.0])
     return np.cos(theta) * np.eye(4) + np.sin(theta) * quaternion_wedge(axis)
@@ -261,21 +246,17 @@ def group_from_quaternion(q: Quaternion) -> np.ndarray:
 
 def attitude_error_angle(q, q_hat):
     """Rotation angle between two attitudes in [0, pi], identical for q
-    and -q (double cover): a float for two Quaternions or 4-vectors, and
-    for (N, 4) stacks of them the (N,) angles of their rows.
+    and -q (double cover): a float for two quaternions, and for (N, 4)
+    stacks of them the (N,) angles of their rows.
 
     Computed as 2 atan2(|vec|, |scalar|) of the relative quaternion rather
     than through arccos of the dot product; the two agree exactly but the
     arccos form cannot resolve angles below about 1e-8.
     """
-    q_r, q1, q2, q3 = _components(q)
-    r, *v = _hamilton(q_r, -q1, -q2, -q3, *_components(q_hat))
+    q_r, q1, q2, q3 = np.asarray(q, dtype=float).T
+    r, *v = _hamilton(q_r, -q1, -q2, -q3, *np.asarray(q_hat, dtype=float).T)
     v = np.stack(v, axis=-1)
     # sqrt(v . v) is how np.linalg.norm forms |v|, bit for bit.
     angle = 2.0 * np.arctan2(np.sqrt(_dot(v, v)), np.abs(r))
     return float(angle) if angle.ndim == 0 else angle
 
-
-def _components(q) -> np.ndarray:
-    # The four components of a Quaternion, a 4-vector or an (N, 4) stack.
-    return (q.as_vector() if isinstance(q, Quaternion) else np.asarray(q, dtype=float)).T

@@ -52,13 +52,13 @@ from .quaternion import (
     UNIT_TOLERANCE,
     AttitudeScenario,
     NoiseModel,
-    Quaternion,
     _flow,
     _to_body,
     attitude_error_angle,
     build_sample,
     group_from_quaternion,
     measurement_matrix,
+    unit_quaternion,
     velocity_coords,
 )
 
@@ -105,12 +105,14 @@ class RunConfig:
     gains supplies the variances the filter gains are built from; noise,
     when present, is the model actually injected into the measurements.
     The two usually coincide, but noiseless runs still need gains.
+    initial_estimate is a quaternion 4-vector, checked unit where the
+    run starts (initial_state).
     """
 
     scenario: AttitudeScenario
     gains: NoiseModel
     filter: FilterConfig
-    initial_estimate: Quaternion
+    initial_estimate: np.ndarray
     initial_hessian_scale: float
     noise: Optional[NoiseModel] = None
 
@@ -142,7 +144,7 @@ def simulate_truth(scenario: AttitudeScenario) -> Truth:
         raise ValueError(f"reference vector at t={times[int(unit.argmin())]} is not unit length")
     # The exact flow (_flow) on raw 4-vectors.
     q = np.empty((epochs, 4))
-    q[:1] = scenario.q0.as_vector()
+    q[:1] = scenario.q0
     coords, formed, error = -scenario.sensor_dt * velocity_coords(omega), epochs, None
     try:
         for k in range(epochs - 1):
@@ -151,11 +153,11 @@ def simulate_truth(scenario: AttitudeScenario) -> Truth:
         formed, error = k + 1, exc
     # A quaternion that is not unit fails before a later rate the exponential
     # rejects, as when each was checked as it came. A row within half the
-    # tolerance is unit however its norm rounds; any other is checked as a
-    # Quaternion, which raises for the first bad one.
+    # tolerance is unit however its norm rounds; any other is checked by
+    # unit_quaternion, which raises for the first bad one.
     unit = np.abs(np.linalg.norm(q[:formed], axis=1) - 1.0) <= UNIT_TOLERANCE / 2
     for row in q[:formed][~unit]:
-        Quaternion.from_vector(row)
+        unit_quaternion(row)
     if error is not None:
         raise error
     truth = Truth(np.array(times, dtype=float), q, z_ref, _to_body(q, z_ref), omega)
@@ -191,7 +193,7 @@ def corrupt(truth: Truth, noise: NoiseModel) -> tuple[np.ndarray, np.ndarray]:
     return truth.omega + gyro, truth.z + vector
 
 
-def initial_observer_hessian(q_hat_0: Quaternion, scale: float) -> np.ndarray:
+def initial_observer_hessian(q_hat_0: np.ndarray, scale: float) -> np.ndarray:
     """Rank-3 prior weight scale^2 X0 (Ups Ups^T) X0^T expressed in the
     observer-frame coordinates, with Ups the tangent-frame matrix at the
     initial estimate and X0 its group lift.
@@ -202,13 +204,15 @@ def initial_observer_hessian(q_hat_0: Quaternion, scale: float) -> np.ndarray:
     gradient zero in every direction, not just tangentially.
     """
     X0 = group_from_quaternion(q_hat_0)
-    Ups = upsilon(BASIS, q_hat_0.as_vector())
+    Ups = upsilon(BASIS, q_hat_0)
     return scale ** 2 * X0 @ (Ups @ Ups.T) @ X0.T
 
 
-def initial_state(q_hat_0: Quaternion, scale: float) -> ObserverState:
+def initial_state(q_hat_0: np.ndarray, scale: float) -> ObserverState:
     """The state a run starts from: init with X_hat_0 the group lift of
-    q_hat_0 and H_0 = initial_observer_hessian(q_hat_0, scale)."""
+    q_hat_0 and H_0 = initial_observer_hessian(q_hat_0, scale). Raises
+    ValueError unless q_hat_0 is a unit quaternion (unit_quaternion)."""
+    q_hat_0 = unit_quaternion(q_hat_0)
     return init(BASIS, group_from_quaternion(q_hat_0), initial_observer_hessian(q_hat_0, scale))
 
 

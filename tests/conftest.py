@@ -8,7 +8,6 @@ from mef import (
     BASIS,
     XI_ORIGIN,
     ObserverState,
-    Quaternion,
     SignalSample,
     adjoint_coords,
     build_sample,
@@ -32,10 +31,9 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=[seed])))
 
 
-def random_unit_quaternion(rng: np.random.Generator) -> Quaternion:
+def random_unit_quaternion(rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(4)
-    v /= np.linalg.norm(v)
-    return Quaternion.from_vector(v)
+    return v / np.linalg.norm(v)
 
 
 def random_unit_vector(rng: np.random.Generator, dim: int = 3) -> np.ndarray:
@@ -77,7 +75,7 @@ def random_filter_instance(rng: np.random.Generator):
 def sample_from_measurements(t, q_hat, X_hat, omega, z, scenario, noise) -> SignalSample:
     """build_sample at time t for the estimate q_hat and the measured rate
     omega and vector z, with U_coords and C formed as observe forms them."""
-    return build_sample(q_hat.as_vector(), X_hat, velocity_coords(omega),
+    return build_sample(q_hat, X_hat, velocity_coords(omega),
                         measurement_matrix(z, scenario.ref_fn(t)), t + scenario.sensor_dt, noise)
 
 

@@ -25,7 +25,6 @@ from mef import (
     FilterConfig,
     InfeasibleTerminalError,
     NoiseModel,
-    Quaternion,
     RunConfig,
     check_critical_point,
     gradient_hessian_at,
@@ -199,11 +198,10 @@ def fixed_step_trace(dt: float, duration: float = 0.1,
     scenario = AttitudeScenario(
         omega_fn=lambda t: np.array([0.1 * np.cos(0.1 * t), 0.0, 0.2]),
         ref_fn=lambda t: np.array([np.sin(t), 0.0, np.cos(t)]),
-        q0=Quaternion(1.0, np.zeros(3)), duration=duration, sensor_dt=0.1,
+        q0=XI_ORIGIN, duration=duration, sensor_dt=0.1,
     )
     gains = NoiseModel(gyro_var=0.01 ** 2, vector_var=1.0)
-    q_hat = Quaternion(np.cos(initial_error / 2.0),
-                       np.array([np.sin(initial_error / 2.0), 0.0, 0.0]))
+    q_hat = np.array([np.cos(initial_error / 2.0), np.sin(initial_error / 2.0), 0.0, 0.0])
     cfg = FilterConfig(origin_xi=XI_ORIGIN, dt_max=dt, delta_step_cap=1e18)
     config = RunConfig(scenario=scenario, gains=gains, filter=cfg,
                        initial_estimate=q_hat, initial_hessian_scale=1.0)

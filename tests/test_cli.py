@@ -339,6 +339,17 @@ class TestSweep:
         assert "'check.dt' is not a sweepable numeric key" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exits_2_without_csv(self, jobs, tmp_path, capsys):
+        code = main([
+            "sweep", "--out", str(tmp_path), "--set", "scenario.duration=1",
+            "--param", "seed", "--values", "1,2", "--jobs", jobs,
+        ])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: --jobs {jobs}: a sweep needs at least 1 job\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_empty_value_list_exits_2(self, tmp_path, capsys):
         code = main([
             "sweep", "--out", str(tmp_path),
@@ -565,7 +576,6 @@ class TestConfigBoundary:
 
     # init accepts rounding-level asymmetry at any scale (4e-10 at
     # max|H_0| = 1e8); explicit Euler on H N H then diverges within 10 epochs.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("argv", [
         *[pytest.param(["simulate", "--set", f"observer.hessian_scale={v}"],
                        id=f"simulate_hessian_scale_{v}") for v in ("1e4", "1e100")],
@@ -581,6 +591,28 @@ class TestConfigBoundary:
         assert "singular" not in err
         assert "config error" not in err
         assert list(tmp_path.rglob("*.csv")) == []
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["simulate", "--set", "observer.hessian_scale=1e3"],
+     "observer stopped: epoch 10 (t=1 s): observer state is not finite"),
+    (["check", "--set", "check.vector_sigma_true=1e150"],
+     "observer stopped: epoch 0 (t=0 s): correction norm overflows"),
+    # Both runs are made in forked pool workers.
+    (["sweep", "--config", "noisy", "--param", "observer.hessian_scale",
+      "--values", "1e100,1e3", "--jobs", "2"],
+     "observer stopped: run observer.hessian_scale=1e100 failed: epoch 1"),
+], ids=["simulate", "check", "sweep_pool"])
+def test_a_stopped_observer_prints_only_its_line(argv, line, tmp_path):
+    # Each overflows on its way to the guard that stops it; no numpy
+    # warning may come before the guard's line. Run in a fresh process,
+    # as pytest would collect the warnings instead.
+    code = f"import sys; from mef.cli import main; sys.exit(main({argv!r}))"
+    proc = fresh_process(code, tmp_path)
+    assert proc.returncode == EXIT_SINGULAR
+    err = proc.stderr.decode()
+    assert err.startswith(line) and err.count("\n") == 1 and err.endswith("\n")
+    assert list(tmp_path.rglob("*.csv")) == []
 
 
 class TestHelp:

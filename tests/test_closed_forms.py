@@ -20,7 +20,6 @@ from mef import (
     NoiseModel,
     NotInAlgebraError,
     ObserverState,
-    Quaternion,
     SignalSample,
     SingularPError,
     Truth,
@@ -36,7 +35,7 @@ from mef import (
 from mef.cli import EXIT_SINGULAR, main
 from mef.filter import _matvec, _symmetric_scale
 from mef.liegroup import _exp_series, _quaternion_exp
-from mef.quaternion import _mul
+from mef.quaternion import _hamilton
 from mef.simulation import _stream
 
 from conftest import correction_at, psd_sqrt
@@ -47,10 +46,10 @@ vec4 = arrays(float, 4, elements=coord)
 mat4 = arrays(float, (4, 4), elements=coord)
 
 
-def unit_quaternion(v: np.ndarray) -> Quaternion:
+def normalized(v: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(v))
     assume(norm > 1e-3)
-    return Quaternion.from_vector(v / norm)
+    return v / norm
 
 
 def scaling_basis() -> GeneratorBasis:
@@ -122,7 +121,7 @@ class TestOutputGain:
         """R = J J^T / (sigma^2 |q|^4) holds the values of J pinv(V) J^T /
         |q|^4, is null along q, and is pinv(J V J^T) to round-off, at a
         non-unit |q| too."""
-        q_hat = stretch * unit_quaternion(q_vec).as_vector()
+        q_hat = stretch * normalized(q_vec)
         V = s ** 2 * np.eye(3)
         noise = NoiseModel(gyro_var=1.0, vector_var=s ** 2)
         R = build_sample(q_hat, np.eye(4), np.zeros(3), np.zeros((4, 4)), 1.0,
@@ -161,7 +160,7 @@ class TestOutputGain:
 class TestHamiltonProduct:
     @given(vec4, vec4)
     def test_matches_cross_product_form(self, a, b):
-        r, v = _mul(a[0], a[1:], b[0], b[1:])
+        r, *v = _hamilton(*a, *b)
         r_ref = a[0] * b[0] - a[1:] @ b[1:]
         v_ref = a[0] * b[1:] + b[0] * a[1:] + np.cross(a[1:], b[1:])
         tol = 1e-14 * (1.0 + float(np.abs(a).max() * np.abs(b).max()))

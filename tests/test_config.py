@@ -247,9 +247,7 @@ class TestBuildRunConfig:
         assert rc.initial_hessian_scale == 1.0
         assert rc.filter.delta_step_cap == 0.01
         assert rc.filter.dt_max == 0.1
-        np.testing.assert_array_equal(
-            rc.initial_estimate.as_vector(), rc.scenario.q0.as_vector()
-        )
+        np.testing.assert_array_equal(rc.initial_estimate, rc.scenario.q0)
 
     def test_initial_error_rotates_estimate(self):
         angle = 0.99 * np.pi
@@ -270,11 +268,7 @@ class TestBuildRunConfig:
             "observer.initial_error_rad": "0.5",
             "observer.initial_error_axis": "0,0,4",
         })
-        np.testing.assert_allclose(
-            rc_a.initial_estimate.as_vector(),
-            rc_b.initial_estimate.as_vector(),
-            atol=1e-15,
-        )
+        np.testing.assert_allclose(rc_a.initial_estimate, rc_b.initial_estimate, atol=1e-15)
 
     def test_zero_error_axis_rejected(self):
         with pytest.raises(ConfigError, match="axis must be nonzero"):
@@ -358,9 +352,7 @@ class TestBuildCheckConfig:
         assert rc.scenario.duration == 0.5
         assert rc.scenario.sensor_dt == 0.05
         assert rc.initial_hessian_scale == 7.0
-        np.testing.assert_array_equal(
-            rc.initial_estimate.as_vector(), rc.scenario.q0.as_vector()
-        )
+        np.testing.assert_array_equal(rc.initial_estimate, rc.scenario.q0)
         assert rc.filter.dt_max == 2e-3
         assert rc.filter.delta_step_cap == 1e18
         assert rc.noise.gyro_var == 0.1 ** 2

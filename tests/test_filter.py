@@ -21,7 +21,6 @@ from mef import (
     GeneratorBasis,
     NoiseModel,
     ObserverState,
-    Quaternion,
     RunConfig,
     SignalSample,
     SingularPError,
@@ -37,6 +36,7 @@ from mef import (
     simulate_truth,
     state_estimate,
     step,
+    unit_quaternion,
     upsilon,
     value_rate,
     velocity_coords,
@@ -96,33 +96,28 @@ def scalar_setup(valid_until: float = 2.0):
     return state, sample, cfg
 
 
-def consistent_sample(q: Quaternion, omega, t: float = 0.0) -> SignalSample:
+def consistent_sample(q: np.ndarray, omega, t: float = 0.0) -> SignalSample:
     """Sample whose measured direction matches the attitude exactly."""
     scenario = AttitudeScenario(
         omega_fn=lambda _t: np.asarray(omega, dtype=float),
         ref_fn=lambda _t: np.array([0.0, 0.0, 1.0]),
-        q0=Quaternion(1.0, np.zeros(3)),
+        q0=XI_ORIGIN,
         duration=1.0,
         sensor_dt=0.1,
     )
     gains = NoiseModel(gyro_var=0.01 ** 2, vector_var=1.0)
-    z = np.array(
-        [
-            2 * (q.q_v[0] * q.q_v[2] - q.q_r * q.q_v[1]),
-            2 * (q.q_v[1] * q.q_v[2] + q.q_r * q.q_v[0]),
-            1 - 2 * (q.q_v[0] ** 2 + q.q_v[1] ** 2),
-        ]
-    )
+    qw, qx, qy, qz = q
+    z = np.array([2 * (qx * qz - qw * qy), 2 * (qy * qz + qw * qx), 1 - 2 * (qx ** 2 + qy ** 2)])
     return sample_from_measurements(
         t, q, group_from_quaternion(q), np.asarray(omega, dtype=float), z,
         scenario, gains,
     )
 
 
-def offset_quaternion(angle: float, axis) -> Quaternion:
+def offset_quaternion(angle: float, axis) -> np.ndarray:
     axis = np.asarray(axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
-    return Quaternion(np.cos(angle / 2.0), np.sin(angle / 2.0) * axis)
+    return np.append(np.cos(angle / 2.0), np.sin(angle / 2.0) * axis)
 
 
 class TestInit:
@@ -540,7 +535,7 @@ class TestLongHorizon:
         total = 0
         for k in range(2000):
             check_invariants(state)
-            estimate = Quaternion.from_vector(state_estimate(state, cfg))
+            estimate = unit_quaternion(state_estimate(state, cfg))
             sample = sample_from_measurements(state.t, estimate, state.X_hat, omega, z, scenario,
                                               gains)
             state, substeps, _ = step(state, sample, cfg)
@@ -563,7 +558,7 @@ def trajectory():
     scenario = AttitudeScenario(
         omega_fn=lambda t: np.array([0.1 * np.cos(0.1 * t), 0.0, 0.2]),
         ref_fn=lambda t: np.array([np.sin(t), 0.0, np.cos(t)]),
-        q0=Quaternion(1.0, np.zeros(3)),
+        q0=XI_ORIGIN,
         duration=2.0,
         sensor_dt=0.1,
     )
@@ -607,8 +602,8 @@ class TestCanonicalTrajectory:
 
     def test_error_decreases_from_initial_transient(self, trajectory):
         truth, states, _ = trajectory
-        q_first = Quaternion.from_vector(state_estimate(states[0], CFG))
-        q_last = Quaternion.from_vector(state_estimate(states[-1], CFG))
+        q_first = unit_quaternion(state_estimate(states[0], CFG))
+        q_last = unit_quaternion(state_estimate(states[-1], CFG))
         first = attitude_error_angle(truth[0], q_first)
         last = attitude_error_angle(truth[-1], q_last)
         assert first == pytest.approx(0.99 * np.pi, abs=1e-12)
@@ -636,8 +631,8 @@ class TestStateEstimate:
     def test_large_initial_misalignment_roundtrip(self):
         q_hat = offset_quaternion(0.99 * np.pi, [1.0, 0.0, 0.0])
         state = init(BASIS, group_from_quaternion(q_hat), np.zeros((4, 4)))
-        est = Quaternion.from_vector(state_estimate(state, CFG))
-        assert attitude_error_angle(Quaternion(1.0, np.zeros(3)), est) == pytest.approx(
+        est = unit_quaternion(state_estimate(state, CFG))
+        assert attitude_error_angle(XI_ORIGIN, est) == pytest.approx(
             0.99 * np.pi, abs=1e-12
         )
 

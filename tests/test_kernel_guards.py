@@ -30,7 +30,6 @@ from mef import (
     GeneratorBasis,
     NoiseModel,
     ObserverState,
-    Quaternion,
     SignalSample,
     exp_group,
     group_from_quaternion,
@@ -38,6 +37,7 @@ from mef import (
     quaternion_basis,
     run,
     step,
+    unit_quaternion,
     upsilon,
 )
 import mef.filter
@@ -269,10 +269,10 @@ class TestProductFiniteness:
 
 
 SCENARIO = AttitudeScenario(omega_fn=lambda t: np.zeros(3), ref_fn=lambda t: np.array([0.0, 0.0, 1.0]),
-                            q0=Quaternion(1.0, np.zeros(3)), duration=1.0, sensor_dt=0.1)
+                            q0=XI_ORIGIN, duration=1.0, sensor_dt=0.1)
 
 
-def sample_for(noise: NoiseModel, q_hat: Quaternion = SCENARIO.q0) -> SignalSample:
+def sample_for(noise: NoiseModel, q_hat: np.ndarray = SCENARIO.q0) -> SignalSample:
     return sample_from_measurements(0.0, q_hat, group_from_quaternion(q_hat),
                                     np.array([0.1, -0.2, 0.3]), np.array([0.0, 0.1, 0.99]),
                                     SCENARIO, noise)
@@ -408,7 +408,7 @@ class TestOneSampleConstructor:
         variances, and the memoized Q_inv is np.linalg.inv(Q) bit for bit."""
         norm = float(np.linalg.norm(q))
         q = q / norm if norm > 1e-3 else np.array([1.0, 0.0, 0.0, 0.0])
-        q_hat = Quaternion.from_vector(q * (1.0 + stretch))
+        q_hat = unit_quaternion(q * (1.0 + stretch))
         noise = NoiseModel(gyro_var=g_var, vector_var=v_var)
         sample = sample_for(noise, q_hat)
         Q_inv = np.linalg.inv(sample.Q)

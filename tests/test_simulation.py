@@ -20,7 +20,6 @@ from mef import (
     FilterConfig,
     LogRecord,
     NoiseModel,
-    Quaternion,
     RunConfig,
     SingularPError,
     Truth,
@@ -33,6 +32,7 @@ from mef import (
     quat_product,
     run,
     simulate_truth,
+    unit_quaternion,
     upsilon,
     upsilon_bar,
     value_rate,
@@ -41,7 +41,7 @@ from mef import (
 )
 import mef.filter
 from mef.config import build_run_config, read_config_source
-from mef.simulation import _fmt, _stream
+from mef.simulation import _fmt, _stream, initial_state
 
 from conftest import correction_at, make_rng, psd_sqrt, random_unit_quaternion
 
@@ -50,7 +50,7 @@ def canonical_scenario(duration: float = 100.0) -> AttitudeScenario:
     return AttitudeScenario(
         omega_fn=lambda t: np.array([0.1 * np.cos(0.1 * t), 0.0, 0.2]),
         ref_fn=lambda t: np.array([np.sin(t), 0.0, np.cos(t)]),
-        q0=Quaternion(1.0, np.zeros(3)),
+        q0=XI_ORIGIN,
         duration=duration,
         sensor_dt=0.1,
     )
@@ -60,8 +60,8 @@ def canonical_gains(seed: int = 0) -> NoiseModel:
     return NoiseModel(gyro_var=0.01 ** 2, vector_var=1.0, seed=seed)
 
 
-def misaligned_estimate(angle: float = 0.99 * np.pi) -> Quaternion:
-    return Quaternion(np.cos(angle / 2.0), np.array([np.sin(angle / 2.0), 0.0, 0.0]))
+def misaligned_estimate(angle: float = 0.99 * np.pi) -> np.ndarray:
+    return np.array([np.cos(angle / 2.0), np.sin(angle / 2.0), 0.0, 0.0])
 
 
 def make_config(duration: float, *, initial_estimate=None, noise=None,
@@ -95,7 +95,7 @@ class TestSimulateTruth:
         truth = simulate_truth(scenario)
         assert len(truth.t) == 21
         for q in truth.q:
-            np.testing.assert_array_equal(q, q0.as_vector())
+            np.testing.assert_array_equal(q, q0)
 
     def test_canonical_trajectory_stays_unit(self):
         truth = simulate_truth(canonical_scenario())
@@ -108,13 +108,13 @@ class TestSimulateTruth:
 
     def test_rows_near_the_unit_tolerance_pass_as_quaternions_do(self):
         # |q| - 1 = 7.5e-10: past the vectorized screen's half tolerance,
-        # within the 1e-9 a Quaternion accepts.
-        q0 = Quaternion(1.0 + 7.5e-10, np.zeros(3))
+        # within the 1e-9 unit_quaternion accepts.
+        q0 = np.array([1.0 + 7.5e-10, 0.0, 0.0, 0.0])
         scenario = AttitudeScenario(
             omega_fn=lambda t: np.zeros(3), ref_fn=lambda t: np.array([0.0, 0.0, 1.0]),
             q0=q0, duration=0.3, sensor_dt=0.1,
         )
-        np.testing.assert_array_equal(simulate_truth(scenario).q, np.tile(q0.as_vector(), (4, 1)))
+        np.testing.assert_array_equal(simulate_truth(scenario).q, np.tile(q0, (4, 1)))
 
     @pytest.mark.parametrize("duration, count", [(0.0, 0), (0.1, 2)])
     def test_truth_is_read_only_arrays_of_one_row_per_epoch(self, duration, count):
@@ -130,7 +130,7 @@ class TestSimulateTruth:
         scenario = AttitudeScenario(
             omega_fn=lambda t: np.array([0.0, 0.0, 2.0 * np.pi / 10.0]),
             ref_fn=lambda t: np.array([0.0, 0.0, 1.0]),
-            q0=Quaternion(1.0, np.zeros(3)), duration=10.0, sensor_dt=0.1,
+            q0=XI_ORIGIN, duration=10.0, sensor_dt=0.1,
         )
         truth = simulate_truth(scenario)
         assert attitude_error_angle(truth.q[0], truth.q[-1]) <= 1e-6
@@ -139,7 +139,7 @@ class TestSimulateTruth:
         scenario = AttitudeScenario(
             omega_fn=lambda t: np.zeros(3),
             ref_fn=lambda t: np.array([0.0, 0.0, 1.1]),
-            q0=Quaternion(1.0, np.zeros(3)), duration=1.0, sensor_dt=0.1,
+            q0=XI_ORIGIN, duration=1.0, sensor_dt=0.1,
         )
         with pytest.raises(ValueError, match="unit length"):
             simulate_truth(scenario)
@@ -149,7 +149,7 @@ class TestSimulateTruth:
         scenario = AttitudeScenario(
             omega_fn=lambda t: np.zeros(3),
             ref_fn=lambda t: np.array([np.nan if t >= 0.5 else 0.0, 0.0, 1.0]),
-            q0=Quaternion(1.0, np.zeros(3)), duration=1.0, sensor_dt=0.1,
+            q0=XI_ORIGIN, duration=1.0, sensor_dt=0.1,
         )
         with pytest.raises(ValueError, match=r"reference vector at t=0\.5 is not unit length"):
             simulate_truth(scenario)
@@ -166,7 +166,7 @@ class TestSimulateTruth:
         scenario = AttitudeScenario(
             omega_fn=lambda t: np.full(3, rates.get(round(t, 9), 0.1)),
             ref_fn=lambda t: np.array([0.0, 0.0, 1.0]),
-            q0=Quaternion(1.0, np.zeros(3)), duration=1.0, sensor_dt=0.1,
+            q0=XI_ORIGIN, duration=1.0, sensor_dt=0.1,
         )
         with pytest.raises(ValueError, match=message) as raised:
             simulate_truth(scenario)
@@ -242,11 +242,21 @@ class TestInitialObserverHessian:
         H0 = initial_observer_hessian(misaligned_estimate(), 0.0)
         np.testing.assert_array_equal(H0, np.zeros((4, 4)))
 
+    @pytest.mark.parametrize("q_hat", [[1.0, 0.5, 0.0, 0.0], [0.0] * 4,
+                                       [1.0, float("nan"), 0.0, 0.0]])
+    def test_a_non_unit_initial_estimate_is_rejected(self, q_hat):
+        # RunConfig holds any 4-vector; the run starts from initial_state.
+        message = r"^quaternion norm \S+ is not 1 within 1e-09$"
+        with pytest.raises(ValueError, match=message):
+            initial_state(np.array(q_hat), 1.0)
+        with pytest.raises(ValueError, match=message):
+            run(make_config(1.0, initial_estimate=np.array(q_hat)))
+
 
 class TestRun:
     def test_zero_initial_error_stays_at_truth(self):
         records, summary = run(
-            make_config(1.0, initial_estimate=Quaternion(1.0, np.zeros(3)))
+            make_config(1.0, initial_estimate=XI_ORIGIN)
         )
         assert len(records) == 11
         for rec in records:
@@ -404,12 +414,12 @@ def per_epoch_measurements(scenario, noise):
         t = k * scenario.sensor_dt
         omega = np.asarray(scenario.omega_fn(t), dtype=float).reshape(3)
         z_ref = np.asarray(scenario.ref_fn(t), dtype=float).reshape(3)
-        r1, v1 = per_epoch_product(q.q_r, -q.q_v, 0.0, z_ref)
-        z = per_epoch_product(r1, v1, q.q_r, q.q_v)[1]
+        r1, v1 = per_epoch_product(q[0], -q[1:], 0.0, z_ref)
+        z = per_epoch_product(r1, v1, q[0], q[1:])[1]
         out.append((t, q, omega + gyro_sqrt.dot(gyro_gen.standard_normal(3)),
                     z + vector_sqrt.dot(vector_gen.standard_normal(3)), z_ref))
         mat = BASIS.closed_form_exp(-scenario.sensor_dt * (omega / 2.0))
-        q = Quaternion.from_vector(mat.dot(q.as_vector()))
+        q = unit_quaternion(mat.dot(q))
     return out
 
 
@@ -426,12 +436,12 @@ def per_epoch_value_rate(state, sample, delta, cfg) -> float:
 
 
 def per_epoch_log_row(t, q, epoch, substeps, cfg) -> np.ndarray:
-    q_hat = Quaternion.from_vector(epoch.estimate)
-    r, v = per_epoch_product(q.q_r, -q.q_v, q_hat.q_r, q_hat.q_v)
+    q_hat = unit_quaternion(epoch.estimate)
+    r, v = per_epoch_product(q[0], -q[1:], q_hat[0], q_hat[1:])
     error = float(2.0 * np.arctan2(float(np.linalg.norm(v)), abs(r)))
     opt = upsilon(BASIS, cfg.origin_xi).T.dot(epoch.state.eta)
     rate = per_epoch_value_rate(epoch.state, epoch.sample, epoch.delta, cfg)
-    return np.array([t, *q.as_vector(), *q_hat.as_vector(), error,
+    return np.array([t, *q, *q_hat, error,
                      float(np.linalg.norm(epoch.delta)), *opt, rate, substeps])
 
 
@@ -456,12 +466,12 @@ class TestEpochTranscription:
         for epoch, (t, q, omega, z, z_ref) in zip(epochs, expected):
             X = epoch.state.X_hat
             coords = BASIS._flat_pinv @ (X @ BASIS.generators @ BASIS.inverse(X)).reshape(3, 16).T
-            q_hat = Quaternion.from_vector(epoch.estimate)
-            J = upsilon_bar(BASIS, q_hat.as_vector())
-            norm2 = q_hat.q_r ** 2 + float(q_hat.q_v.dot(q_hat.q_v))
+            q_hat = unit_quaternion(epoch.estimate)
+            J = upsilon_bar(BASIS, q_hat)
+            norm2 = q_hat[0] ** 2 + float(q_hat[1:].dot(q_hat[1:]))
             sample = epoch.sample
             assert epoch.t == t and sample.valid_until == t + config.scenario.sensor_dt
-            assert epoch.q_true.tobytes() == q.as_vector().tobytes()
+            assert epoch.q_true.tobytes() == q.tobytes()
             assert sample.U_coords.tobytes() == (omega / 2.0).tobytes()
             assert sample.C.tobytes() == per_epoch_measurement_matrix(z, z_ref).tobytes()
             assert sample.B.tobytes() == Ups_origin.dot(coords).tobytes()
@@ -519,8 +529,8 @@ class TestWholeRunLog:
         state, sample, delta = epoch.state, epoch.sample, epoch.delta
         return {
             "q_est": epoch.estimate,
-            "error_angle": attitude_error_angle(Quaternion.from_vector(epoch.q_true),
-                                                Quaternion.from_vector(epoch.estimate)),
+            "error_angle": attitude_error_angle(unit_quaternion(epoch.q_true),
+                                                unit_quaternion(epoch.estimate)),
             "delta_norm": math.sqrt(delta.dot(delta)),
             "opt_residual": optimality_residual(BASIS, state.eta, cfg.origin_xi),
             "value_rate": value_rate(BASIS, state.eta, delta, epoch.estimate, sample.C, sample.y,

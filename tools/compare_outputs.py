@@ -43,7 +43,9 @@ from their own ``src``:
   with ``--jobs 1``, so that both are made in the sweep's own process,
   which never imports the pool;
 - ``mef simulate`` on the ``noisy`` preset with ``--seed -1``, a config
-  error (exit 2).
+  error (exit 2), and on the default preset with
+  ``--set scenario.q0=0,0,0,0``, a config error (exit 2) that pins the
+  message of the quaternion unit-norm check.
 
 Each command is given TIMEOUT_S seconds; one that runs longer is stopped,
 and "timeout" is its outcome in place of an exit code, with empty stdout
@@ -97,7 +99,8 @@ COMMANDS = (
        ["check", "--set", "check.vector_sigma_true=1e150"],
        ["sweep", "--config", "noisy", "--param", "seed", "--values", "3,0", "--jobs", "2"],
        ["sweep", "--config", "noisy", "--param", "seed", "--values", "3,0", "--jobs", "1"],
-       ["simulate", "--config", "noisy", "--seed", "-1"]]
+       ["simulate", "--config", "noisy", "--seed", "-1"],
+       ["simulate", "--set", "scenario.q0=0,0,0,0"]]
 )
 TIMEOUT_S = 300
 IGNORED_PREFIXES = ("wall_time_s:",)
