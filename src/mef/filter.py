@@ -15,15 +15,22 @@ np.linalg.solve's time on a 3 x 3.
 
 step walks an interval on plain arrays: X_hat, its inverse X_inv, H and
 eta. At the end of the interval it builds one ObserverState and, traced,
-one StepTrace of (S, .) arrays, so no substep's record outlives it. The
-rate pieces take arrays: forcing_terms(X_inv, H, eta, sample, origin),
-correction_delta(basis, H, eta, Ups, forcing),
-hessian_rate(X_inv, H, sample, Delta) and
-gradient_rate(H, eta, Delta, pull, damping, origin). step computes each
-term they share once and passes it on: Upsilon at the origin, memoized
-on the basis and the origin's value, so once per run; per substep, the
-forcing terms (output pull and noise damping), wedge(delta), and one
-product of group matrices, the kernel's one finiteness test. The
+one StepTrace of (S, .) arrays, so no substep's record outlives it. Each
+product a substep needs is formed once and handed to the pieces that use
+it: forcing_terms(X_inv, H, eta, sample, origin) gives (forcing, G, HN),
+with C_pulled = C X_inv, the output information G = C_pulled^T R
+C_pulled, HN = H B Q^-1 B^T, and the forcing pull - damping, the output
+pull being G origin - C_pulled^T (R y), R y formed once per sample, and
+the noise damping HN eta; correction_delta(H, eta, maps, forcing) forms P
+as one product of H and one of eta against fixed maps of Upsilon at the
+origin, memoized on the basis and the origin's value, so once per run;
+hessian_rate(H, G, HN, HDelta) and
+gradient_rate(eta, Delta, HDelta, forcing, origin) share
+Delta = wedge(delta) and HDelta = H Delta. Delta^T H is taken as HDelta^T,
+which holds bit for bit because step keeps H exactly symmetric: it
+symmetrizes every update, init symmetrizes H_0, and step refuses an H
+whose mirror entries differ in any bit. Per substep the group update is
+one product of group matrices, the kernel's one finiteness test. The
 correction solve keeps its residual guard every substep, measured in units
 of max|rhs| when |rhs|^2 overflows or underflows, and a step cap that
 leaves no step (|delta|^2 overflows) raises.
@@ -135,9 +142,10 @@ class SignalSample:
     B, Q: input map (m, l) and its symmetric positive-definite gain (l, l).
     R: symmetric positive-semidefinite output gain (n, n).
     valid_until: end of the hold interval in seconds.
-    Q_inv, read-only and shared by every sample with an equal Q, and
+    Q_inv, read-only and shared by every sample with an equal Q,
     noise_shape = B Q^-1 B^T, the diffusion-like term of both rate
-    equations, are derived on construction.
+    equations, and R_y = R y, the target's share of the output pull, are
+    derived on construction.
     """
 
     U_coords: np.ndarray
@@ -149,6 +157,7 @@ class SignalSample:
     valid_until: float
     Q_inv: np.ndarray = field(init=False, repr=False)
     noise_shape: np.ndarray = field(init=False, repr=False)
+    R_y: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.U_coords = np.asarray(self.U_coords, dtype=float).reshape(-1)
@@ -172,6 +181,7 @@ class SignalSample:
         self.Q_inv = _velocity_gain_inverse(self.Q.shape, self.Q.tobytes())
         _check_psd(self.R, "R")
         self.noise_shape = self.B.dot(self.Q_inv).dot(self.B.T)
+        self.R_y = self.R.dot(self.y)
 
 
 @functools.lru_cache(maxsize=16)
@@ -350,49 +360,73 @@ def _all_finite(A: np.ndarray) -> bool:
 
 def _origin_action(basis: GeneratorBasis, origin) -> np.ndarray:
     # upsilon(basis, origin), read-only and memoized on the origin's value,
-    # so that step, optimality_residual, build_sample and observe form it
+    # so that optimality_residual and build_sample form it once per run.
+    return _origin_maps(basis, origin)[0]
+
+
+def _origin_maps(basis: GeneratorBasis, origin) -> tuple:
+    # (Ups, H_map, eta_map) of correction_delta, read-only and memoized on
+    # the basis and the origin's value, so that step and observe form them
     # once per run, not once per interval.
-    return _upsilon_memo(basis, np.asarray(origin, dtype=float).tobytes())
+    return _origin_memo(basis, np.asarray(origin, dtype=float).tobytes())
 
 
 @functools.lru_cache(maxsize=16)
-def _upsilon_memo(basis: GeneratorBasis, origin: bytes) -> np.ndarray:
-    Ups = upsilon(basis, np.frombuffer(origin))
-    Ups.flags.writeable = False
-    return Ups
+def _origin_memo(basis: GeneratorBasis, origin: bytes) -> tuple:
+    xi = np.frombuffer(origin)
+    Ups = upsilon(basis, xi)
+    m, d = Ups.shape
+    # P = Ups^T H Ups + Ups^T upsilon_bar(eta) is linear in H and in eta:
+    # P[j, k] = sum_ab H[a, b] Ups[a, j] Ups[b, k] + eta . (E_k E_j xi),
+    # so each half is one product against a fixed map, row j*d + k of P.
+    H_map = np.einsum("aj,bk->abjk", Ups, Ups).reshape(m * m, d * d)
+    eta_map = np.einsum("kab,jbc,c->ajk", basis.generators, basis.generators,
+                        xi).reshape(m, d * d)
+    maps = (Ups, H_map, eta_map)
+    for a in maps:
+        a.flags.writeable = False
+    return maps
 
 
 def forcing_terms(X_inv: np.ndarray, H: np.ndarray, eta: np.ndarray,
                   sample: SignalSample, origin: np.ndarray):
-    """The two forcing terms that the correction solve and the gradient
-    rate share, for X_inv = X_hat^-1: the output pull X_hat^-T C^T R
-    (C X_hat^-1 origin - y) and the noise damping H B Q^-1 B^T eta, as
-    (pull, damping).
+    """The terms of one substep that the correction solve and the two rates
+    share, for X_inv = X_hat^-1, as (forcing, G, HN):
+
+    - G = C_pulled^T R C_pulled, the output information, with
+      C_pulled = C X_hat^-1;
+    - HN = H B Q^-1 B^T;
+    - forcing = pull - damping, with the output pull G origin -
+      C_pulled^T (R y) = X_hat^-T C^T R (C X_hat^-1 origin - y) and the
+      noise damping HN eta.
     """
-    residual = sample.C.dot(X_inv.dot(origin)) - sample.y
-    pull = X_inv.T.dot(sample.C.T.dot(sample.R.dot(residual)))
-    return pull, H.dot(sample.noise_shape.dot(eta))
+    C_pulled = sample.C.dot(X_inv)
+    G = C_pulled.T.dot(sample.R.dot(C_pulled))
+    HN = H.dot(sample.noise_shape)
+    forcing = G.dot(origin) - C_pulled.T.dot(sample.R_y) - HN.dot(eta)
+    return forcing, G, HN
 
 
-def correction_delta(basis: GeneratorBasis, H: np.ndarray, eta: np.ndarray,
-                     Ups: np.ndarray, forcing: np.ndarray) -> np.ndarray:
+def correction_delta(H: np.ndarray, eta: np.ndarray, maps: tuple,
+                     forcing: np.ndarray) -> np.ndarray:
     """Correction coordinates solving P delta = Ups^T forcing.
 
-    Ups = upsilon(basis, origin_xi) and forcing = pull - damping from
-    forcing_terms. P = Ups^T H Ups + Ups^T UpsilonBar(eta). The solve is an
-    LU factorization, np.linalg.solve's LAPACK call without its wrapper
-    (_solve). An exactly singular P, or a relative residual
-    |P delta - rhs| / |rhs| above P_SOLVE_TOLERANCE, raises SingularPError.
-    A zero right-hand side gives delta = 0 for any P.
+    maps = (Ups, H_map, eta_map) of the origin point (_origin_maps), with
+    Ups = upsilon(basis, origin_xi), and forcing from forcing_terms.
+    P = Ups^T H Ups + Ups^T UpsilonBar(eta), formed as one product of H and
+    one of eta against the fixed maps. The solve is an LU factorization,
+    np.linalg.solve's LAPACK call without its wrapper (_solve). An exactly
+    singular P, or a relative residual |P delta - rhs| / |rhs| above
+    P_SOLVE_TOLERANCE, raises SingularPError. A zero right-hand side gives
+    delta = 0 for any P.
     """
-    Ups_T = Ups.T
-    # upsilon_bar(basis, eta)'s product, without its check of the point.
-    Ups_bar = eta.dot(basis._bar).reshape(basis.dim_embedding, basis.dim_algebra)
-    P = Ups_T.dot(H).dot(Ups) + Ups_T.dot(Ups_bar)
-    rhs = Ups_T.dot(forcing)
+    Ups, H_map, eta_map = maps
+    d = Ups.shape[1]
+    P = (H.reshape(-1).dot(H_map) + eta.dot(eta_map)).reshape(d, d)
+    rhs = forcing.dot(Ups)
     rhs_norm = math.sqrt(rhs.dot(rhs))
     if rhs_norm == 0.0 and not rhs.any():
-        return np.zeros(basis.dim_algebra)
+        return np.zeros(d)
     try:
         delta = _solve(P, rhs)
     except LinAlgError:
@@ -416,28 +450,25 @@ def correction_delta(basis: GeneratorBasis, H: np.ndarray, eta: np.ndarray,
     return delta
 
 
-def hessian_rate(X_inv: np.ndarray, H: np.ndarray, sample: SignalSample,
-                 Delta: np.ndarray) -> np.ndarray:
-    """Riccati-type rate of H for the correction Delta = wedge(delta), with
-    X_inv = X_hat^-1; the caller symmetrizes after stepping."""
-    C_pulled = sample.C.dot(X_inv)
-    return (
-        (-H).dot(Delta)
-        - Delta.T.dot(H)
-        - H.dot(sample.noise_shape).dot(H)
-        + C_pulled.T.dot(sample.R.dot(C_pulled))
-    )
+def hessian_rate(H: np.ndarray, G: np.ndarray, HN: np.ndarray,
+                 HDelta: np.ndarray) -> np.ndarray:
+    """Riccati-type rate -H Delta - Delta^T H - H N H + G of H, with G and
+    HN = H N from forcing_terms and HDelta = H wedge(delta); Delta^T H is
+    HDelta^T, which holds bit for bit only for an exactly symmetric H, as
+    step keeps it. The caller symmetrizes after stepping."""
+    return (-HDelta) - HDelta.T - HN.dot(H) + G
 
 
-def gradient_rate(H: np.ndarray, eta: np.ndarray, Delta: np.ndarray, pull: np.ndarray,
-                  damping: np.ndarray, origin: np.ndarray) -> np.ndarray:
-    """Rate of the value-function gradient at the origin point, for the
-    correction Delta = wedge(delta) and the forcing_terms at (H, eta).
+def gradient_rate(eta: np.ndarray, Delta: np.ndarray, HDelta: np.ndarray,
+                  forcing: np.ndarray, origin: np.ndarray) -> np.ndarray:
+    """Rate -H Delta origin - Delta^T eta + forcing of the value-function
+    gradient at the origin point, for the correction Delta = wedge(delta),
+    HDelta = H Delta and the forcing from forcing_terms.
 
     With delta from correction_delta, the tangential projection of this
     rate vanishes identically up to the correction-solve residual.
     """
-    return (-H).dot(Delta.dot(origin)) - Delta.T.dot(eta) - damping + pull
+    return (-HDelta).dot(origin) - Delta.T.dot(eta) + forcing
 
 
 def step(
@@ -460,6 +491,9 @@ def step(
     number of substeps taken, and the correction applied by the first of
     them, which is the boundary correction at the interval start.
 
+    state.H must be exactly symmetric, mirror entries equal bit for bit
+    (init and step keep it so); any other H raises ValueError.
+
     forcing_terms, correction_delta, hessian_rate, gradient_rate and
     exp_group are looked up as module globals on every call, so a test can
     replace one of them to inject a fault.
@@ -467,23 +501,26 @@ def step(
     t_end = sample.valid_until
     if t_end - state.t <= TIME_SNAP:
         raise ValueError("sample is not valid past the current state time")
+    H = state.H
+    if H.tobytes() != H.T.tobytes():
+        raise ValueError("H must be exactly symmetric: step forms Delta^T H as (H Delta)^T")
     basis = state.basis
     origin, dt_max, cap, U = cfg.origin_xi, cfg.dt_max, cfg.delta_step_cap, sample.U_coords
-    Ups = _origin_action(basis, origin)
+    maps = _origin_maps(basis, origin)
     # wedge(basis, delta) is delta.dot(flat_T) reshaped, as wedge forms it.
     flat_T, m = basis._flat.T, basis.dim_embedding
     inverse = basis.inverse
     X = state.X_hat
     X_inv = inverse(X)
-    H, eta, t = state.H, state.eta, state.t
+    eta, t = state.eta, state.t
     t_stop = t
     substeps, rows = 0, []
     exp_dt = None
     while t_end - t > TIME_SNAP:
         if t_stop - t <= TIME_SNAP:
             t_stop = min(t_end, t + dt_max)
-        pull, damping = forcing_terms(X_inv, H, eta, sample, origin)
-        delta = correction_delta(basis, H, eta, Ups, pull - damping)
+        forcing, G, HN = forcing_terms(X_inv, H, eta, sample, origin)
+        delta = correction_delta(H, eta, maps, forcing)
         if not substeps:
             first_delta = delta
         substeps += 1
@@ -501,8 +538,9 @@ def step(
                     "would not advance"
                 )
         Delta = delta.dot(flat_T).reshape(m, m)
-        H_dot = hessian_rate(X_inv, H, sample, Delta)
-        eta_dot = gradient_rate(H, eta, Delta, pull, damping, origin)
+        HDelta = H.dot(Delta)
+        H_dot = hessian_rate(H, G, HN, HDelta)
+        eta_dot = gradient_rate(eta, Delta, HDelta, forcing, origin)
         if dt != exp_dt:
             exp_dt, exp_U = dt, exp_group(basis, dt * U)
         # The kernel's one finiteness test, on the product: a non-finite

@@ -38,7 +38,7 @@ from .filter import (
     SingularPError,
     StepTrace,
     _dot,
-    _origin_action,
+    _origin_maps,
     check_invariants,
     init,
     optimality_residual,
@@ -263,7 +263,7 @@ def _epoch_inputs(config: RunConfig) -> tuple[Truth, np.ndarray, np.ndarray]:
 def _observe(config: RunConfig, truth: Truth, U: np.ndarray, C: np.ndarray, trace: bool):
     # observe, on the inputs _epoch_inputs formed.
     cfg, gains, hold = config.filter, config.gains, config.scenario.sensor_dt
-    Ups = _origin_action(BASIS, cfg.origin_xi)
+    maps = _origin_maps(BASIS, cfg.origin_xi)
     last = len(truth.t) - 1
 
     state = initial_state(config.initial_estimate, config.initial_hessian_scale)
@@ -279,9 +279,9 @@ def _observe(config: RunConfig, truth: Truth, U: np.ndarray, C: np.ndarray, trac
                 # Looked up through mef.filter, as step does, so that a
                 # patched correction_delta reaches this solve too.
                 end, substeps = state, 0
-                pull, damping = _filter.forcing_terms(BASIS.inverse(state.X_hat), state.H,
-                                                      state.eta, sample, cfg.origin_xi)
-                delta = _filter.correction_delta(BASIS, state.H, state.eta, Ups, pull - damping)
+                forcing = _filter.forcing_terms(BASIS.inverse(state.X_hat), state.H,
+                                                state.eta, sample, cfg.origin_xi)[0]
+                delta = _filter.correction_delta(state.H, state.eta, maps, forcing)
         except SingularPError as exc:
             raise SingularPError(f"epoch {k} (t={t:g} s): {exc}") from exc
         yield ObservedEpoch(t, q_true, state, estimate, sample, delta, substeps,

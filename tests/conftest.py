@@ -7,6 +7,7 @@ from hypothesis import settings
 from mef import (
     BASIS,
     XI_ORIGIN,
+    GeneratorBasis,
     ObserverState,
     SignalSample,
     adjoint_coords,
@@ -15,11 +16,14 @@ from mef import (
     exp_group,
     forcing_terms,
     gradient_rate,
+    hessian_rate,
     measurement_matrix,
+    quaternion_basis,
     upsilon,
     velocity_coords,
     wedge,
 )
+from mef.filter import _origin_maps
 
 # Config builders under a loaded host must not trip hypothesis's
 # per-example deadline.
@@ -87,18 +91,51 @@ def psd_sqrt(cov: np.ndarray) -> np.ndarray:
     return V @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ V.T
 
 
+def _kernel_terms(state, sample, cfg):
+    # forcing_terms at ``state``, with its arguments formed as step forms them.
+    return forcing_terms(state.basis.inverse(state.X_hat), state.H, state.eta, sample,
+                         cfg.origin_xi)
+
+
 def correction_at(state, sample, cfg):
     """correction_delta at ``state``, with its arguments formed as step
     forms them."""
-    pull, damping = forcing_terms(state.basis.inverse(state.X_hat), state.H, state.eta, sample,
-                                  cfg.origin_xi)
-    return correction_delta(state.basis, state.H, state.eta, upsilon(state.basis, cfg.origin_xi),
-                            pull - damping)
+    forcing, _, _ = _kernel_terms(state, sample, cfg)
+    return correction_delta(state.H, state.eta, _origin_maps(state.basis, cfg.origin_xi),
+                            forcing)
+
+
+def hessian_rate_at(state, sample, delta, cfg):
+    """hessian_rate at ``state`` for the correction coordinates delta."""
+    _, G, HN = _kernel_terms(state, sample, cfg)
+    return hessian_rate(state.H, G, HN, state.H.dot(wedge(state.basis, delta)))
 
 
 def gradient_rate_at(state, sample, delta, cfg):
     """gradient_rate at ``state`` for the correction coordinates delta."""
-    pull, damping = forcing_terms(state.basis.inverse(state.X_hat), state.H, state.eta, sample,
-                                  cfg.origin_xi)
-    return gradient_rate(state.H, state.eta, wedge(state.basis, delta), pull, damping,
-                         cfg.origin_xi)
+    forcing, _, _ = _kernel_terms(state, sample, cfg)
+    Delta = wedge(state.basis, delta)
+    return gradient_rate(state.eta, Delta, state.H.dot(Delta), forcing, cfg.origin_xi)
+
+
+def non_orthogonal_instance(group: str, rng: np.random.Generator):
+    """An observer state and a sample, valid until 0.05 s, on a group with no
+    closed-form exponential and no orthogonal elements, and its origin
+    point: the scaling group, whose elements are diagonal, or the sheared
+    copy T E_i T^-1 of the quaternion group, whose elements are dense."""
+    A, C, K, S = (rng.standard_normal((4, 4)) for _ in range(4))
+    if group == "scaling":
+        basis = GeneratorBasis(np.stack([np.diag([1.0, 0.0, 0.0, 0.0]),
+                                         np.diag([0.0, 1.0, -1.0, 0.0])]))
+    else:
+        T = np.eye(4) + 0.2 * S
+        basis = GeneratorBasis(T @ quaternion_basis().generators @ np.linalg.inv(T))
+    assert not basis.orthogonal and basis.closed_form_exp is None
+    d = basis.dim_algebra
+    state = ObserverState(X_hat=exp_group(basis, np.linspace(0.3, -0.2, d)), H=A.T @ A,
+                          eta=0.3 * rng.standard_normal(4), t=0.0, basis=basis)
+    sample = SignalSample(U_coords=np.linspace(0.5, -0.4, d), C=C,
+                          y=0.3 * rng.standard_normal(4), B=rng.standard_normal((4, d)),
+                          Q=np.eye(d) + 0.3 * np.eye(d, k=1) + 0.3 * np.eye(d, k=-1),
+                          R=0.5 * (K @ K.T), valid_until=0.05)
+    return state, sample, np.array([0.6, 0.8, 0.5, 0.1])

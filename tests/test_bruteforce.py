@@ -25,6 +25,7 @@ from mef import (
     FilterConfig,
     InfeasibleTerminalError,
     NoiseModel,
+    ObserverState,
     RunConfig,
     check_critical_point,
     gradient_hessian_at,
@@ -35,9 +36,8 @@ from mef import (
 import mef.bruteforce
 from mef.cli import build_verification_problem
 from mef.config import build_check_config
-from mef.filter import hessian_rate
 
-from conftest import make_rng
+from conftest import hessian_rate_at, make_rng
 
 
 # Horizons N whose N + 1 stage blocks take every parity at the reduction's
@@ -495,8 +495,10 @@ class TestGradientHessian:
             _, h_before = gradient_hessian_at(before, XI_ORIGIN)
             _, h_after = gradient_hessian_at(after, XI_ORIGIN)
             fd = (h_after - h_before) / dt
-            rate = hessian_rate(trace.X_hat[k].T, trace.H[k], trace.sample,
-                                wedge(BASIS, trace.delta[k]))
+            state = ObserverState(X_hat=trace.X_hat[k], H=trace.H[k], eta=trace.eta[k],
+                                  t=0.0, basis=BASIS)
+            rate = hessian_rate_at(state, trace.sample, trace.delta[k],
+                                   FilterConfig(origin_xi=XI_ORIGIN))
             rate = 0.5 * (rate + rate.T)
             errors[dt] = float(np.abs(fd - rate).max())
         assert errors[2e-3] <= 1e-2

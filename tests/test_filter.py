@@ -10,6 +10,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import mef.filter
 import mef.simulation
@@ -27,7 +29,6 @@ from mef import (
     attitude_error_angle,
     exp_group,
     group_from_quaternion,
-    hessian_rate,
     init,
     initial_observer_hessian,
     observe,
@@ -43,12 +44,14 @@ from mef import (
     wedge,
 )
 from mef.cli import EXIT_SINGULAR, main
-from mef.filter import ORTHOGONALITY_TOLERANCE, TIME_SNAP, check_invariants
+from mef.filter import ORTHOGONALITY_TOLERANCE, TIME_SNAP, _origin_maps, check_invariants
 
 from conftest import (
     correction_at,
     gradient_rate_at,
+    hessian_rate_at,
     make_rng,
+    non_orthogonal_instance,
     random_filter_instance,
     random_group_element,
     random_unit_quaternion,
@@ -268,8 +271,7 @@ class TestHessianRate:
         )
         X_inv = np.linalg.inv(X)
         expected = X_inv.T @ C.T @ R @ C @ X_inv
-        got = hessian_rate(state.basis.inverse(state.X_hat), state.H, sample,
-                           wedge(state.basis, np.zeros(3)))
+        got = hessian_rate_at(state, sample, np.zeros(3), CFG)
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
     def test_zero_weight_zero_output_gives_zero(self):
@@ -282,8 +284,7 @@ class TestHessianRate:
             B=upsilon(BASIS, XI_ORIGIN), Q=np.eye(3), R=np.eye(4),
             valid_until=1.0,
         )
-        got = hessian_rate(state.basis.inverse(state.X_hat), state.H, sample,
-                           wedge(state.basis, np.array([0.3, -0.1, 0.7])))
+        got = hessian_rate_at(state, sample, np.array([0.3, -0.1, 0.7]), CFG)
         np.testing.assert_array_equal(got, np.zeros((4, 4)))
 
     def test_transport_terms_cancel_for_identity_weight(self):
@@ -298,14 +299,12 @@ class TestHessianRate:
             U_coords=np.zeros(3), C=np.zeros((4, 4)), y=np.zeros(4),
             B=np.zeros((4, 3)), Q=np.eye(3), R=np.eye(4), valid_until=1.0,
         )
-        got = hessian_rate(state.basis.inverse(state.X_hat), state.H, sample,
-                           wedge(state.basis, rng.standard_normal(3)))
+        got = hessian_rate_at(state, sample, rng.standard_normal(3), CFG)
         np.testing.assert_array_equal(got, np.zeros((4, 4)))
 
     def test_scalar_rate_value(self):
-        state, sample, _ = scalar_setup()
-        got = hessian_rate(state.basis.inverse(state.X_hat), state.H, sample,
-                           wedge(state.basis, np.zeros(0)))
+        state, sample, cfg = scalar_setup()
+        got = hessian_rate_at(state, sample, np.zeros(0), cfg)
         expected = -(SCALAR_B ** 2 / SCALAR_Q) * SCALAR_H0 ** 2 \
             + SCALAR_C ** 2 * SCALAR_R
         assert got.shape == (1, 1)
@@ -368,6 +367,69 @@ class TestGradientRate:
         delta = correction_at(state, sample, CFG)
         rate = gradient_rate_at(state, sample, delta, CFG)
         assert np.linalg.norm(upsilon(BASIS, XI_ORIGIN).T @ rate) <= 1e-10
+
+
+class TestFusedKernel:
+    """The seams step calls, which share their products (forcing_terms,
+    correction_delta, hessian_rate, gradient_rate), against the paper's
+    rates written out term by term with no product shared: the Riccati
+    rate -H Delta - Delta^T H - H N H + X^-T C^T R C X^-1, the gradient
+    rate -H Delta origin - Delta^T eta - H N eta + X^-T C^T R (C X^-1
+    origin - y), and P delta = Ups^T forcing, with N = B Q^-1 B^T and
+    X^-1 from np.linalg.inv on every basis."""
+
+    @staticmethod
+    def instance(case, seed):
+        rng = make_rng(seed)
+        if case == "quaternion":
+            state, sample = random_filter_instance(rng)
+            return state, sample, XI_ORIGIN, rng
+        state, sample, origin = non_orthogonal_instance(case, rng)
+        return state, sample, origin, rng
+
+    @given(st.sampled_from(["quaternion", "scaling", "sheared"]), st.integers(0, 2 ** 32 - 1))
+    def test_fused_seams_match_the_unfused_rates(self, case, seed):
+        state, sample, origin, rng = self.instance(case, seed)
+        basis, H, eta = state.basis, state.H, state.eta
+        assert H.tobytes() == H.T.tobytes()
+        gens = basis.generators
+        X_inv = np.linalg.inv(state.X_hat)
+        N = sample.B @ np.linalg.inv(sample.Q) @ sample.B.T
+        Ups = np.stack([E @ origin for E in gens], axis=1)
+        Ups_bar = np.stack([E.T @ eta for E in gens], axis=1)
+        output = X_inv.T @ sample.C.T @ sample.R @ sample.C @ X_inv
+        pull = X_inv.T @ (sample.C.T @ (sample.R @ (sample.C @ (X_inv @ origin) - sample.y)))
+        damping = H @ (N @ eta)
+        P = Ups.T @ H @ Ups + Ups.T @ Ups_bar
+        rhs = Ups.T @ (pull - damping)
+
+        forcing, G, HN = mef.filter.forcing_terms(basis.inverse(state.X_hat), H, eta, sample,
+                                                  origin)
+        try:
+            delta = mef.filter.correction_delta(H, eta, _origin_maps(basis, origin), forcing)
+        except SingularPError:
+            # Only an ill-conditioned P may fail the solve's 1e-8 guard.
+            assert np.linalg.cond(P) > 1e6
+        else:
+            scale = np.linalg.norm(P) * np.linalg.norm(delta) + np.linalg.norm(rhs)
+            assert np.linalg.norm(P @ delta - rhs) <= 1e-12 * scale
+
+        # The rates at any correction, here a random one.
+        delta = rng.standard_normal(basis.dim_algebra)
+        Delta = sum(c * E for c, E in zip(delta, gens))
+        HDelta = H.dot(wedge(basis, delta))
+        terms = (-H @ Delta, -Delta.T @ H, -H @ N @ H, output)
+        got = mef.filter.hessian_rate(H, G, HN, HDelta)
+        assert_close_to_sum(got, terms)
+        terms = (-H @ (Delta @ origin), -Delta.T @ eta, -damping, pull)
+        got = mef.filter.gradient_rate(eta, wedge(basis, delta), HDelta, forcing, origin)
+        assert_close_to_sum(got, terms)
+
+
+def assert_close_to_sum(got, terms, rtol=1e-12):
+    """got equals the sum of terms to rtol relative to the terms' sizes."""
+    scale = sum(float(np.abs(term).max()) for term in terms)
+    np.testing.assert_allclose(got, sum(terms), rtol=0, atol=rtol * scale)
 
 
 class TestStep:

@@ -1,7 +1,8 @@
 """The substep kernel against a plain transcription of its arithmetic, and
 fault injection for each guard whose place in the pipeline is not obvious:
 the one finiteness check on a substep's product of group matrices, the
-exponential of the velocity that step forms once per step size, the
+exact symmetry of H that step checks at entry and the fused kernel relies
+on, the exponential of the velocity that step forms once per step size, the
 checks of the one sample constructor, which every sample build_sample
 assembles passes through: the velocity-gain checks, memoized on the gain's
 value so that a run makes them once, and the output-gain checks, whose
@@ -38,7 +39,6 @@ from mef import (
     run,
     step,
     unit_quaternion,
-    upsilon,
 )
 import mef.filter
 from mef.config import build_check_config, build_run_config, read_config_source
@@ -47,45 +47,53 @@ from mef.filter import (
     SingularPError,
     _check_psd,
     _eigvalsh,
+    _origin_maps,
     _solve,
     _symmetric_scale,
     correction_delta,
 )
 
-from conftest import make_rng, random_filter_instance, sample_from_measurements
+from conftest import (
+    make_rng,
+    non_orthogonal_instance,
+    random_filter_instance,
+    sample_from_measurements,
+)
 
 
 def transcribed_step(state, sample, cfg):
-    """The substeps of step written out on raw arrays, each term computed
-    where the rate equations use it (the output pull twice, Upsilon and
-    wedge(delta) per use), in the floating-point order of the library. On
-    an orthogonal basis X_hat is inverted by its transpose, on any other by
-    inv.
+    """The substeps of step written out on raw arrays with @, in the
+    floating-point order of the library: per substep each shared product
+    (C X_hat^-1, G, H N, H Delta) is formed once, and P from the memoized
+    maps of Upsilon at the origin, whose values test_filter's property
+    test checks against P's definition. On an orthogonal basis X_hat is
+    inverted by its transpose, on any other by inv.
     Returns the per-substep (delta, dt, X_hat, H, eta) and the end state."""
     basis, origin, N = state.basis, cfg.origin_xi, sample.noise_shape
-    gens, orthogonal = basis.generators, basis.orthogonal
-    flat = gens.reshape(len(gens), -1)
+    Ups, H_map, eta_map = _origin_maps(basis, origin)
+    d, orthogonal = basis.dim_algebra, basis.orthogonal
+    flat = basis.generators.reshape(d, -1)
+    R_y = sample.R @ sample.y
     X, H, eta, t = state.X_hat, state.H, state.eta, state.t
     t_stop, records = t, []
     while sample.valid_until - t > TIME_SNAP:
         if t_stop - t <= TIME_SNAP:
             t_stop = min(sample.valid_until, t + cfg.dt_max)
-        Ups = (gens @ origin).T
-        P = Ups.T @ H @ Ups + Ups.T @ (eta @ gens).T
         X_inv = X.T if orthogonal else np.linalg.inv(X)
-        pull = X_inv.T @ (sample.C.T @ (sample.R @ (sample.C @ (X_inv @ origin) - sample.y)))
-        rhs = Ups.T @ (pull - H @ (N @ eta))
-        delta = np.linalg.solve(P, rhs)
+        C_pulled = sample.C @ X_inv
+        G = C_pulled.T @ (sample.R @ C_pulled)
+        HN = H @ N
+        forcing = G @ origin - C_pulled.T @ R_y - HN @ eta
+        P = (H.reshape(-1) @ H_map + eta @ eta_map).reshape(d, d)
+        delta = np.linalg.solve(P, forcing @ Ups)
         remaining = t_stop - t
         dt = min(cfg.dt_max, remaining)
         if math.sqrt(delta @ delta) > 0.0:
             dt = min(dt, cfg.delta_step_cap / math.sqrt(delta @ delta))
         Delta = (delta @ flat).reshape(X.shape)
-        C_pulled = sample.C @ X_inv
-        H_dot = -H @ Delta - Delta.T @ H - H @ N @ H + C_pulled.T @ (sample.R @ C_pulled)
-        Delta = (delta @ flat).reshape(X.shape)
-        pull = X_inv.T @ (sample.C.T @ (sample.R @ (sample.C @ (X_inv @ origin) - sample.y)))
-        eta_dot = -H @ (Delta @ origin) - Delta.T @ eta - H @ (N @ eta) + pull
+        HDelta = H @ Delta
+        H_dot = -HDelta - HDelta.T - HN @ H + G
+        eta_dot = -HDelta @ origin - Delta.T @ eta + forcing
         records.append((delta, dt, X, H, eta))
         X = (exp_group(basis, dt * delta) @ X) @ exp_group(basis, dt * sample.U_coords)
         H_new = H + dt * H_dot
@@ -160,30 +168,44 @@ class TestTranscription:
     def test_a_non_orthogonal_interval_is_bit_identical(self, group):
         # Groups with no closed-form exponential and no orthogonal elements:
         # step inverts each X_hat with inv and exponentiates by the series.
-        # The scaling group's elements are diagonal; the sheared copy of the
-        # quaternion group, T E_i T^-1, has dense ones.
-        rng = make_rng(613)
-        A, C, K, S = (rng.standard_normal((4, 4)) for _ in range(4))
-        if group == "scaling":
-            basis = GeneratorBasis(np.stack([np.diag([1.0, 0.0, 0.0, 0.0]),
-                                             np.diag([0.0, 1.0, -1.0, 0.0])]))
-        else:
-            T = np.eye(4) + 0.2 * S
-            basis = GeneratorBasis(T @ quaternion_basis().generators @ np.linalg.inv(T))
-        assert not basis.orthogonal and basis.closed_form_exp is None
-        d = basis.dim_algebra
-        state = ObserverState(X_hat=exp_group(basis, np.linspace(0.3, -0.2, d)), H=A.T @ A,
-                              eta=0.3 * rng.standard_normal(4), t=0.0, basis=basis)
-        sample = SignalSample(U_coords=np.linspace(0.5, -0.4, d), C=C,
-                              y=0.3 * rng.standard_normal(4), B=rng.standard_normal((4, d)),
-                              Q=np.eye(d) + 0.3 * np.eye(d, k=1) + 0.3 * np.eye(d, k=-1),
-                              R=0.5 * (K @ K.T), valid_until=0.05)
-        cfg = FilterConfig(origin_xi=[0.6, 0.8, 0.5, 0.1], dt_max=0.01)
+        state, sample, origin = non_orthogonal_instance(group, make_rng(613))
+        cfg = FilterConfig(origin_xi=origin, dt_max=0.01)
         trace: list = []
         end, _, _ = step(state, sample, cfg, trace=trace)
         assert not np.allclose(end.X_hat.T @ end.X_hat, np.eye(4))
         (interval,) = trace
         assert_step_matches_transcription(state, sample, cfg, interval, end)
+
+
+class TestExactSymmetry:
+    """step takes Delta^T H as (H Delta)^T, which holds bit for bit only for
+    an H whose mirror entries are equal: it refuses any other H, and keeps
+    its own H so."""
+
+    def test_an_h_one_ulp_off_symmetric_raises_before_any_substep(self, noisy_interval,
+                                                                   monkeypatch):
+        cfg, epoch, _ = noisy_interval
+        H = epoch.state.H.copy()
+        H[1, 2] = np.nextafter(H[1, 2], np.inf)
+        calls = []
+        real = mef.filter.forcing_terms
+        monkeypatch.setattr(mef.filter, "forcing_terms",
+                            lambda *args: calls.append(args) or real(*args))
+        trace: list = []
+        with pytest.raises(ValueError, match="H must be exactly symmetric"):
+            step(dataclasses.replace(epoch.state, H=H), epoch.sample, cfg, trace=trace)
+        assert calls == [] and trace == []
+        # The same state with the entry mirrored steps as usual.
+        H[2, 1] = H[1, 2]
+        step(dataclasses.replace(epoch.state, H=H), epoch.sample, cfg)
+        assert len(calls) == epoch.substeps
+
+    def test_every_traced_h_of_a_fine_check_run_is_bitwise_symmetric(self):
+        epochs = list(observe(build_check_config({}, 2.5e-4), trace=True))
+        stacks = [e.trace.H for e in epochs if e.trace is not None]
+        assert sum(len(H) for H in stacks) == 4000
+        for H in stacks + [epochs[-1].state.H[None]]:
+            assert H.tobytes() == np.swapaxes(H, 1, 2).tobytes()
 
 
 class TestVelocityExponential:
@@ -370,7 +392,7 @@ class TestResidualGuardOnOverflow:
         with np.errstate(over="ignore"):
             assert math.isinf((s * g).dot(s * g)) == (s > 1e154)
             assert ((s * g).dot(s * g) == 0.0) == (s < 1e-162)
-            return correction_delta(basis, H, np.zeros(4), upsilon(basis, XI_ORIGIN),
+            return correction_delta(H, np.zeros(4), _origin_maps(basis, XI_ORIGIN),
                                     s * np.concatenate(([0.0], g)))
 
     @pytest.mark.parametrize("s", [1.0, 1e155])
@@ -392,7 +414,7 @@ class TestResidualGuardOnOverflow:
     def test_a_tiny_rhs_is_solved_whether_or_not_its_square_underflows(self, s):
         H, basis = np.zeros((4, 4)), quaternion_basis()
         H[1:, 1:] = np.eye(3)
-        delta = correction_delta(basis, H, np.zeros(4), upsilon(basis, XI_ORIGIN),
+        delta = correction_delta(H, np.zeros(4), _origin_maps(basis, XI_ORIGIN),
                                  s * np.array([0.0, 1.0, -2.0, 0.5]))
         np.testing.assert_allclose(delta, -s * np.array([1.0, -2.0, 0.5]), rtol=1e-15, atol=0)
 
@@ -520,5 +542,5 @@ class TestDirectLapack:
         infinite P is covered at the solve only: the products that form P
         warn on an infinite operand first."""
         forcing = np.array([0.0, 1.0, -2.0, 0.5])
-        assert outcome(correction_delta, quaternion_basis(), H, np.zeros(4),
-                       upsilon(quaternion_basis(), XI_ORIGIN), forcing) == (SingularPError, message)
+        assert outcome(correction_delta, H, np.zeros(4),
+                       _origin_maps(quaternion_basis(), XI_ORIGIN), forcing) == (SingularPError, message)

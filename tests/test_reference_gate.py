@@ -2,10 +2,11 @@
 
 ``bench/bench_gate.py`` rejects a benchmark run whose outputs drift from
 ``bench/reference.json``: exact substep counts, ``final_error_rad`` to a
-relative 1e-6 and ``max_opt_residual`` to an absolute 1e-12. A change of
-round-off in the observer that would fail that gate fails here first. The
-gate and the reference are loaded read-only, so their tolerances are the
-gate's own.
+relative 1e-6, ``max_opt_residual`` to an absolute 1e-12, and the rows of
+``check --dt 2.5e-4``. Every noisy seed and the check the reference pins
+run here, so a change of round-off in the observer that would fail that
+gate fails here first. The gate and the reference are loaded read-only, so
+their tolerances are the gate's own.
 """
 
 import importlib.util
@@ -35,11 +36,19 @@ def test_gate_tolerances_are_the_documented_ones():
     assert (GATE.FINAL_ERROR_RTOL, GATE.RESIDUAL_ATOL) == (1e-6, 1e-12)
 
 
-@pytest.mark.parametrize("seed", [3, 7])
+@pytest.mark.parametrize("seed", sorted(REFERENCE["noisy"], key=int))
 def test_noisy_run_passes_the_benchmark_gate(seed, tmp_path, capsys):
-    assert str(seed) in REFERENCE["noisy"]
-    code = main(["simulate", "--config", "noisy", "--seed", str(seed), "--out", str(tmp_path)])
+    code = main(["simulate", "--config", "noisy", "--seed", seed, "--out", str(tmp_path)])
     outcome = {"rc": code, "stdout": capsys.readouterr().out, "error": None}
     assert code == EXIT_OK
-    unit = SimpleNamespace(kind="simulate", seeds=(seed,))
+    unit = SimpleNamespace(kind="simulate", seeds=(int(seed),))
+    assert GATE.check_unit(unit, outcome, CSV_HEADER, REFERENCE) == []
+
+
+def test_fine_check_passes_the_benchmark_gate(tmp_path, capsys):
+    (seed,) = REFERENCE["check_fine"]
+    code = main(["check", "--dt", "2.5e-4", "--seed", seed, "--out", str(tmp_path)])
+    outcome = {"rc": code, "stdout": capsys.readouterr().out, "error": None}
+    assert code == EXIT_OK
+    unit = SimpleNamespace(kind="check", seeds=(int(seed),))
     assert GATE.check_unit(unit, outcome, CSV_HEADER, REFERENCE) == []

@@ -34,7 +34,8 @@ from their own ``src``:
   (exit 1);
 - four runs that exit 3: the ``noisy`` preset with seed 43, whose
   correction solve fails late (t = 96.4 s), the default preset with
-  ``--set observer.hessian_scale=1e3``, whose state overflows at epoch 10,
+  ``--set observer.hessian_scale=1e3``, whose correction solve fails on a
+  NaN residual at epoch 9 as its diverging state overflows,
   ``check --set check.hessian_scale=0``, whose P is zero at epoch 0, and
   ``check --set check.vector_sigma_true=1e150``, whose correction's
   squared norm overflows at epoch 0;
@@ -58,13 +59,19 @@ and message only, without the file, line, source text, or the name of the
 numpy operation that raised it (``overflow encountered in matmul`` and
 ``... in dot`` compare equal): a new, lost or different kind of warning
 still shows. Every difference is printed, and the script exits 1 if there
-is any, 0 otherwise. For stdout, each differing pair of lines is printed
-too, with the relative difference of the two numbers of a ``name: number``
-line (a check row), which counts as a difference however small.
+is any, 0 otherwise. For stdout and stderr, each differing pair of lines
+is printed too, so an exit line that moved shows its guard and epoch,
+with the relative difference of the two numbers of a ``name: number``
+line (a check row), which counts as a difference however small. For a CSV
+that differs, the largest relative difference of each numeric column is
+printed, and whether each substep-count column differs; or else that the
+CSV exists on one side only, or that its header or row count differs.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import os
 import re
@@ -138,19 +145,55 @@ def run(tree: Path, argv: list[str], out: Path) -> tuple[int | str, str, str, di
     return proc.returncode, stdout, WARNING.sub(r"\1: \2", proc.stderr), csvs
 
 
-def print_stdout_differences(here: str, there: str) -> None:
-    """Print each differing pair of stdout lines, this checkout's first,
-    and for a ``name: number ...`` pair also the numbers' relative
-    difference."""
+def print_line_differences(here: str, there: str) -> None:
+    """Print each differing pair of stdout or stderr lines, this
+    checkout's first, and for a ``name: number ...`` pair also the numbers'
+    relative difference."""
     for a, b in itertools.zip_longest(here.splitlines(), there.splitlines(), fillvalue=""):
         if a == b:
             continue
         print(f"    here:  {a}\n    there: {b}")
         x, y = NUMBER_LINE.match(a), NUMBER_LINE.match(b)
         if x and y and x[1] == y[1]:
-            u, v = float(x[2]), float(y[2])
-            scale = max(abs(u), abs(v))
-            print(f"    relative difference: {abs(u - v) / scale if scale else 0.0:.3e}")
+            print(f"    relative difference: {relative_difference(float(x[2]), float(y[2])):.3e}")
+
+
+def relative_difference(u: float, v: float) -> float:
+    """|u - v| / max(|u|, |v|), and 0 for two zeros."""
+    scale = max(abs(u), abs(v))
+    return abs(u - v) / scale if scale else 0.0
+
+
+def print_csv_differences(here: dict[str, bytes], there: dict[str, bytes]) -> None:
+    """Print how each CSV differs, this checkout's first: a file on one side
+    only, a different header or row count, or else the largest relative
+    difference of each numeric column and, for a substep count, whether it
+    differs at all."""
+    for name in sorted(here.keys() | there.keys()):
+        if name not in here or name not in there:
+            print(f"    {name}: {'here' if name in here else 'there'} only")
+            continue
+        if here[name] == there[name]:
+            continue
+        ours, theirs = (list(csv.reader(io.StringIO(data.decode()))) for data in
+                        (here[name], there[name]))
+        if ours[:1] != theirs[:1] or len(ours) != len(theirs):
+            print(f"    {name}: header or row count differs "
+                  f"({len(ours)} lines here, {len(theirs)} there)")
+            continue
+        for k, column in enumerate(ours[0]):
+            pairs = [(row[k], other[k]) for row, other in zip(ours[1:], theirs[1:])]
+            if column.endswith("substeps"):
+                changed = sum(a != b for a, b in pairs)
+                print(f"    {name} {column}: "
+                      + (f"differs in {changed} rows" if changed else "identical"))
+                continue
+            try:
+                numbers = [(float(a), float(b)) for a, b in pairs]
+            except ValueError:
+                continue
+            worst = max((relative_difference(u, v) for u, v in numbers), default=0.0)
+            print(f"    {name} {column}: largest relative difference {worst:.3e}")
 
 
 def main(argv: list[str]) -> int:
@@ -173,8 +216,10 @@ def main(argv: list[str]) -> int:
                 if a != b:
                     print(f"  {name} differs" + (f": {a} here, {b} there"
                                                  if name == "exit code" else ""))
-                    if name == "stdout":
-                        print_stdout_differences(a, b)
+                    if name in ("stdout", "stderr"):
+                        print_line_differences(a, b)
+                    elif name == "CSV":
+                        print_csv_differences(a, b)
     print(f"{differences} of {len(COMMANDS)} commands differ from {rev}")
     return 1 if differences else 0
 
